@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Compare the three gradient routes on random frames.
+"""Compare the three gradient routes and the Hessian on random frames.
 
 Evaluates the eigendecomposition formula, the minor-expansion ratio
 formula, and central finite differences at random scalings, and prints
-the worst pairwise discrepancies.
+the worst pairwise discrepancies.  It also compares the analytic Hessian
+with central differences of the analytic gradient.
 
     python3 scripts/gradient_check.py --frames 50 --seed 2
 """
@@ -20,6 +21,7 @@ from frameiso import (
     log_det_potential_grad,
 )
 from frameiso.generate import random_frame
+from frameiso.objective import _potential
 
 
 def finite_difference(frame, t, step=1e-5):
@@ -34,6 +36,18 @@ def finite_difference(frame, t, step=1e-5):
     return grad
 
 
+def hessian_difference(frame, t, step=1e-5):
+    hess = np.empty((frame.n, frame.n))
+    for j in range(frame.n):
+        up, down = t.copy(), t.copy()
+        up[j] += step
+        down[j] -= step
+        hess[:, j] = (
+            log_det_potential_grad(frame, up) - log_det_potential_grad(frame, down)
+        ) / (2 * step)
+    return hess
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--frames", type=int, default=50)
@@ -42,7 +56,7 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    worst_minss = worst_fd = 0.0
+    worst_minss = worst_fd = worst_hess = 0.0
     checked = 0
     while checked < args.frames:
         d = int(rng.integers(2, 5))
@@ -67,9 +81,15 @@ def main():
                 worst_fd,
                 float(np.max(np.abs(analytic - finite_difference(frame, t)) / scale)),
             )
+            hess = _potential(frame, t, order=2)[2]
+            worst_hess = max(
+                worst_hess,
+                float(np.max(np.abs(hess - hessian_difference(frame, t)))),
+            )
     print(f"frames checked:                 {checked}")
     print(f"worst analytic-vs-minors error: {worst_minss:.3e}")
     print(f"worst analytic-vs-stencil error:{worst_fd:.3e}")
+    print(f"worst Hessian-vs-stencil abs error: {worst_hess:.3e}")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from .objective import (
     EnumerationSizeError,
     MinorTerm,
     NotPositiveDefiniteError,
-    ObjectiveState,
     det_via_minors,
     enumerate_minors,
     grad_via_minors,
@@ -81,7 +80,6 @@ __all__ = [
     "MinorTerm",
     "NearnessReport",
     "NotPositiveDefiniteError",
-    "ObjectiveState",
     "PaulsenReport",
     "PolytopeReport",
     "SolveResult",

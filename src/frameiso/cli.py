@@ -73,8 +73,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
         grad_tol=args.grad_tol,
         max_iters=args.max_iters,
-        unbounded_floor=args.unbounded_floor,
-        pre_normalize=args.pre_normalize,
         rank_tol=args.tol,
     )
 
@@ -83,9 +81,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--grad-tol", type=float, default=None,
                         help="gradient norm tolerance (default 1e-9 * d)")
     parser.add_argument("--max-iters", type=int, default=100_000)
-    parser.add_argument("--unbounded-floor", type=float, default=-1e6)
-    parser.add_argument("--pre-normalize", action="store_true",
-                        help="solve with blocks scaled to unit Frobenius norm")
 
 
 def cmd_check(args) -> int:

@@ -31,7 +31,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_block(mat, d: int, index: int) -> np.ndarray:
-    arr = np.array(mat, dtype=float, copy=True)
+    arr = np.asarray(mat, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
@@ -42,12 +42,17 @@ def _as_block(mat, d: int, index: int) -> np.ndarray:
         raise ValueError(f"block {index}: needs at least one column")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"block {index}: non-finite entries")
-    return _freeze(arr)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixFrame:
-    """Ordered blocks X_1..X_n, each of shape d x d_i with finite real entries."""
+    """Ordered blocks X_1..X_n, each of shape d x d_i with finite real entries.
+
+    The blocks are copied once, into a read-only pooled d x N matrix, and
+    are kept as views of it; ``block_starts`` holds the offset of each
+    block's first pooled column.
+    """
 
     d: int
     blocks: tuple
@@ -58,7 +63,14 @@ class MatrixFrame:
         blocks = tuple(_as_block(b, self.d, i) for i, b in enumerate(self.blocks))
         if not blocks:
             raise ValueError("a frame needs at least one block")
-        object.__setattr__(self, "blocks", blocks)
+        cols = [b.shape[1] for b in blocks]
+        pooled = _freeze(np.hstack(blocks))
+        starts = _freeze(np.cumsum([0] + cols[:-1]))
+        views = tuple(pooled[:, s : s + c] for s, c in zip(starts, cols))
+        object.__setattr__(self, "blocks", views)
+        object.__setattr__(self, "_pooled", pooled)
+        object.__setattr__(self, "_owner", _freeze(np.repeat(np.arange(len(cols)), cols)))
+        object.__setattr__(self, "block_starts", starts)
 
     @property
     def n(self) -> int:
@@ -75,8 +87,8 @@ class MatrixFrame:
         return sum(self.block_cols)
 
     def pooled(self) -> np.ndarray:
-        """All columns side by side as a d x N matrix, block order preserved."""
-        return np.hstack(self.blocks)
+        """All columns side by side as a read-only d x N matrix, in block order."""
+        return self._pooled
 
     def column_owners(self) -> tuple:
         """For each pooled column, the pair (block index, column within block)."""
@@ -136,12 +148,6 @@ class WeightVector:
         """Least common denominator of the weights (in lowest terms)."""
         return math.lcm(*(w.denominator for w in self.weights))
 
-    @property
-    def sigma(self) -> tuple:
-        """Induced integer weight: omega at the source, -omega*c_i at sink i."""
-        om = self.omega
-        return (om,) + tuple(int(-om * w) for w in self.weights)
-
     def total(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 
@@ -163,12 +169,16 @@ class FrameDatum:
             )
 
 
+def _weighted_operator(frame: MatrixFrame, per_block: np.ndarray) -> np.ndarray:
+    """sum_i w_i X_i X_i^T in one product over the pooled columns, symmetrised."""
+    pooled = frame.pooled()
+    op = (pooled * per_block[frame._owner]) @ pooled.T
+    return (op + op.T) / 2.0
+
+
 def frame_operator(frame: MatrixFrame) -> np.ndarray:
     """Sum of X_i X_i^T over all blocks; symmetric positive semidefinite."""
-    op = np.zeros((frame.d, frame.d))
-    for block in frame.blocks:
-        op += block @ block.T
-    return (op + op.T) / 2.0
+    return _weighted_operator(frame, np.ones(frame.n))
 
 
 def is_matrix_frame(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:

@@ -8,8 +8,10 @@ yields the radial-isotropy transformer Q^{-1/2}(t*).
 
 Two independent evaluation routes are provided:
 
-* the production path via symmetric eigendecomposition of Q(t), giving
-  the potential and the gradient components e^{t_i} |Q^{-1/2}(t) X_i|_F^2;
+* the production path: one kernel builds Q(t) from the pooled d x N
+  matrix and, from a single symmetric eigendecomposition, returns the
+  potential, the gradient components e^{t_i} |Q^{-1/2}(t) X_i|_F^2 and,
+  on request, the Hessian;
 * a combinatorial oracle that expands det Q(t) over all d-column
   selections from the pooled matrix (each selection contributes the
   squared d x d determinant of the chosen columns, scaled by
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FrameDatum, MatrixFrame
+from .frames import FrameDatum, MatrixFrame, _weighted_operator
 
 # Eigenvalues below this fraction of the largest are treated as zero;
 # the theory assumes Q(t) positive definite, we must fail loudly instead.
@@ -53,15 +55,7 @@ def scaled_frame_operator(frame: MatrixFrame, t) -> np.ndarray:
     e^{t_i} is non-finite; recentre t (the objective is invariant under
     adding a multiple of the all-ones vector when the weights sum to d).
     """
-    t = _check_scalings(frame, t)
-    with np.errstate(over="ignore"):
-        scale = np.exp(t)
-    if not np.all(np.isfinite(scale)):
-        raise OverflowError("e^{t_i} overflowed; recentre the scalings")
-    op = np.zeros((frame.d, frame.d))
-    for s, block in zip(scale, frame.blocks):
-        op += s * (block @ block.T)
-    return (op + op.T) / 2.0
+    return _weighted_operator(frame, _exp_scalings(frame, t))
 
 
 def _check_scalings(frame: MatrixFrame, t) -> np.ndarray:
@@ -71,6 +65,14 @@ def _check_scalings(frame: MatrixFrame, t) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ValueError("scalings must be finite")
     return t
+
+
+def _exp_scalings(frame: MatrixFrame, t) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        scale = np.exp(_check_scalings(frame, t))
+    if not np.all(np.isfinite(scale)):
+        raise OverflowError("e^{t_i} overflowed; recentre the scalings")
+    return scale
 
 
 def _pd_eigh(op: np.ndarray):
@@ -84,6 +86,39 @@ def _pd_eigh(op: np.ndarray):
     return eigvals, eigvecs
 
 
+def _potential(frame: MatrixFrame, t, order: int = 1) -> tuple:
+    """(log det Q(t), gradient, Hessian) from one eigendecomposition of Q(t).
+
+    Derivatives above ``order`` are returned as None.  With P the pooled
+    d x N matrix, Q = U diag(lam) U^T and M = P^T Q^{-1} P, gradient
+    component i is e^{t_i} times the sum over block i's columns of
+    (U^T P)^2 / lam, and the Hessian is diag(g) - (e^t e^t^T) o S, where
+    S_ij sums M o M over the columns of blocks i and j.  The Hessian rows
+    sum to zero: the potential is linear along the all-ones direction.
+    """
+    scale = _exp_scalings(frame, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = _weighted_operator(frame, scale)
+    if not np.all(np.isfinite(op)):
+        raise OverflowError("Q(t) overflowed; recentre the scalings")
+    eigvals, eigvecs = _pd_eigh(op)
+    value = float(np.sum(np.log(eigvals)))
+    if order < 1:
+        return value, None, None
+    starts = frame.block_starts
+    rotated = eigvecs.T @ frame.pooled()
+    col_sums = np.sum(rotated**2 / eigvals[:, None], axis=0)
+    grad = scale * np.add.reduceat(col_sums, starts)
+    if order < 2:
+        return value, grad, None
+    inner = rotated.T @ (rotated / eigvals[:, None])
+    coupling = np.add.reduceat(
+        np.add.reduceat(inner * inner, starts, axis=0), starts, axis=1
+    )
+    hess = np.diag(grad) - np.outer(scale, scale) * coupling
+    return value, grad, (hess + hess.T) / 2.0
+
+
 def sym_inverse_sqrt(op: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix."""
     eigvals, eigvecs = _pd_eigh(np.asarray(op, dtype=float))
@@ -92,8 +127,7 @@ def sym_inverse_sqrt(op: np.ndarray) -> np.ndarray:
 
 def log_det_potential(frame: MatrixFrame, t) -> float:
     """log det Q(t), computed from the eigenvalues of the symmetrised Q."""
-    eigvals, _ = _pd_eigh(scaled_frame_operator(frame, t))
-    return float(np.sum(np.log(eigvals)))
+    return _potential(frame, t, order=0)[0]
 
 
 def log_det_potential_grad(frame: MatrixFrame, t) -> np.ndarray:
@@ -101,35 +135,7 @@ def log_det_potential_grad(frame: MatrixFrame, t) -> np.ndarray:
 
     The components always sum to d (trace identity).
     """
-    t = _check_scalings(frame, t)
-    eigvals, eigvecs = _pd_eigh(scaled_frame_operator(frame, t))
-    grad = np.empty(frame.n)
-    for i, block in enumerate(frame.blocks):
-        rotated = eigvecs.T @ block
-        grad[i] = math.exp(t[i]) * float(np.sum(rotated**2 / eigvals[:, None]))
-    return grad
-
-
-@dataclass(frozen=True, eq=False)
-class ObjectiveState:
-    """Scalings together with the operator, potential value and gradient."""
-
-    t: np.ndarray
-    operator: np.ndarray
-    value: float
-    grad: np.ndarray
-
-    @classmethod
-    def evaluate(cls, frame: MatrixFrame, t) -> "ObjectiveState":
-        t = _check_scalings(frame, t)
-        operator = scaled_frame_operator(frame, t)
-        eigvals, eigvecs = _pd_eigh(operator)
-        value = float(np.sum(np.log(eigvals)))
-        grad = np.empty(frame.n)
-        for i, block in enumerate(frame.blocks):
-            rotated = eigvecs.T @ block
-            grad[i] = math.exp(t[i]) * float(np.sum(rotated**2 / eigvals[:, None]))
-        return cls(t=t, operator=operator, value=value, grad=grad)
+    return _potential(frame, t)[1]
 
 
 @dataclass(frozen=True)

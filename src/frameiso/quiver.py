@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, FrameDatum, MatrixFrame, WeightVector, frame_operator
+from .frames import (
+    DEFAULT_TOL,
+    FrameDatum,
+    MatrixFrame,
+    WeightVector,
+    _weighted_operator,
+    frame_operator,
+)
 
 
 def _spectral_deviation_from_identity(mat: np.ndarray) -> float:
@@ -31,10 +38,8 @@ def _spectral_deviation_from_identity(mat: np.ndarray) -> float:
 
 def parseval_residual(datum: FrameDatum) -> tuple:
     """(operator deviation of sum c_i X_i X_i^T from I, max |norm^2 - 1|)."""
-    frame, weights = datum.frame, datum.weights
-    op = np.zeros((frame.d, frame.d))
-    for c, block in zip(weights.as_floats(), frame.blocks):
-        op += c * (block @ block.T)
+    frame = datum.frame
+    op = _weighted_operator(frame, datum.weights.as_floats())
     op_dev = _spectral_deviation_from_identity(op)
     norm_dev = max(abs(float(np.sum(b**2)) - 1.0) for b in frame.blocks)
     return op_dev, norm_dev
@@ -91,13 +96,11 @@ def nearness(frame: MatrixFrame) -> NearnessReport:
 
 def radial_isotropy_residual(datum: FrameDatum) -> float:
     """Spectral deviation of sum c_i X_i X_i^T / |X_i|_F^2 from the identity."""
-    frame, weights = datum.frame, datum.weights
-    op = np.zeros((frame.d, frame.d))
-    for c, block in zip(weights.as_floats(), frame.blocks):
-        norm_sq = float(np.sum(block**2))
-        if norm_sq == 0.0:
-            raise ValueError("zero block: normalised term undefined")
-        op += c * (block @ block.T) / norm_sq
+    frame = datum.frame
+    norms_sq = np.array([float(np.sum(b**2)) for b in frame.blocks])
+    if np.any(norms_sq == 0.0):
+        raise ValueError("zero block: normalised term undefined")
+    op = _weighted_operator(frame, datum.weights.as_floats() / norms_sq)
     return _spectral_deviation_from_identity(op)
 
 

@@ -1,6 +1,10 @@
 """Minimisation of the scaling objective and extraction of the transformer.
 
-Plain gradient descent with Armijo backtracking on t -> potential(t) - <t, c>.
+Damped Newton with Armijo backtracking on t -> potential(t) - <t, c>.
+Each iteration takes the Newton direction orthogonal to the all-ones
+gauge direction (along which the Hessian is singular) from one LU solve,
+and falls back to steepest descent when that system is singular or the
+direction is not a clear descent direction.
 Convergence is declared on the gradient (grad potential - c), which up to
 scaling is exactly the radial-isotropy residual users care about.  Each
 iterate is recentred so <t, c> = 0; the objective is invariant under that
@@ -9,9 +13,7 @@ whenever a minimiser exists.
 
 When the weights fail the orbit-polytope test the infimum is -inf and the
 solver reports ``not_semistable`` without iterating (the polytope test is
-the exact certificate; divergence detection is corroboration only).  A
-quasi-second-order step using the analytic Hessian is available behind
-``method="newton"`` for stiff instances.
+the exact certificate; divergence detection is corroboration only).
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import numpy as np
 from .frames import DEFAULT_TOL, FrameDatum, MatrixFrame, apply_transform, is_matrix_frame
 from .objective import (
     NotPositiveDefiniteError,
-    _pd_eigh,
+    _potential,
     grad_via_minors,
-    log_det_potential_grad,
+    log_det_potential,
     scaled_frame_operator,
     sym_inverse_sqrt,
 )
@@ -39,27 +41,33 @@ STATUS_UNBOUNDED = "unbounded_below"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_NOT_SEMISTABLE = "not_semistable"
 
+_ARMIJO_C1 = 1e-4
+_BACKTRACK = 0.5
+_INIT_STEP = 1.0
+# Iterates beyond e^{+-50} exceed what doubles can usefully represent, so
+# crossing this cap (or the objective floor) is treated as divergence.
+_SCALING_CAP = 50.0
+_UNBOUNDED_FLOOR = -1e6
+# A Newton direction whose descent slope is below this fraction of |g|^2
+# is numerically tangent to the gradient's level set; use -g instead.
+_DESCENT_FRACTION = 1e-8
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the descent loop.
+    """Settings of the damped-Newton loop.
 
-    ``grad_tol`` defaults to 1e-9 * d when left at None.  ``scaling_cap``
-    bounds the recentred iterates; e^{+-50} already exceeds what doubles
-    can usefully represent, so crossing it is treated as divergence.
+    ``grad_tol`` is the gradient-norm tolerance, 1e-9 * d when left at
+    None; ``max_iters`` caps the iterations; ``check_polytope`` runs the
+    exact orbit-polytope certificate first and skips the loop for
+    non-members; ``rank_tol`` is the relative tolerance of the rank and
+    positive-definiteness predicates.
     """
 
     grad_tol: Optional[float] = None
     max_iters: int = 100_000
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    init_step: float = 1.0
-    unbounded_floor: float = -1e6
-    scaling_cap: float = 50.0
-    pre_normalize: bool = False
     check_polytope: bool = True
     rank_tol: float = DEFAULT_TOL
-    method: str = "gd"
 
     def effective_grad_tol(self, d: int) -> float:
         return self.grad_tol if self.grad_tol is not None else 1e-9 * d
@@ -94,30 +102,10 @@ def recenter(t: np.ndarray, weight_floats: np.ndarray, d: int) -> np.ndarray:
     return t - (float(np.dot(t, weight_floats)) / d)
 
 
-def _hessian(frame: MatrixFrame, t: np.ndarray) -> np.ndarray:
-    """Analytic Hessian of the potential: diag(g) - K with
-    K_ij = e^{t_i+t_j} tr(Q^{-1} B_i Q^{-1} B_j)."""
-    eigvals, eigvecs = _pd_eigh(scaled_frame_operator(frame, t))
-    inv = (eigvecs / eigvals) @ eigvecs.T
-    n = frame.n
-    scaled = [math.exp(t[i]) * (inv @ frame.blocks[i]) for i in range(n)]
-    grad = np.array([float(np.sum(frame.blocks[i] * scaled[i])) for i in range(n)])
-    hess = np.diag(grad)
-    for i in range(n):
-        for j in range(i, n):
-            left = frame.blocks[i].T @ scaled[j]
-            right = frame.blocks[j].T @ scaled[i]
-            hess[i, j] -= float(np.sum(left * right.T))
-            hess[j, i] = hess[i, j]
-    return hess
-
-
 def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveResult:
     """Minimise the scaling objective for the given weighted frame."""
     if config is None:
         config = SolverConfig()
-    if config.method not in ("gd", "newton"):
-        raise ValueError(f"unknown method {config.method!r}")
     frame, weights = datum.frame, datum.weights
     d = frame.d
     if weights.total() != Fraction(d):
@@ -143,21 +131,9 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
                 polytope=polytope_report,
             )
 
-    # Optional gauge: solve for the block-normalised frame, then shift the
-    # scalings back.  The transformer is identical either way.
-    shift = np.zeros(frame.n)
-    work = frame
-    if config.pre_normalize:
-        norms = np.array([np.linalg.norm(b) for b in frame.blocks])
-        if np.any(norms == 0.0):
-            raise ValueError("cannot pre-normalise a frame with a zero block")
-        work = MatrixFrame(d, tuple(b / s for b, s in zip(frame.blocks, norms)))
-        shift = -2.0 * np.log(norms)
-
     c_floats = weights.as_floats()
-    t = recenter(np.zeros(frame.n), c_floats, d)
-    state_grad = log_det_potential_grad(work, t)
-    value = _objective_value(work, t, c_floats)
+    t = np.zeros(frame.n)
+    value, state_grad, hess = _potential(frame, t, order=2)
     history = [value]
     status = STATUS_MAX_ITERS
     iterations = 0
@@ -177,13 +153,9 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
             iterations -= 1
             break
 
-        if config.method == "newton":
-            direction = _newton_direction(work, t, gradient)
-        else:
-            direction = -gradient
-
+        direction = _newton_direction(hess, gradient)
         step, new_t, new_value, full_step_floored = _line_search(
-            work, t, value, gradient, direction, c_floats, config
+            frame, t, value, gradient, direction, c_floats
         )
         if step is None:
             if full_step_floored and grad_norm > wall_grad_floor:
@@ -192,9 +164,9 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
             # The objective can no longer resolve differences this small,
             # but the gradient still can: take the full step whenever it
             # shrinks the gradient norm, otherwise give up as stalled.
-            trial = t + config.init_step * direction
+            trial = t + _INIT_STEP * direction
             try:
-                trial_grad = log_det_potential_grad(work, trial)
+                _, trial_grad, trial_hess = _potential(frame, trial, order=2)
             except (NotPositiveDefiniteError, OverflowError):
                 if grad_norm > wall_grad_floor:
                     status = STATUS_UNBOUNDED
@@ -202,7 +174,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
             if float(np.linalg.norm(trial_grad - c_floats)) >= grad_norm:
                 break
             t = recenter(trial, c_floats, d)
-            state_grad = trial_grad
+            state_grad, hess = trial_grad, trial_hess
             history.append(value)
             continue
         pd_wall_streak = pd_wall_streak + 1 if full_step_floored else 0
@@ -216,11 +188,11 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         value = new_value
         history.append(value)
 
-        if float(np.max(np.abs(t))) > config.scaling_cap or value < config.unbounded_floor:
+        if float(np.max(np.abs(t))) > _SCALING_CAP or value < _UNBOUNDED_FLOOR:
             status = STATUS_UNBOUNDED
             break
         try:
-            state_grad = log_det_potential_grad(work, t)
+            _, state_grad, hess = _potential(frame, t, order=2)
         except NotPositiveDefiniteError:
             # Numerically singular along the current drift: divergence.
             status = STATUS_UNBOUNDED
@@ -232,30 +204,25 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         # Cross-check divergence against the exact certificate.
         polytope_report = in_orbit_polytope(datum, config.rank_tol)
 
-    # Express the result for the original frame regardless of the gauge.
-    t_out = recenter(t + shift, c_floats, d)
-    objective_value = value - float(np.dot(shift, c_floats))
     grad_norm = float(np.linalg.norm(state_grad - c_floats))
     transformer = None
     extremisers = None
     if status in (STATUS_CONVERGED, STATUS_MAX_ITERS):
         try:
-            transformer = sym_inverse_sqrt(scaled_frame_operator(frame, t_out))
-            residual_norms = np.array(
-                [float(np.sum((transformer @ b) ** 2)) for b in frame.blocks]
+            transformer = sym_inverse_sqrt(scaled_frame_operator(frame, t))
+            residual_norms = np.add.reduceat(
+                np.sum((transformer @ frame.pooled()) ** 2, axis=0), frame.block_starts
             )
             extremisers = 1.0 / residual_norms
-            grad_norm = float(
-                np.linalg.norm(np.exp(t_out) * residual_norms - c_floats)
-            )
+            grad_norm = float(np.linalg.norm(np.exp(t) * residual_norms - c_floats))
         except NotPositiveDefiniteError:
             # Stalled at the edge of the cone; leave the transformer unset.
             transformer = None
             extremisers = None
     return SolveResult(
-        t_star=t_out,
+        t_star=t,
         transformer=transformer,
-        objective_value=objective_value,
+        objective_value=value,
         grad_norm=grad_norm,
         extremisers=extremisers,
         status=status,
@@ -266,21 +233,26 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     )
 
 
-def _objective_value(frame: MatrixFrame, t: np.ndarray, c_floats: np.ndarray) -> float:
-    eigvals, _ = _pd_eigh(scaled_frame_operator(frame, t))
-    return float(np.sum(np.log(eigvals)) - np.dot(t, c_floats))
-
-
-def _newton_direction(frame, t, gradient):
-    hess = _hessian(frame, t)
-    # The Hessian is singular along the all-ones gauge direction.
-    direction = -np.linalg.lstsq(hess, gradient, rcond=1e-12)[0]
-    if float(np.dot(direction, gradient)) >= 0.0:
+def _newton_direction(hess: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+    # The Hessian is singular along the all-ones gauge direction, and the
+    # gradient is orthogonal to it (both sides of the trace identity sum
+    # to d).  Adding a multiple of the all-ones matrix fills that null
+    # direction, so one LU solve yields the Newton direction orthogonal to
+    # the gauge.  Along a drift with vanishing curvature the solve is
+    # singular or its direction barely descends, which would stall the
+    # line search; steepest descent is used instead.
+    n = len(gradient)
+    try:
+        direction = -np.linalg.solve(hess + np.trace(hess) / n**2, gradient)
+    except np.linalg.LinAlgError:
+        return -gradient
+    slope = float(np.dot(direction, gradient))
+    if -slope <= _DESCENT_FRACTION * float(np.dot(gradient, gradient)):
         return -gradient
     return direction
 
 
-def _line_search(frame, t, value, gradient, direction, c_floats, config):
+def _line_search(frame, t, value, gradient, direction, c_floats):
     """Armijo backtracking.
 
     Returns (step, new_t, new_value, full_step_floored); the last flag
@@ -289,7 +261,7 @@ def _line_search(frame, t, value, gradient, direction, c_floats, config):
     of the cone.  Returns (None, None, None, flag) when no step succeeds.
     """
     slope = float(np.dot(gradient, direction))
-    step = config.init_step
+    step = _INIT_STEP
     full_step_floored = False
     first = True
     # Differences below float resolution of the objective cannot be
@@ -299,20 +271,20 @@ def _line_search(frame, t, value, gradient, direction, c_floats, config):
     while step > 1e-20:
         trial = t + step * direction
         try:
-            trial_value = _objective_value(frame, trial, c_floats)
+            trial_value = log_det_potential(frame, trial) - float(np.dot(trial, c_floats))
         except (NotPositiveDefiniteError, OverflowError):
             if first:
                 full_step_floored = True
             first = False
-            step *= config.backtrack
+            step *= _BACKTRACK
             continue
         first = False
-        required = value + config.armijo_c1 * step * slope
+        required = value + _ARMIJO_C1 * step * slope
         if trial_value <= required:
             return step, trial, trial_value, full_step_floored
-        if config.armijo_c1 * step * abs(slope) < resolution and trial_value <= value + resolution:
+        if _ARMIJO_C1 * step * abs(slope) < resolution and trial_value <= value + resolution:
             return step, trial, trial_value, full_step_floored
-        step *= config.backtrack
+        step *= _BACKTRACK
     return None, None, None, full_step_floored
 
 

@@ -10,6 +10,7 @@ from frameiso import (
     column_span_dim,
     dist_squared,
     frame_operator,
+    induced_sigma,
     is_generic,
     is_matrix_frame,
 )
@@ -147,7 +148,7 @@ def test_generic_implies_full_subset_ranks(mixed_frame):
 def test_weight_vector_rationals():
     w = WeightVector(("2/3", "2/3", "2/3"))
     assert w.omega == 3
-    assert w.sigma == (3, -2, -2, -2)
+    assert induced_sigma(w) == ((3,), (-2, -2, -2))
     assert float(w.total()) == 2.0
     with pytest.raises(TypeError):
         WeightVector((0.5, 0.5))
@@ -160,7 +161,7 @@ def test_weight_vector_rationals():
 def test_weight_sigma_is_integral(fracs):
     w = WeightVector(tuple(fracs))
     om = w.omega
-    for c, s in zip(w.weights, w.sigma[1:]):
+    for c, s in zip(w.weights, induced_sigma(w)[1]):
         assert om * c == -s
         assert isinstance(s, int)
 

@@ -9,7 +9,6 @@ from frameiso import (
     FrameDatum,
     MatrixFrame,
     NotPositiveDefiniteError,
-    ObjectiveState,
     WeightVector,
     det_via_minors,
     enumerate_minors,
@@ -22,6 +21,7 @@ from frameiso import (
     sym_inverse_sqrt,
 )
 from frameiso.generate import random_frame
+from frameiso.objective import _potential
 
 from conftest import assert_close, random_shape
 
@@ -227,10 +227,33 @@ def test_log_capacity(mixed_frame, thirds, orthonormal_frame):
 
 
 def test_objective_state(mixed_frame):
-    state = ObjectiveState.evaluate(mixed_frame, np.zeros(3))
-    assert np.max(np.abs(state.operator - state.operator.T)) <= 1e-12
-    assert float(np.sum(state.grad)) == pytest.approx(2.0, abs=1e-8)
-    assert state.value == pytest.approx(math.log(18))
+    operator = scaled_frame_operator(mixed_frame, np.zeros(3))
+    assert np.max(np.abs(operator - operator.T)) <= 1e-12
+    grad = log_det_potential_grad(mixed_frame, np.zeros(3))
+    assert float(np.sum(grad)) == pytest.approx(2.0, abs=1e-8)
+    assert log_det_potential(mixed_frame, np.zeros(3)) == pytest.approx(math.log(18))
+
+
+def test_hessian_matches_gradient_differences():
+    rng = np.random.default_rng(10)
+    step = 1e-5
+    for _ in range(20):
+        d, cols = random_shape(rng, d_max=3, n_max=6, cols_max=3)
+        frame = random_frame(d, cols, rng)
+        for _ in range(3):
+            t = rng.uniform(-1.5, 1.5, frame.n)
+            _, _, hess = _potential(frame, t, order=2)
+            numeric = np.empty((frame.n, frame.n))
+            for j in range(frame.n):
+                up, down = t.copy(), t.copy()
+                up[j] += step
+                down[j] -= step
+                numeric[:, j] = (
+                    log_det_potential_grad(frame, up) - log_det_potential_grad(frame, down)
+                ) / (2 * step)
+            assert np.allclose(hess, numeric, rtol=0.0, atol=1e-7)
+            # the potential is linear along the all-ones direction
+            assert float(np.max(np.abs(hess.sum(axis=1)))) <= 1e-10
 
 
 def test_sym_inverse_sqrt():
