@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .frames import (
     DEFAULT_TOL,
+    EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
     WeightVector,
@@ -23,7 +24,6 @@ from .frames import (
     is_matrix_frame,
 )
 from .objective import (
-    EnumerationSizeError,
     MinorTerm,
     NotPositiveDefiniteError,
     det_via_minors,

@@ -7,7 +7,8 @@ dumps the determinant-expansion terms, and ``gen`` writes seeded random
 frames.  Reports are JSON on stdout with a reproducibility header; reals
 are hex-floats unless ``--human``.
 
-Exit codes: 0 ok, 2 input or precondition error, 3 certificate failure.
+Exit codes: 0 ok, 2 input or precondition error (including an input too
+large for an exact enumeration), 3 certificate failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .frames import DEFAULT_TOL, FrameDatum, WeightVector, is_matrix_frame, is_generic
+from .frames import (
+    DEFAULT_SIZE_GUARD,
+    DEFAULT_TOL,
+    EnumerationSizeError,
+    FrameDatum,
+    WeightVector,
+    is_generic,
+    is_matrix_frame,
+)
 from .generate import random_equal_norm_parseval, random_frame, random_nearly_parseval
 from .io import (
     FrameFileError,
@@ -29,14 +38,9 @@ from .io import (
     read_frame_file,
     write_frame_file,
 )
-from .objective import (
-    DEFAULT_SIZE_GUARD,
-    EnumerationSizeError,
-    enumerate_minors,
-    log_capacity,
-)
+from .objective import enumerate_minors, log_capacity
 from .paulsen import paulsen_round
-from .polytope import in_orbit_polytope, in_relative_interior
+from .polytope import in_orbit_polytope
 from .quiver import (
     is_equal_norm_parseval,
     is_parseval,
@@ -90,7 +94,7 @@ def cmd_check(args) -> int:
     report["mf"] = is_matrix_frame(frame, args.tol)
     try:
         report["generic"] = is_generic(frame, args.tol)
-    except ValueError as exc:
+    except (ValueError, EnumerationSizeError) as exc:
         report["generic"] = None
         report["generic_note"] = str(exc)
     near = nearness(frame)
@@ -112,7 +116,7 @@ def cmd_check(args) -> int:
         report["sum_check"] = poly.sum_check
         report["tight_subsets"] = [list(s) for s in poly.tight_subsets]
         report["violating_subsets"] = [list(s) for s in poly.violating_subsets]
-        report["relint"] = in_relative_interior(datum, args.tol)
+        report["relint"] = poly.relative_interior
     else:
         report["pmf"] = None
         report["rif"] = None
@@ -319,7 +323,7 @@ def main(argv=None) -> int:
     except FrameFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, EnumerationSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

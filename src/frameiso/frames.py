@@ -24,6 +24,14 @@ import numpy as np
 # Every predicate also takes an explicit ``tol`` so tests can tighten it.
 DEFAULT_TOL = 1e-9
 
+# Most objects (column selections, block subsets) an exact enumeration may
+# visit before it refuses with EnumerationSizeError.
+DEFAULT_SIZE_GUARD = 1_000_000
+
+
+class EnumerationSizeError(RuntimeError):
+    """Raised when an exact enumeration would exceed the size guard."""
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -215,25 +223,36 @@ def dist_squared(frame_a: MatrixFrame, frame_b: MatrixFrame) -> float:
     )
 
 
+def _column_minors(mat: np.ndarray, size_guard: int = DEFAULT_SIZE_GUARD) -> tuple:
+    """(selections, determinants) of all d-column selections of a d x N matrix.
+
+    Selections are index tuples in lexicographic order.  Raises ValueError
+    when N < d and EnumerationSizeError when C(N, d) exceeds the guard,
+    before anything is allocated.
+    """
+    d, n_cols = mat.shape
+    if n_cols < d:
+        raise ValueError(f"undersized frame: N={n_cols} < d={d}")
+    count = math.comb(n_cols, d)
+    if count > size_guard:
+        raise EnumerationSizeError(
+            f"C({n_cols},{d}) = {count} exceeds the size guard {size_guard}"
+        )
+    subsets = list(itertools.combinations(range(n_cols), d))
+    return subsets, np.linalg.det(np.stack([mat[:, s] for s in subsets]))
+
+
 def is_generic(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
     """True when every d of the N pooled columns form a basis.
 
     Checks |det| > tol for all C(N, d) column subsets of the pooled
     matrix after rescaling it by its largest absolute entry, so the test
-    is scale-aware.  Exact enumeration: exponential in d, fine at desk
-    scale where C(N, d) stays small.
+    is scale-aware.  Exact enumeration: exponential in d, refused with
+    EnumerationSizeError when C(N, d) exceeds DEFAULT_SIZE_GUARD.
     """
     pooled = frame.pooled()
-    n_cols = pooled.shape[1]
-    if n_cols < frame.d:
-        raise ValueError(f"undersized frame: N={n_cols} < d={frame.d}")
     scale = np.max(np.abs(pooled))
-    if scale == 0.0:
-        return False
-    pooled = pooled / scale
-    subsets = list(itertools.combinations(range(n_cols), frame.d))
-    stacked = np.stack([pooled[:, s] for s in subsets])
-    dets = np.linalg.det(stacked)
+    _, dets = _column_minors(pooled / scale if scale > 0.0 else pooled)
     return bool(np.all(np.abs(dets) > tol))
 
 

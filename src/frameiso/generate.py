@@ -9,16 +9,21 @@ import numpy as np
 from .frames import MatrixFrame
 from .quiver import nearness
 
+# Rotation sweeps the norm balancing of random_equal_norm_parseval takes
+# before it restarts from a fresh partial isometry.
+_MAX_SWEEPS = 200
+# Rescalings of the noise random_nearly_parseval tries to land its
+# measured nearness in [epsilon / 2, 0.98 epsilon].
+_NEARNESS_ROUNDS = 4
 
-def random_frame(d: int, block_cols, rng, scale: float = 1.0) -> MatrixFrame:
-    """Gaussian blocks of the requested shape."""
-    blocks = tuple(scale * rng.standard_normal((d, cols)) for cols in block_cols)
+
+def random_frame(d: int, block_cols, rng) -> MatrixFrame:
+    """Standard Gaussian blocks of the requested shape."""
+    blocks = tuple(rng.standard_normal((d, cols)) for cols in block_cols)
     return MatrixFrame(d, blocks)
 
 
-def random_equal_norm_parseval(
-    d: int, block_cols, rng, max_sweeps: int = 200
-) -> MatrixFrame:
+def random_equal_norm_parseval(d: int, block_cols, rng) -> MatrixFrame:
     """Exact equal-norm Parseval frame of the requested block shape.
 
     Starts from a random partial isometry (pooled columns of an
@@ -39,7 +44,7 @@ def random_equal_norm_parseval(
         gauss = rng.standard_normal((total, d))
         q, _ = np.linalg.qr(gauss)
         pooled = q.T.copy()
-        if _balance_block_masses(pooled, owners, n, target, d, rng, max_sweeps):
+        if _balance_block_masses(pooled, owners, n, target, d, rng):
             blocks = []
             start = 0
             for cols in block_cols:
@@ -49,9 +54,9 @@ def random_equal_norm_parseval(
     raise RuntimeError("norm balancing did not converge")
 
 
-def _balance_block_masses(pooled, owners, n, target, d, rng, max_sweeps) -> bool:
+def _balance_block_masses(pooled, owners, n, target, d, rng) -> bool:
     total_cols = pooled.shape[1]
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         masses = np.array(
             [float(np.sum(pooled[:, owners == i] ** 2)) for i in range(n)]
         )
@@ -131,9 +136,7 @@ def _mix_columns(pooled, col_a, col_b, theta):
     pooled[:, col_b] = -s * u + c * v
 
 
-def random_nearly_parseval(
-    d: int, block_cols, epsilon: float, rng, rounds: int = 4
-) -> MatrixFrame:
+def random_nearly_parseval(d: int, block_cols, epsilon: float, rng) -> MatrixFrame:
     """Perturbation of an exact equal-norm Parseval frame with measured
     nearness close to (and below) the requested epsilon."""
     if not 0.0 < epsilon < 0.3:
@@ -142,7 +145,7 @@ def random_nearly_parseval(
     noise = [rng.standard_normal(b.shape) for b in exact.blocks]
     delta = 0.25 * epsilon / math.sqrt(d)
     frame = exact
-    for _ in range(rounds):
+    for _ in range(_NEARNESS_ROUNDS):
         frame = MatrixFrame(
             d, tuple(b + delta * h for b, h in zip(exact.blocks, noise))
         )

@@ -25,27 +25,28 @@ accumulated in log space so large scalings do not overflow.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FrameDatum, MatrixFrame, _weighted_operator
+# EnumerationSizeError is re-exported for callers of enumerate_minors.
+from .frames import (
+    DEFAULT_SIZE_GUARD,
+    EnumerationSizeError,
+    FrameDatum,
+    MatrixFrame,
+    _column_minors,
+    _weighted_operator,
+)
 
 # Eigenvalues below this fraction of the largest are treated as zero;
 # the theory assumes Q(t) positive definite, we must fail loudly instead.
 EIG_FLOOR = 1e-12
 
-DEFAULT_SIZE_GUARD = 1_000_000
-
 
 class NotPositiveDefiniteError(ValueError):
     """Raised when the scaled frame operator is singular within tolerance."""
-
-
-class EnumerationSizeError(RuntimeError):
-    """Raised when the minor enumeration would exceed the size guard."""
 
 
 def scaled_frame_operator(frame: MatrixFrame, t) -> np.ndarray:
@@ -172,19 +173,8 @@ def enumerate_minors(
     Selections are returned in lexicographic order of the pooled column
     indices.  Raises EnumerationSizeError when C(N, d) exceeds the guard.
     """
-    n_cols = frame.total_cols
-    if n_cols < frame.d:
-        raise ValueError(f"undersized frame: N={n_cols} < d={frame.d}")
-    count = math.comb(n_cols, frame.d)
-    if count > size_guard:
-        raise EnumerationSizeError(
-            f"C({n_cols},{frame.d}) = {count} exceeds the size guard {size_guard}"
-        )
-    pooled = frame.pooled()
+    subsets, dets = _column_minors(frame.pooled(), size_guard)
     owners = frame.column_owners()
-    subsets = list(itertools.combinations(range(n_cols), frame.d))
-    stacked = np.stack([pooled[:, s] for s in subsets])
-    dets = np.linalg.det(stacked)
 
     terms = []
     for subset, det in zip(subsets, dets):

@@ -7,6 +7,13 @@ diagonally scaled directions, and rotate back.  The output is an exact
 equal-norm Parseval frame (up to the solver tail) whose squared distance
 from the input is certified against the bound 26 * epsilon * d^2.
 
+The perturbed frame is accepted through the genericity certificate
+(``has_stability_certificate``), which already puts the uniform weights
+in the relative interior of the orbit polytope; the solve therefore runs
+without the 2^n subset pre-check.  The one exponential step left is the
+C(N, d) minor test behind the certificate, which refuses with
+EnumerationSizeError above DEFAULT_SIZE_GUARD.
+
 The distance argument runs through a majorization step: with the
 singular values sorted weakly decreasing, the row masses of the helper
 frame majorize those of the rotated perturbed frame, coordinates taken
@@ -18,7 +25,7 @@ majorization and the resulting distance inequalities on every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,10 +36,14 @@ from .frames import (
     MatrixFrame,
     WeightVector,
     dist_squared,
-    is_generic,
 )
+from .polytope import has_stability_certificate
 from .quiver import is_equal_norm_parseval, nearness
 from .solver import STATUS_CONVERGED, SolverConfig, SolveResult, minimize
+
+# Perturbation draws tried, each at half the previous magnitude, before
+# perturb_to_generic gives up.
+_MAX_RETRIES = 60
 
 
 def majorizes(v, u, tol: float = 1e-9) -> bool:
@@ -67,7 +78,6 @@ def perturb_to_generic(
     epsilon: float,
     rng_seed: int,
     tol: float = DEFAULT_TOL,
-    max_retries: int = 60,
 ) -> tuple:
     """Normalise block norms to sqrt(d/n) and perturb until generic.
 
@@ -108,7 +118,7 @@ def perturb_to_generic(
     max_cols = max(frame.block_cols)
     delta = budget / math.sqrt(d * max_cols)
     rng = np.random.default_rng(rng_seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         noise = [rng.uniform(-delta, delta, size=b.shape) for b in frame.blocks]
         h_norms = [float(np.linalg.norm(h)) for h in noise]
         gamma = max((n / d) * (h * h + 2.0 * h) for h in h_norms)
@@ -126,7 +136,7 @@ def perturb_to_generic(
 
 
 def _perturbation_ok(original, candidate, epsilon, tol) -> bool:
-    if not is_generic(candidate, tol):
+    if not has_stability_certificate(candidate, tol):
         return False
     if dist_squared(original, candidate) > epsilon * original.d * (1.0 + 1e-9):
         return False
@@ -209,7 +219,11 @@ def paulsen_round(
 
     perturbed, gamma = perturb_to_generic(frame, eps, rng_seed, tol)
     datum = FrameDatum(perturbed, WeightVector.uniform(d, n))
-    result = minimize(datum, config)
+    # The perturbed frame carries the genericity certificate, so the
+    # uniform weights need no subset enumeration: for every proper block
+    # subset S, r(S) >= min(d, |S|) > |S| d/n, because d/n < 1 and |S| < n.
+    # The weights therefore lie in the relative interior.
+    result = minimize(datum, replace(config, check_polytope=False))
     if result.status != STATUS_CONVERGED:
         raise RuntimeError(
             f"isotropy solve failed (status={result.status}, "

@@ -25,7 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, FrameDatum, MatrixFrame, apply_transform, is_matrix_frame
+from .frames import (
+    DEFAULT_TOL,
+    EnumerationSizeError,
+    FrameDatum,
+    MatrixFrame,
+    apply_transform,
+    is_matrix_frame,
+)
 from .objective import (
     NotPositiveDefiniteError,
     _potential,
@@ -60,7 +67,8 @@ class SolverConfig:
     ``grad_tol`` is the gradient-norm tolerance, 1e-9 * d when left at
     None; ``max_iters`` caps the iterations; ``check_polytope`` runs the
     exact orbit-polytope certificate first and skips the loop for
-    non-members; ``rank_tol`` is the relative tolerance of the rank and
+    non-members (it raises EnumerationSizeError above the size guard,
+    n >= 20); ``rank_tol`` is the relative tolerance of the rank and
     positive-definiteness predicates.
     """
 
@@ -83,6 +91,9 @@ class SolveResult:
     ``extremisers`` are the positive scalars 1 / |transformer @ X_i|_F^2;
     at a true minimiser e^{t*_i} / Y_i = c_i.  ``objective_history``
     records the accepted objective values for descent diagnostics.
+    ``polytope`` is the exact certificate's report from the pre-check or
+    from the cross-check of an unbounded run; None when neither ran or
+    the subset enumeration was over the size guard.
     """
 
     t_star: np.ndarray
@@ -201,8 +212,12 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         iterations = config.max_iters
 
     if status == STATUS_UNBOUNDED and polytope_report is None:
-        # Cross-check divergence against the exact certificate.
-        polytope_report = in_orbit_polytope(datum, config.rank_tol)
+        # Cross-check divergence against the exact certificate, where the
+        # subset enumeration is small enough to run.
+        try:
+            polytope_report = in_orbit_polytope(datum, config.rank_tol)
+        except EnumerationSizeError:
+            pass
 
     grad_norm = float(np.linalg.norm(state_grad - c_floats))
     transformer = None

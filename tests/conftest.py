@@ -1,7 +1,21 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import frameiso
 from frameiso import MatrixFrame, WeightVector
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _children_import_tested_package():
+    """Child interpreters (``python -m frameiso``) import the package under test."""
+    src = str(Path(frameiso.__file__).resolve().parent.parent)
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(paths))
+        yield
 
 
 @pytest.fixture

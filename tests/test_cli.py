@@ -87,6 +87,24 @@ def test_check_without_weights(tmp_path, capsys):
     assert report["pmf"] is None
 
 
+def test_check_over_size_guards(tmp_path, capsys):
+    # d = 8 and 40 single-column blocks: C(40, 8) minors and 2^40 subsets.
+    rng = np.random.default_rng(0)
+    frame = MatrixFrame(8, tuple(rng.standard_normal((8, 1)) for _ in range(40)))
+    path = tmp_path / "wide.json"
+    write_frame_file(path, frame)
+    code, out, _ = run_cli(["check", str(path), "--human"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["generic"] is None
+    assert "size guard" in report["generic_note"]
+    write_frame_file(path, frame, WeightVector.uniform(8, 40))
+    for command in ("check", "solve-rif"):
+        code, _, err = run_cli([command, str(path)], capsys)
+        assert code == 2
+        assert "size guard" in err
+
+
 def test_check_equal_norm(tmp_path, capsys):
     r = 2.0**-0.5
     frame = MatrixFrame(2, ([r, 0.0], [0.0, r], [0.5, 0.5], [0.5, -0.5]))

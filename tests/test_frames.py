@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frameiso import (
+    EnumerationSizeError,
     MatrixFrame,
     WeightVector,
     apply_transform,
@@ -122,6 +123,10 @@ def test_is_generic(mixed_frame, collinear_frame, orthonormal_frame):
     assert is_generic(orthonormal_frame, 1e-9)
     with pytest.raises(ValueError):
         is_generic(MatrixFrame(3, ([1.0, 0.0, 0.0],)), 1e-9)
+    # C(40, 8) = 7.7e7 selections (about 39 GB stacked) exceed the guard.
+    wide = MatrixFrame(8, (np.random.default_rng(0).standard_normal((8, 40)),))
+    with pytest.raises(EnumerationSizeError):
+        is_generic(wide)
 
 
 def test_column_span_dim(mixed_frame, collinear_frame):

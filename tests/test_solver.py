@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,18 @@ def test_degenerate_random_frames_diverge():
         assert subset in guarded.polytope.violating_subsets
         free = minimize(datum, SolverConfig(check_polytope=False))
         assert free.status == "unbounded_below"
+
+
+def test_cross_check_over_size_guard_is_skipped():
+    # 2^40 subsets: the divergence cross-check must refuse, not enumerate.
+    rng = np.random.default_rng(15)
+    frame, _ = random_degenerate_frame(16, 40, rng)
+    datum = FrameDatum(frame, WeightVector.uniform(16, 40))
+    start = time.perf_counter()
+    result = minimize(datum, SolverConfig(check_polytope=False))
+    assert time.perf_counter() - start < 5.0
+    assert result.status == "unbounded_below"
+    assert result.polytope is None
 
 
 def _generic_random_data():
