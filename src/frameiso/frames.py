@@ -223,12 +223,20 @@ def dist_squared(frame_a: MatrixFrame, frame_b: MatrixFrame) -> float:
     )
 
 
-def _column_minors(mat: np.ndarray, size_guard: int = DEFAULT_SIZE_GUARD) -> tuple:
-    """(selections, determinants) of all d-column selections of a d x N matrix.
+# Column selections whose determinants one batched call takes; bounds the
+# gathered (chunk, d, d) stack whatever C(N, d) is.
+_MINOR_CHUNK = 4096
 
-    Selections are index tuples in lexicographic order.  Raises ValueError
-    when N < d and EnumerationSizeError when C(N, d) exceeds the guard,
-    before anything is allocated.
+
+def _column_minors(mat: np.ndarray, size_guard: int = DEFAULT_SIZE_GUARD):
+    """Yield (selections, determinants) of the d-column selections of a d x N matrix.
+
+    The C(N, d) selections come in lexicographic order, in chunks of at
+    most _MINOR_CHUNK: ``selections`` is a (chunk, d) index array and
+    ``determinants`` the matching minors, taken in one batched call on
+    the gathered stack.  Raises ValueError when N < d and
+    EnumerationSizeError when C(N, d) exceeds the guard, before anything
+    is allocated.
     """
     d, n_cols = mat.shape
     if n_cols < d:
@@ -238,8 +246,14 @@ def _column_minors(mat: np.ndarray, size_guard: int = DEFAULT_SIZE_GUARD) -> tup
         raise EnumerationSizeError(
             f"C({n_cols},{d}) = {count} exceeds the size guard {size_guard}"
         )
-    subsets = list(itertools.combinations(range(n_cols), d))
-    return subsets, np.linalg.det(np.stack([mat[:, s] for s in subsets]))
+    combos = itertools.combinations(range(n_cols), d)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(combos, _MINOR_CHUNK))
+        selections = np.fromiter(flat, dtype=np.intp).reshape(-1, d)
+        if not len(selections):
+            return
+        # mat[:, selections] is (d, chunk, d); entry [:, k, :] is selection k.
+        yield selections, np.linalg.det(np.moveaxis(mat[:, selections], 1, 0))
 
 
 def is_generic(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
@@ -248,19 +262,33 @@ def is_generic(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
     Checks |det| > tol for all C(N, d) column subsets of the pooled
     matrix after rescaling it by its largest absolute entry, so the test
     is scale-aware.  Exact enumeration: exponential in d, refused with
-    EnumerationSizeError when C(N, d) exceeds DEFAULT_SIZE_GUARD.
+    EnumerationSizeError when C(N, d) exceeds DEFAULT_SIZE_GUARD.  The
+    minors are taken chunk by chunk, and the test stops at the first
+    chunk holding a minor at or below ``tol``.
     """
     pooled = frame.pooled()
     scale = np.max(np.abs(pooled))
-    _, dets = _column_minors(pooled / scale if scale > 0.0 else pooled)
-    return bool(np.all(np.abs(dets) > tol))
+    minors = _column_minors(pooled / scale if scale > 0.0 else pooled)
+    return all(np.all(np.abs(dets) > tol) for _, dets in minors)
+
+
+def _numerical_rank(svals: np.ndarray, tol: float) -> np.ndarray:
+    """Numerical rank from singular values sorted in decreasing order.
+
+    Counts the values above ``tol`` times the largest, and is 0 when the
+    largest is 0.  Works along the last axis, so a (..., k) stack of
+    singular values gives a (...) array of ranks.
+    """
+    top = svals[..., :1]
+    ranks = np.sum(svals > tol * top, axis=-1)
+    return np.where(top[..., 0] == 0.0, 0, ranks)
 
 
 def column_span_dim(frame: MatrixFrame, subset, tol: float = DEFAULT_TOL) -> int:
     """Dimension of the span of the columns of the blocks indexed by ``subset``.
 
-    Numerical rank: singular values above ``tol`` times the largest.
-    The empty subset spans the zero space.
+    Numerical rank: singular values above ``tol`` times the largest, and
+    0 when the largest is 0.  The empty subset spans the zero space.
     """
     indices = sorted(set(subset))
     if not indices:
@@ -268,7 +296,4 @@ def column_span_dim(frame: MatrixFrame, subset, tol: float = DEFAULT_TOL) -> int
     if indices[0] < 0 or indices[-1] >= frame.n:
         raise ValueError(f"subset {indices} out of range for n={frame.n}")
     mat = np.hstack([frame.blocks[i] for i in indices])
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > tol * svals[0]))
+    return int(_numerical_rank(np.linalg.svd(mat, compute_uv=False), tol))

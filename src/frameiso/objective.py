@@ -173,26 +173,26 @@ def enumerate_minors(
     Selections are returned in lexicographic order of the pooled column
     indices.  Raises EnumerationSizeError when C(N, d) exceeds the guard.
     """
-    subsets, dets = _column_minors(frame.pooled(), size_guard)
     owners = frame.column_owners()
 
     terms = []
-    for subset, det in zip(subsets, dets):
-        per_block: dict = {}
-        for col in subset:
-            block, within = owners[col]
-            per_block.setdefault(block, []).append(within)
-        support = tuple(sorted(per_block))
-        column_sets = tuple(tuple(per_block[b]) for b in support)
-        value = float(det) ** 2
-        terms.append(
-            MinorTerm(
-                support=support,
-                column_sets=column_sets,
-                value=value,
-                negligible=value <= tol,
+    for selections, dets in _column_minors(frame.pooled(), size_guard):
+        for subset, det in zip(selections.tolist(), dets.tolist()):
+            per_block: dict = {}
+            for col in subset:
+                block, within = owners[col]
+                per_block.setdefault(block, []).append(within)
+            support = tuple(sorted(per_block))
+            column_sets = tuple(tuple(per_block[b]) for b in support)
+            value = det**2
+            terms.append(
+                MinorTerm(
+                    support=support,
+                    column_sets=column_sets,
+                    value=value,
+                    negligible=value <= tol,
+                )
             )
-        )
     return tuple(terms)
 
 

@@ -8,10 +8,15 @@ and membership in the relative interior characterises transformability
 into a radial isotropic frame (for locally semi-simple representations).
 
 Both verdicts come from one pass over all 2^n - 1 nonempty block
-subsets, which ranks each subset once.  The pass is exponential in n and
-refuses with EnumerationSizeError when 2^n - 1 exceeds DEFAULT_SIZE_GUARD
-(n >= 20).  The comparisons themselves are exact rational-vs-integer;
-only the span ranks carry a numeric tolerance.
+subsets, which ranks each subset once.  Subsets are bitmasks, taken in
+chunks of 2^_CHUNK_BITS; inside a chunk, the subsets with the same pooled
+column count m are gathered as one (group, d, m) stack and ranked by one
+batched SVD, so the per-subset work runs in LAPACK rather than in the
+interpreter and every temporary is bounded by the chunk.  The weights
+are scaled by their common denominator to Python ints, whose subset sums
+are compared exactly with the scaled ranks; only the span ranks carry a
+numeric tolerance.  The pass is exponential in n and refuses with
+EnumerationSizeError when 2^n - 1 exceeds DEFAULT_SIZE_GUARD (n >= 20).
 
 For n > d a generic frame needs no pass at all: the genericity
 certificate already puts the uniform weights in the relative interior
@@ -20,9 +25,9 @@ certificate already puts the uniform weights in the relative interior
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from .frames import (
     DEFAULT_SIZE_GUARD,
@@ -30,9 +35,13 @@ from .frames import (
     EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
-    column_span_dim,
+    _numerical_rank,
     is_generic,
 )
+
+# Subsets per chunk of the pass: 2^_CHUNK_BITS masks, so every temporary
+# is bounded by 2^_CHUNK_BITS x N whatever n is.
+_CHUNK_BITS = 9
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,46 @@ class PolytopeReport:
     relative_interior: bool
 
 
+def _subset_sums(values) -> np.ndarray:
+    """All 2^k subset sums of ``values`` as an object array indexed by bitmask.
+
+    Entry ``mask`` sums ``values[i]`` over the bits i of ``mask``; Python
+    int values give exact Python int sums.
+    """
+    sums = np.zeros(1, dtype=object)
+    for value in values:
+        # The masks with this bit set are the masks below it plus value.
+        sums = np.concatenate((sums, sums + value))
+    return sums
+
+
+def _subset_ranks(frame: MatrixFrame, masks: np.ndarray, tol: float) -> np.ndarray:
+    """Column-span rank of each nonempty block subset in ``masks``.
+
+    Subsets with the same pooled column count m are gathered from the
+    pooled matrix as one (group, d, m) stack and ranked by one batched SVD.
+    """
+    pooled = frame.pooled()
+    # Byte-sized bits keep the (chunk, N) membership table small; the size
+    # guard keeps every mask below 2^20, so four bytes hold it.
+    raw = masks.astype("<u4").view(np.uint8).reshape(len(masks), 4)
+    bits = np.unpackbits(raw, axis=1, count=frame.n, bitorder="little")
+    chosen = bits[:, frame._owner]
+    widths = chosen.sum(axis=1, dtype=np.intp)
+    ranks = np.empty(len(masks), dtype=np.intp)
+    for m in np.flatnonzero(np.bincount(widths)):
+        rows = np.flatnonzero(widths == m)
+        columns = np.nonzero(chosen[rows])[1].reshape(len(rows), m)
+        # pooled[:, columns] is (d, group, m); [:, k, :] holds subset k's columns.
+        stack = np.moveaxis(pooled[:, columns], 1, 0)
+        ranks[rows] = _numerical_rank(np.linalg.svd(stack, compute_uv=False), tol)
+    return ranks
+
+
+def _subset(mask: int, n: int) -> tuple:
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
 def in_orbit_polytope(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeReport:
     """Exact membership test of the weights in the frame's orbit polytope.
 
@@ -62,38 +111,50 @@ def in_orbit_polytope(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeRe
     DEFAULT_SIZE_GUARD.
     """
     frame, weights = datum.frame, datum.weights
-    n = frame.n
+    n, d = frame.n, frame.d
     count = 2**n - 1
     if count > DEFAULT_SIZE_GUARD:
         raise EnumerationSizeError(
             f"2^{n} - 1 = {count} block subsets exceed the size guard"
             f" {DEFAULT_SIZE_GUARD}"
         )
-    sum_check = weights.total() == Fraction(frame.d)
+    # Scaled by their common denominator omega the weights are integers,
+    # and c(S) <= r(S) is the exact integer test omega c(S) <= omega r(S).
+    omega = weights.omega
+    scaled = [w.numerator * (omega // w.denominator) for w in weights.weights]
+    # Bit i of a mask selects block i.  A chunk fixes the bits from
+    # low_bits up and runs through all the bits below.
+    low_bits = min(n, _CHUNK_BITS)
+    low_sums = _subset_sums(scaled[:low_bits])
+    high_sums = _subset_sums(scaled[low_bits:])
+    bounds = np.array([rank * omega for rank in range(d + 1)], dtype=object)
+    lows = np.arange(2**low_bits)
 
     tight = []
     violating = []
     tight_below_d = False
-    full = tuple(range(n))
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            weight_sum = sum((weights.weights[i] for i in subset), Fraction(0))
-            rank = column_span_dim(frame, subset, tol)
-            if weight_sum > rank:
-                violating.append(subset)
-            elif weight_sum == rank and subset != full:
-                tight.append(subset)
-                # A tight constraint of rank d cannot cut the affine slice
-                # further than the sum condition already does; one of rank
-                # below d puts the weights on a proper face.
-                tight_below_d = tight_below_d or rank < frame.d
+    for high, high_sum in enumerate(high_sums):
+        masks = (high << low_bits) + lows
+        sums = low_sums + high_sum
+        if high == 0:
+            masks, sums = masks[1:], sums[1:]  # the empty subset
+        ranks = _subset_ranks(frame, masks, tol)
+        excess = sums - bounds[ranks]
+        violating.extend(masks[excess > 0].tolist())
+        at_bound = (excess == 0) & (masks != count)  # [n] is never listed
+        tight.extend(masks[at_bound].tolist())
+        # A tight constraint of rank d cannot cut the affine slice further
+        # than the sum condition already does; one of rank below d puts
+        # the weights on a proper face.
+        tight_below_d = tight_below_d or bool(np.any(ranks[at_bound] < d))
 
+    sum_check = high_sums[-1] + low_sums[-1] == d * omega
     member = sum_check and not violating
     return PolytopeReport(
         member=member,
         sum_check=sum_check,
-        tight_subsets=tuple(sorted(tight)),
-        violating_subsets=tuple(sorted(violating)),
+        tight_subsets=tuple(sorted(_subset(m, n) for m in tight)),
+        violating_subsets=tuple(sorted(_subset(m, n) for m in violating)),
         relative_interior=member and not tight_below_d,
     )
 

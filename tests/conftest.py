@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +60,13 @@ def assert_close(actual, expected, tol=1e-10):
     expected = np.asarray(expected, dtype=float)
     assert actual.shape == expected.shape
     assert np.max(np.abs(actual - expected)) <= tol, (actual, expected)
+
+
+def traced_peak(func, *args):
+    """(func(*args), peak bytes that tracemalloc saw during the call)."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

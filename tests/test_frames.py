@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,10 @@ from frameiso import (
     is_generic,
     is_matrix_frame,
 )
+from frameiso import frames
+from frameiso.frames import _column_minors
 
-from conftest import assert_close
+from conftest import assert_close, traced_peak
 
 
 def test_frame_validation():
@@ -127,6 +131,42 @@ def test_is_generic(mixed_frame, collinear_frame, orthonormal_frame):
     wide = MatrixFrame(8, (np.random.default_rng(0).standard_normal((8, 40)),))
     with pytest.raises(EnumerationSizeError):
         is_generic(wide)
+
+
+def test_column_minors_chunks_match_single_determinants():
+    # C(16, 5) = 4368 selections cross a chunk boundary.
+    mat = np.random.default_rng(4).standard_normal((5, 16))
+    selections, dets = zip(*_column_minors(mat))
+    assert len(selections) > 1
+    expected = list(itertools.combinations(range(16), 5))
+    assert [tuple(s) for s in np.concatenate(selections).tolist()] == expected
+    singles = [np.linalg.det(mat[:, list(s)]) for s in expected]
+    assert np.array_equal(np.concatenate(dets), singles)
+
+
+def test_is_generic_memory_is_bounded():
+    # C(24, 6) = 134,596 minors are taken chunk by chunk.
+    frame = MatrixFrame(6, (np.random.default_rng(6).standard_normal((6, 24)),))
+    generic, peak = traced_peak(is_generic, frame)
+    assert generic
+    assert peak < 4 * 2**20
+
+
+def test_is_generic_stops_at_first_failing_chunk(monkeypatch):
+    # The repeated first column zeroes minors of the first chunk, so the
+    # rest of the C(24, 6) selections are never taken.
+    cols = np.random.default_rng(7).standard_normal((6, 24))
+    cols[:, 1] = cols[:, 0]
+    taken = []
+
+    def counted(mat, *args):
+        for selections, dets in _column_minors(mat, *args):
+            taken.append(len(selections))
+            yield selections, dets
+
+    monkeypatch.setattr(frames, "_column_minors", counted)
+    assert not is_generic(MatrixFrame(6, (cols,)))
+    assert len(taken) == 1
 
 
 def test_column_span_dim(mixed_frame, collinear_frame):

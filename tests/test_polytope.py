@@ -10,13 +10,17 @@ from frameiso import (
     EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
+    PolytopeReport,
     WeightVector,
     column_span_dim,
     has_stability_certificate,
     in_orbit_polytope,
     in_relative_interior,
 )
+from frameiso import polytope
 from frameiso.generate import random_frame
+
+from conftest import traced_peak
 
 
 def test_membership_generic(mixed_frame, thirds):
@@ -165,3 +169,85 @@ def test_generic_frame_puts_uniform_weights_in_relint(d, data):
     # r(S) >= min(d, |S|) > |S| d/n for every proper subset S: nothing is tight.
     assert report.tight_subsets == ()
     assert report.relative_interior
+
+
+def _per_subset_report(datum):
+    """The report from one column_span_dim call and one Fraction sum per subset."""
+    frame, weights = datum.frame, datum.weights.weights
+    tight, violating = [], []
+    for size in range(1, frame.n + 1):
+        for subset in itertools.combinations(range(frame.n), size):
+            weight_sum = sum((weights[i] for i in subset), Fraction(0))
+            rank = column_span_dim(frame, subset)
+            if weight_sum > rank:
+                violating.append(subset)
+            elif weight_sum == rank and size < frame.n:
+                tight.append(subset)
+    sum_check = sum(weights, Fraction(0)) == frame.d
+    member = sum_check and not violating
+    return PolytopeReport(
+        member=member,
+        sum_check=sum_check,
+        tight_subsets=tuple(sorted(tight)),
+        violating_subsets=tuple(sorted(violating)),
+        relative_interior=member
+        and all(column_span_dim(frame, s) >= frame.d for s in tight),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_integer_data(), st.sampled_from((1, Fraction(3, 4), Fraction(5, 4))))
+def test_batched_pass_matches_per_subset_reference(datum, factor):
+    # A factor other than 1 breaks the sum condition and moves subsets
+    # between the tight, violating and slack cases.
+    weights = WeightVector(tuple(factor * w for w in datum.weights.weights))
+    datum = FrameDatum(datum.frame, weights)
+    assert in_orbit_polytope(datum) == _per_subset_report(datum)
+
+
+def test_batched_pass_over_several_chunks():
+    # Entries in {-1, 0, 1} in the plane make many rank drops.
+    rng = np.random.default_rng(5)
+    blocks = tuple(rng.integers(-1, 2, size=(2, 1 + k % 2)) for k in range(11))
+    frame = MatrixFrame(2, blocks)
+    assert frame.n > polytope._CHUNK_BITS  # more than one chunk of masks
+    shares = [int(a) for a in rng.integers(1, 4, size=11)]
+    weights = WeightVector(tuple(Fraction(2 * a, sum(shares)) for a in shares))
+    datum = FrameDatum(frame, weights)
+    report = in_orbit_polytope(datum)
+    assert report == _per_subset_report(datum)
+    assert report.tight_subsets or report.violating_subsets
+
+
+def test_weight_sums_are_exact():
+    # Blocks 0, 1 span the line of e1 and blocks 2, 3 that of e2.  Weights
+    # 1/2 +- 10^-30 have the common denominator 10^30: neither int64 nor
+    # float can tell 1 + 10^-30 from 1.
+    frame = MatrixFrame(2, ([1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 3.0]))
+    eps = Fraction(1, 10**30)
+    half = Fraction(1, 2)
+
+    over = in_orbit_polytope(
+        FrameDatum(frame, WeightVector((half + eps, half, half - eps, half)))
+    )
+    assert over.sum_check
+    assert over.violating_subsets == ((0, 1),)  # 1 + 10^-30 > rank 1
+    assert over.tight_subsets == ()
+    assert not over.member
+
+    equal = in_orbit_polytope(
+        FrameDatum(frame, WeightVector((half + eps, half - eps, half, half)))
+    )
+    assert equal.violating_subsets == ()
+    assert equal.tight_subsets == ((0, 1), (2, 3))  # sums equal rank 1
+    assert equal.member
+    assert not equal.relative_interior
+
+
+def test_subset_pass_memory_is_bounded():
+    # 2^16 - 1 subsets of 24 pooled columns are ranked chunk by chunk.
+    frame = random_frame(4, [1, 2] * 8, np.random.default_rng(3))
+    datum = FrameDatum(frame, WeightVector.uniform(4, 16))
+    report, peak = traced_peak(in_orbit_polytope, datum)
+    assert report.relative_interior
+    assert peak < 8 * 2**20
