@@ -145,11 +145,7 @@ def cmd_solve_rif(args) -> int:
             FrameDatum(transformed, datum.weights)
         )
         try:
-            residual = stationarity_residual(
-                datum,
-                result.t_star,
-                enumerate_minors(datum.frame, size_guard=args.size_guard),
-            )
+            residual = stationarity_residual(datum, result.t_star)
             report["variety_residual_max"] = float(np.max(np.abs(residual)))
         except EnumerationSizeError:
             report["variety_residual_max"] = "skipped"
@@ -274,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve-rif", help="minimise and report the transformer")
     p_solve.add_argument("path")
     p_solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_solve.add_argument("--size-guard", type=int, default=DEFAULT_SIZE_GUARD)
     p_solve.add_argument("--out", default=None, help="write the transformed frame here")
     p_solve.add_argument("--human", action="store_true")
     _add_solver_flags(p_solve)

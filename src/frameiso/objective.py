@@ -197,38 +197,44 @@ def enumerate_minors(
 
 
 def _minor_arrays(frame: MatrixFrame, minors=None):
-    """Multiplicity matrix (terms x n) and log values of the minor terms."""
+    """Owner blocks (terms x d) of each term's columns, and the log squared minors.
+
+    Without ``minors`` the arrays are filled chunk by chunk from the
+    column minors, so no per-selection object is built; given
+    ``MinorTerm``s, they are converted.
+    """
     if minors is None:
-        minors = enumerate_minors(frame)
-    mult = np.zeros((len(minors), frame.n))
-    log_values = np.full(len(minors), -np.inf)
-    for row, term in enumerate(minors):
-        for block, cols in zip(term.support, term.column_sets):
-            mult[row, block] = len(cols)
-        if term.value > 0.0:
-            log_values[row] = math.log(term.value)
-    return mult, log_values
+        chunks = [
+            (frame._owner[selections], dets**2)
+            for selections, dets in _column_minors(frame.pooled())
+        ]
+        owners = np.concatenate([owner for owner, _ in chunks])
+        values = np.concatenate([value for _, value in chunks])
+    else:
+        rows = [
+            [block for block, cols in zip(term.support, term.column_sets) for _ in cols]
+            for term in minors
+        ]
+        owners = np.array(rows, dtype=np.intp).reshape(len(minors), frame.d)
+        values = np.array([term.value for term in minors], dtype=float)
+    with np.errstate(divide="ignore"):
+        return owners, np.log(values)
 
 
-def _logsumexp(exponents: np.ndarray, weights=None) -> float:
-    """log sum_k w_k e^{a_k} for nonnegative weights, -inf when empty/zero."""
-    finite = np.isfinite(exponents)
-    if weights is not None:
-        finite &= weights > 0.0
-    if not np.any(finite):
+def _logsumexp(exponents: np.ndarray) -> float:
+    """log sum_k e^{a_k}, -inf when empty or all terms are zero."""
+    finite = exponents[np.isfinite(exponents)]
+    if not finite.size:
         return -math.inf
-    top = float(np.max(exponents[finite]))
-    scaled = np.exp(exponents[finite] - top)
-    if weights is not None:
-        scaled = scaled * weights[finite]
-    return top + math.log(float(np.sum(scaled)))
+    top = float(np.max(finite))
+    return top + math.log(float(np.sum(np.exp(finite - top))))
 
 
 def det_via_minors(frame: MatrixFrame, t, minors=None) -> float:
     """det Q(t) as the minor sum; independent oracle for the direct value."""
     t = _check_scalings(frame, t)
-    mult, log_values = _minor_arrays(frame, minors)
-    log_det = _logsumexp(mult @ t + log_values)
+    owners, log_values = _minor_arrays(frame, minors)
+    log_det = _logsumexp(t[owners].sum(axis=1) + log_values)
     return 0.0 if log_det == -math.inf else math.exp(log_det)
 
 
@@ -239,16 +245,16 @@ def grad_via_minors(frame: MatrixFrame, t, minors=None) -> np.ndarray:
     minor sum.  Evaluated with log-sum-exp so large scalings survive.
     """
     t = _check_scalings(frame, t)
-    mult, log_values = _minor_arrays(frame, minors)
-    exponents = mult @ t + log_values
+    owners, log_values = _minor_arrays(frame, minors)
+    exponents = t[owners].sum(axis=1) + log_values
     log_den = _logsumexp(exponents)
     if log_den == -math.inf:
         raise NotPositiveDefiniteError("all minors vanish; not a matrix frame")
-    grad = np.empty(frame.n)
-    for i in range(frame.n):
-        log_num = _logsumexp(exponents, mult[:, i])
-        grad[i] = 0.0 if log_num == -math.inf else math.exp(log_num - log_den)
-    return grad
+    # Each term's share counts once for every column it takes from a block.
+    shares = np.exp(exponents - log_den)
+    return np.bincount(
+        owners.ravel(), weights=np.repeat(shares, frame.d), minlength=frame.n
+    )
 
 
 def scaling_objective(datum: FrameDatum, t) -> float:

@@ -21,6 +21,10 @@ EnumerationSizeError when 2^n - 1 exceeds DEFAULT_SIZE_GUARD (n >= 20).
 For n > d a generic frame needs no pass at all: the genericity
 certificate already puts the uniform weights in the relative interior
 (see ``has_stability_certificate``).
+
+A non-member can also be caught without the pass: ``divergence_witness``
+ranks only the n - 1 proper upper level sets of a scaling vector t, and
+along a divergent solver run one of them violates the subset bound.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .frames import (
     FrameDatum,
     MatrixFrame,
     _numerical_rank,
+    column_span_dim,
     is_generic,
 )
 
@@ -100,6 +105,15 @@ def _subset_ranks(frame: MatrixFrame, masks: np.ndarray, tol: float) -> np.ndarr
     return ranks
 
 
+def _scaled_weights(weights) -> tuple:
+    """(omega, [omega c_i]): the weights as Python ints over their common denominator.
+
+    c(S) <= r(S) is then the exact integer test omega c(S) <= omega r(S).
+    """
+    omega = weights.omega
+    return omega, [w.numerator * (omega // w.denominator) for w in weights.weights]
+
+
 def _subset(mask: int, n: int) -> tuple:
     return tuple(i for i in range(n) if mask >> i & 1)
 
@@ -118,10 +132,7 @@ def in_orbit_polytope(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeRe
             f"2^{n} - 1 = {count} block subsets exceed the size guard"
             f" {DEFAULT_SIZE_GUARD}"
         )
-    # Scaled by their common denominator omega the weights are integers,
-    # and c(S) <= r(S) is the exact integer test omega c(S) <= omega r(S).
-    omega = weights.omega
-    scaled = [w.numerator * (omega // w.denominator) for w in weights.weights]
+    omega, scaled = _scaled_weights(weights)
     # Bit i of a mask selects block i.  A chunk fixes the bits from
     # low_bits up and runs through all the bits below.
     low_bits = min(n, _CHUNK_BITS)
@@ -157,6 +168,31 @@ def in_orbit_polytope(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeRe
         violating_subsets=tuple(sorted(_subset(m, n) for m in violating)),
         relative_interior=member and not tight_below_d,
     )
+
+
+def divergence_witness(datum: FrameDatum, t, tol: float = DEFAULT_TOL):
+    """A proper upper level set S of the scalings t with c(S) > r(S), or None.
+
+    The blocks are sorted by decreasing t (stably) and the proper prefixes
+    are ranked in turn by ``column_span_dim``, with the rank rule and the
+    exact scaled-integer weight comparison of ``in_orbit_polytope``.  A
+    prefix of rank d ends the walk: with weights summing to d every
+    proper prefix weighs less than d, so no longer one can violate.  At
+    most n - 1 small SVDs, hence no size guard.  A returned subset
+    (sorted block indices) certifies that the weights lie outside the
+    orbit polytope, so the scaling objective is unbounded below.
+    """
+    omega, scaled = _scaled_weights(datum.weights)
+    order = np.argsort(-np.asarray(t, dtype=float), kind="stable").tolist()
+    weight = 0
+    for size in range(1, datum.frame.n):
+        weight += scaled[order[size - 1]]
+        rank = column_span_dim(datum.frame, order[:size], tol)
+        if weight > rank * omega:
+            return tuple(sorted(order[:size]))
+        if rank == datum.frame.d:
+            return None
+    return None
 
 
 def in_relative_interior(datum: FrameDatum, tol: float = DEFAULT_TOL) -> bool:

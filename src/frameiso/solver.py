@@ -12,8 +12,14 @@ gauge when the weights sum to d, and recentring keeps the iterates bounded
 whenever a minimiser exists.
 
 When the weights fail the orbit-polytope test the infimum is -inf and the
-solver reports ``not_semistable`` without iterating (the polytope test is
-the exact certificate; divergence detection is corroboration only).
+solver reports ``not_semistable`` without iterating.  Without the
+pre-check, ``unbounded_below`` needs a witness: a proper upper level set S
+of the current scalings with c(S) > dim span(S), found by
+``polytope.divergence_witness``.  The loop looks for one whenever the
+eigenvalue floor of Q(t) rejects a full Newton step or an accepted
+iterate, the signature of t running off along a degenerate direction;
+without a witness it takes the backtracked step, and a loop left with no
+step at all stops as ``max_iters``.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .objective import (
     scaled_frame_operator,
     sym_inverse_sqrt,
 )
-from .polytope import PolytopeReport, in_orbit_polytope
+from .polytope import PolytopeReport, divergence_witness, in_orbit_polytope
 
 STATUS_CONVERGED = "converged"
 STATUS_UNBOUNDED = "unbounded_below"
@@ -51,10 +57,6 @@ STATUS_NOT_SEMISTABLE = "not_semistable"
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _INIT_STEP = 1.0
-# Iterates beyond e^{+-50} exceed what doubles can usefully represent, so
-# crossing this cap (or the objective floor) is treated as divergence.
-_SCALING_CAP = 50.0
-_UNBOUNDED_FLOOR = -1e6
 # A Newton direction whose descent slope is below this fraction of |g|^2
 # is numerically tangent to the gradient's level set; use -g instead.
 _DESCENT_FRACTION = 1e-8
@@ -69,7 +71,7 @@ class SolverConfig:
     exact orbit-polytope certificate first and skips the loop for
     non-members (it raises EnumerationSizeError above the size guard,
     n >= 20); ``rank_tol`` is the relative tolerance of the rank and
-    positive-definiteness predicates.
+    positive-definiteness predicates, the divergence witness included.
     """
 
     grad_tol: Optional[float] = None
@@ -91,9 +93,11 @@ class SolveResult:
     ``extremisers`` are the positive scalars 1 / |transformer @ X_i|_F^2;
     at a true minimiser e^{t*_i} / Y_i = c_i.  ``objective_history``
     records the accepted objective values for descent diagnostics.
-    ``polytope`` is the exact certificate's report from the pre-check or
-    from the cross-check of an unbounded run; None when neither ran or
-    the subset enumeration was over the size guard.
+    ``status`` is ``unbounded_below`` only when the loop found a
+    violating upper level set of t, and ``max_iters`` also when the line
+    search stalled.  ``polytope`` is the exact certificate's report from
+    the pre-check or from the cross-check of an unbounded run; None when
+    neither ran or the subset enumeration was over the size guard.
     """
 
     t_star: np.ndarray
@@ -148,18 +152,10 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     history = [value]
     status = STATUS_MAX_ITERS
     iterations = 0
-    pd_wall_streak = 0
-    # Divergence is a matter of certificate, not just of reaching the cap:
-    # infeasible weights drive the iterates along the edge of the positive
-    # definite cone, where the eigenvalue floor blocks every full step long
-    # before |t|_inf can reach the cap.  A run of full-step floor rejections
-    # with a still-large gradient is therefore treated as divergence too.
-    wall_grad_floor = max(1e3 * grad_tol, 1e-6)
 
     for iterations in range(1, config.max_iters + 1):
         gradient = state_grad - c_floats
-        grad_norm = float(np.linalg.norm(gradient))
-        if grad_norm <= grad_tol:
+        if float(np.linalg.norm(gradient)) <= grad_tol:
             status = STATUS_CONVERGED
             iterations -= 1
             break
@@ -168,52 +164,33 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         step, new_t, new_value, full_step_floored = _line_search(
             frame, t, value, gradient, direction, c_floats
         )
-        if step is None:
-            if full_step_floored and grad_norm > wall_grad_floor:
-                status = STATUS_UNBOUNDED
-                break
-            # The objective can no longer resolve differences this small,
-            # but the gradient still can: take the full step whenever it
-            # shrinks the gradient norm, otherwise give up as stalled.
-            trial = t + _INIT_STEP * direction
-            try:
-                _, trial_grad, trial_hess = _potential(frame, trial, order=2)
-            except (NotPositiveDefiniteError, OverflowError):
-                if grad_norm > wall_grad_floor:
-                    status = STATUS_UNBOUNDED
-                break
-            if float(np.linalg.norm(trial_grad - c_floats)) >= grad_norm:
-                break
-            t = recenter(trial, c_floats, d)
-            state_grad, hess = trial_grad, trial_hess
-            history.append(value)
-            continue
-        pd_wall_streak = pd_wall_streak + 1 if full_step_floored else 0
-        if pd_wall_streak >= 5 and grad_norm > wall_grad_floor:
+        # A full step rejected by the eigenvalue floor means t is sliding
+        # along the edge of the positive definite cone.  It is reported as
+        # divergence only when an upper level set of t violates the subset
+        # bound, which certifies it; otherwise the backtracked step is taken.
+        if full_step_floored and divergence_witness(datum, t, config.rank_tol):
             status = STATUS_UNBOUNDED
             break
+        if step is None:
+            break  # stalled: no step resolves a decrease of the objective
 
         # Recentring adds a multiple of the all-ones vector, which leaves
         # the objective unchanged; reuse the line-search value.
         t = recenter(new_t, c_floats, d)
         value = new_value
         history.append(value)
-
-        if float(np.max(np.abs(t))) > _SCALING_CAP or value < _UNBOUNDED_FLOOR:
-            status = STATUS_UNBOUNDED
-            break
         try:
             _, state_grad, hess = _potential(frame, t, order=2)
         except NotPositiveDefiniteError:
-            # Numerically singular along the current drift: divergence.
-            status = STATUS_UNBOUNDED
+            if divergence_witness(datum, t, config.rank_tol):
+                status = STATUS_UNBOUNDED
             break
     else:
         iterations = config.max_iters
 
-    if status == STATUS_UNBOUNDED and polytope_report is None:
-        # Cross-check divergence against the exact certificate, where the
-        # subset enumeration is small enough to run.
+    if status == STATUS_UNBOUNDED:
+        # A witness is found only without the pre-check.  Fill in the full
+        # certificate, where the subset enumeration is small enough to run.
         try:
             polytope_report = in_orbit_polytope(datum, config.rank_tol)
         except EnumerationSizeError:
@@ -278,7 +255,6 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
     slope = float(np.dot(gradient, direction))
     step = _INIT_STEP
     full_step_floored = False
-    first = True
     # Differences below float resolution of the objective cannot be
     # compared meaningfully; accept non-increase there so descent can
     # continue into the last digits.
@@ -288,12 +264,9 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
         try:
             trial_value = log_det_potential(frame, trial) - float(np.dot(trial, c_floats))
         except (NotPositiveDefiniteError, OverflowError):
-            if first:
-                full_step_floored = True
-            first = False
+            full_step_floored = full_step_floored or step == _INIT_STEP
             step *= _BACKTRACK
             continue
-        first = False
         required = value + _ARMIJO_C1 * step * slope
         if trial_value <= required:
             return step, trial, trial_value, full_step_floored

@@ -160,6 +160,20 @@ def test_solve_rif_orthonormal_capacity(tmp_path, capsys):
     assert max(abs(v) for v in report["t_star"]) <= 1e-9
 
 
+def test_solve_rif_widely_scaled_member(tmp_path, capsys):
+    # Block norms 10^2 apart; a member in the relative interior.
+    frame = MatrixFrame(
+        2, ([50.0, -150.0], [-100.0, 20.0], [0.12, -0.14], [0.3, -1.4])
+    )
+    path = tmp_path / "spread.json"
+    write_frame_file(path, frame, WeightVector(("1/2",) * 4))
+    code, out, _ = run_cli(["solve-rif", str(path), "--human"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "converged"
+    assert report["rif_residual"] <= 1e-7
+
+
 def test_solve_rif_requires_weights(tmp_path, capsys):
     path, _ = write_mixed(tmp_path, with_weights=False)
     code, _, err = run_cli(["solve-rif", str(path)], capsys)

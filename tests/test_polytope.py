@@ -18,7 +18,8 @@ from frameiso import (
     in_relative_interior,
 )
 from frameiso import polytope
-from frameiso.generate import random_frame
+from frameiso.generate import random_degenerate_frame, random_frame
+from frameiso.polytope import divergence_witness
 
 from conftest import traced_peak
 
@@ -251,3 +252,34 @@ def test_subset_pass_memory_is_bounded():
     report, peak = traced_peak(in_orbit_polytope, datum)
     assert report.relative_interior
     assert peak < 8 * 2**20
+
+
+def test_divergence_witness(mixed_frame, thirds):
+    # Collinear blocks moved off the front, so the witness must come from
+    # the order of t, not from the block order.
+    frame, subset = random_degenerate_frame(3, 7, np.random.default_rng(16))
+    perm = [3, 0, 4, 1, 5, 2, 6]
+    frame = MatrixFrame(3, tuple(frame.blocks[i] for i in perm))
+    subset = tuple(sorted(perm.index(i) for i in subset))
+    datum = FrameDatum(frame, WeightVector.uniform(3, 7))
+    t = np.zeros(7)
+    t[list(subset)] = 2.0
+    witness = divergence_witness(datum, t)
+    assert witness == subset
+    assert witness in in_orbit_polytope(datum).violating_subsets
+    assert divergence_witness(FrameDatum(mixed_frame, thirds), np.zeros(3)) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_integer_data(), st.data())
+def test_witness_is_violating_subset(datum, data):
+    t = np.array(data.draw(st.lists(
+        st.integers(-3, 3), min_size=datum.frame.n, max_size=datum.frame.n
+    )), dtype=float)
+    witness = divergence_witness(datum, t)
+    report = in_orbit_polytope(datum)
+    if report.member:
+        assert witness is None
+    if witness is not None:
+        assert len(witness) < datum.frame.n
+        assert witness in report.violating_subsets

@@ -2,14 +2,20 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from frameiso import (
     FrameDatum,
     MatrixFrame,
     SolverConfig,
     WeightVector,
+    in_orbit_polytope,
     in_relative_interior,
+    is_generic,
+    is_matrix_frame,
     is_radial_isotropic,
+    log_det_potential_grad,
     minimize,
     radial_isotropy_residual,
     stationarity_residual,
@@ -19,7 +25,7 @@ from frameiso.generate import random_degenerate_frame, random_frame
 from frameiso.objective import _potential
 from frameiso.solver import _newton_direction
 
-from conftest import assert_close
+from conftest import assert_close, traced_peak
 
 
 def test_orthonormal_already_isotropic(orthonormal_frame):
@@ -107,6 +113,16 @@ def test_stationarity_residual_at_solution(mixed_frame, thirds):
     result = minimize(datum)
     residual = stationarity_residual(datum, result.t_star)
     assert float(np.max(np.abs(residual))) <= 1e-7
+
+
+def test_stationarity_residual_memory_is_bounded():
+    # C(24, 6) = 134,596 minor terms, held as owner-index and log-minor
+    # arrays rather than one object per term.
+    frame = random_frame(6, [1] * 24, np.random.default_rng(1))
+    datum = FrameDatum(frame, WeightVector.uniform(6, 24))
+    residual, peak = traced_peak(stationarity_residual, datum, np.zeros(24))
+    assert peak < 32 * 2**20
+    assert_close(residual + 0.25, log_det_potential_grad(frame, np.zeros(24)))
 
 
 def test_block_scaling_absorbed(mixed_frame, thirds):
@@ -203,3 +219,54 @@ def test_boundary_weights_terminate():
     assert result.iterations <= 50
     assert result.polytope.member
     assert not in_relative_interior(datum)
+
+
+def test_widely_scaled_member_converges():
+    # Block norms 10^2 apart: generic, a member and in the relative interior,
+    # yet five of its nine full Newton steps meet the eigenvalue floor.  No
+    # upper level set violates the subset bound, so the solver must go on.
+    frame = MatrixFrame(
+        2, ([50.0, -150.0], [-100.0, 20.0], [0.12, -0.14], [0.3, -1.4])
+    )
+    datum = FrameDatum(frame, WeightVector(("1/2",) * 4))
+    assert is_generic(frame)
+    assert in_orbit_polytope(datum).relative_interior
+    for check in (True, False):
+        result = minimize(datum, SolverConfig(check_polytope=check))
+        assert result.status == "converged"
+        transformed = to_radial_isotropic(datum, result)
+        assert is_radial_isotropic(FrameDatum(transformed, datum.weights), 1e-6)
+
+
+@st.composite
+def _widely_scaled_data(draw):
+    """Uniform weights on a frame whose blocks are scaled by 10^U(-2, 2).
+
+    Half the examples come from random_degenerate_frame (non-members).
+    """
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(d + 1, 10))
+        frame, _ = random_degenerate_frame(d, n, rng)
+    else:
+        n = draw(st.integers(1, 10))
+        frame = random_frame(d, [int(rng.integers(1, 3)) for _ in range(n)], rng)
+    scales = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    frame = MatrixFrame(d, tuple(s * b for s, b in zip(scales, frame.blocks)))
+    assume(is_matrix_frame(frame))
+    return FrameDatum(frame, WeightVector.uniform(d, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_widely_scaled_data())
+def test_status_follows_certificate(datum):
+    guarded = minimize(datum)
+    free = minimize(datum, SolverConfig(check_polytope=False))
+    if guarded.polytope.member:
+        assert guarded.status != "unbounded_below"
+        assert free.status != "unbounded_below"
+    else:
+        assert guarded.status == "not_semistable"
+        assert free.status == "unbounded_below"
+        assert not free.polytope.member
