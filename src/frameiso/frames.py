@@ -98,12 +98,6 @@ class MatrixFrame:
         """All columns side by side as a read-only d x N matrix, in block order."""
         return self._pooled
 
-    def column_owners(self) -> tuple:
-        """For each pooled column, the pair (block index, column within block)."""
-        return tuple(
-            (i, k) for i, cols in enumerate(self.block_cols) for k in range(cols)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, MatrixFrame):
             return NotImplemented

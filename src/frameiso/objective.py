@@ -91,11 +91,14 @@ def _potential(frame: MatrixFrame, t, order: int = 1) -> tuple:
     """(log det Q(t), gradient, Hessian) from one eigendecomposition of Q(t).
 
     Derivatives above ``order`` are returned as None.  With P the pooled
-    d x N matrix, Q = U diag(lam) U^T and M = P^T Q^{-1} P, gradient
-    component i is e^{t_i} times the sum over block i's columns of
-    (U^T P)^2 / lam, and the Hessian is diag(g) - (e^t e^t^T) o S, where
-    S_ij sums M o M over the columns of blocks i and j.  The Hessian rows
-    sum to zero: the potential is linear along the all-ones direction.
+    d x N matrix, each column scaled by e^{t_i/2} of its block i, and
+    Q = U diag(lam) U^T, let R = diag(lam)^{-1/2} U^T P.  Gradient
+    component i sums R o R over block i's columns, and the Hessian is
+    diag(g) - S, where S_ij sums (R^T R) o (R^T R) over the columns of
+    blocks i and j.  Scaling the columns by e^{t/2} before the rotation
+    keeps every entry of R bounded when some e^{t_i} is huge, where the
+    product e^{t_i} e^{t_j} would overflow.  The Hessian rows sum to
+    zero: the potential is linear along the all-ones direction.
     """
     scale = _exp_scalings(frame, t)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -107,16 +110,16 @@ def _potential(frame: MatrixFrame, t, order: int = 1) -> tuple:
     if order < 1:
         return value, None, None
     starts = frame.block_starts
-    rotated = eigvecs.T @ frame.pooled()
-    col_sums = np.sum(rotated**2 / eigvals[:, None], axis=0)
-    grad = scale * np.add.reduceat(col_sums, starts)
+    half = np.exp(0.5 * np.asarray(t, dtype=float))[frame._owner]
+    rotated = (eigvecs.T @ (frame.pooled() * half)) / np.sqrt(eigvals)[:, None]
+    grad = np.add.reduceat(np.sum(rotated**2, axis=0), starts)
     if order < 2:
         return value, grad, None
-    inner = rotated.T @ (rotated / eigvals[:, None])
+    inner = rotated.T @ rotated
     coupling = np.add.reduceat(
         np.add.reduceat(inner * inner, starts, axis=0), starts, axis=1
     )
-    hess = np.diag(grad) - np.outer(scale, scale) * coupling
+    hess = np.diag(grad) - coupling
     return value, grad, (hess + hess.T) / 2.0
 
 
@@ -173,15 +176,16 @@ def enumerate_minors(
     Selections are returned in lexicographic order of the pooled column
     indices.  Raises EnumerationSizeError when C(N, d) exceeds the guard.
     """
-    owners = frame.column_owners()
+    owners = frame._owner.tolist()
+    starts = frame.block_starts.tolist()
 
     terms = []
     for selections, dets in _column_minors(frame.pooled(), size_guard):
         for subset, det in zip(selections.tolist(), dets.tolist()):
             per_block: dict = {}
             for col in subset:
-                block, within = owners[col]
-                per_block.setdefault(block, []).append(within)
+                block = owners[col]
+                per_block.setdefault(block, []).append(col - starts[block])
             support = tuple(sorted(per_block))
             column_sets = tuple(tuple(per_block[b]) for b in support)
             value = det**2

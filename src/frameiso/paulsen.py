@@ -197,13 +197,13 @@ def paulsen_round(
     config: Optional[SolverConfig] = None,
     rng_seed: int = 0,
     epsilon_floor: float = 1e-9,
-    tol: float = DEFAULT_TOL,
 ) -> PaulsenReport:
     """Round a nearly equal-norm Parseval frame to an exact one.
 
     The nearness epsilon is measured from the input rather than trusted
     from the caller; ``epsilon_floor`` keeps the perturbation budget and
     the certificate meaningful for inputs that are already exact.
+    The genericity test of the perturbation uses ``config.rank_tol``.
     Raises on measured epsilon >= 0.3, on n <= d, and on solver
     non-convergence (with the solver result in the message).
     """
@@ -217,7 +217,7 @@ def paulsen_round(
         raise ValueError(f"need n > d, got n={n}, d={d}")
     eps = max(measured, epsilon_floor)
 
-    perturbed, gamma = perturb_to_generic(frame, eps, rng_seed, tol)
+    perturbed, gamma = perturb_to_generic(frame, eps, rng_seed, config.rank_tol)
     datum = FrameDatum(perturbed, WeightVector.uniform(d, n))
     # The perturbed frame carries the genericity certificate, so the
     # uniform weights need no subset enumeration: for every proper block

@@ -7,19 +7,24 @@ and falls back to steepest descent when that system is singular or the
 direction is not a clear descent direction.
 Convergence is declared on the gradient (grad potential - c), which up to
 scaling is exactly the radial-isotropy residual users care about.  Each
-iterate is recentred so <t, c> = 0; the objective is invariant under that
-gauge when the weights sum to d, and recentring keeps the iterates bounded
-whenever a minimiser exists.
+trial point of the line search is recentred so <t, c> = 0 and evaluated
+once, value, gradient and Hessian together; the accepted trial is the
+next iterate, with that evaluation.  The objective is invariant under the
+gauge when the weights sum to d, and recentring keeps the iterates
+bounded whenever a minimiser exists.
 
 When the weights fail the orbit-polytope test the infimum is -inf and the
 solver reports ``not_semistable`` without iterating.  Without the
 pre-check, ``unbounded_below`` needs a witness: a proper upper level set S
 of the current scalings with c(S) > dim span(S), found by
 ``polytope.divergence_witness``.  The loop looks for one whenever the
-eigenvalue floor of Q(t) rejects a full Newton step or an accepted
-iterate, the signature of t running off along a degenerate direction;
-without a witness it takes the backtracked step, and a loop left with no
-step at all stops as ``max_iters``.
+eigenvalue floor of Q(t) rejects a full Newton step, the signature of t
+running off along a degenerate direction; without a witness it takes the
+backtracked step.  The loop stops as ``max_iters`` (stalled) when no step
+resolves a decrease of the objective, or when an accepted step moves t by
+no more than 256 eps max(1, |t|_inf) in every component and the new
+gradient is still above the tolerance.  On weights at the boundary of the
+polytope, where no minimiser exists, this is how the run ends.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .objective import (
     NotPositiveDefiniteError,
     _potential,
     grad_via_minors,
-    log_det_potential,
     scaled_frame_operator,
     sym_inverse_sqrt,
 )
@@ -93,11 +97,15 @@ class SolveResult:
     ``extremisers`` are the positive scalars 1 / |transformer @ X_i|_F^2;
     at a true minimiser e^{t*_i} / Y_i = c_i.  ``objective_history``
     records the accepted objective values for descent diagnostics.
-    ``status`` is ``unbounded_below`` only when the loop found a
-    violating upper level set of t, and ``max_iters`` also when the line
-    search stalled.  ``polytope`` is the exact certificate's report from
-    the pre-check or from the cross-check of an unbounded run; None when
-    neither ran or the subset enumeration was over the size guard.
+    ``grad_norm`` is |grad potential - c| at ``t_star``, from the same
+    kernel evaluation as ``objective_value``.  ``status`` is
+    ``unbounded_below`` only when the loop found a violating upper level
+    set of t, and ``max_iters`` also when the loop stalled: no step
+    decreased the objective, or the accepted step moved t by at most
+    256 eps max(1, |t|_inf).  ``polytope`` is the exact certificate's
+    report from the pre-check or from the cross-check of an unbounded run;
+    None when neither ran or the subset enumeration was over the size
+    guard.
     """
 
     t_star: np.ndarray
@@ -148,20 +156,22 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
 
     c_floats = weights.as_floats()
     t = np.zeros(frame.n)
-    value, state_grad, hess = _potential(frame, t, order=2)
+    value, grad, hess = _potential(frame, t, order=2)
     history = [value]
     status = STATUS_MAX_ITERS
+    stalled = False
     iterations = 0
 
     for iterations in range(1, config.max_iters + 1):
-        gradient = state_grad - c_floats
+        gradient = grad - c_floats
         if float(np.linalg.norm(gradient)) <= grad_tol:
             status = STATUS_CONVERGED
+        if status == STATUS_CONVERGED or stalled:
             iterations -= 1
             break
 
         direction = _newton_direction(hess, gradient)
-        step, new_t, new_value, full_step_floored = _line_search(
+        point, full_step_floored = _line_search(
             frame, t, value, gradient, direction, c_floats
         )
         # A full step rejected by the eigenvalue floor means t is sliding
@@ -171,20 +181,16 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         if full_step_floored and divergence_witness(datum, t, config.rank_tol):
             status = STATUS_UNBOUNDED
             break
-        if step is None:
-            break  # stalled: no step resolves a decrease of the objective
-
-        # Recentring adds a multiple of the all-ones vector, which leaves
-        # the objective unchanged; reuse the line-search value.
-        t = recenter(new_t, c_floats, d)
-        value = new_value
+        if point is None:
+            break  # no step resolves a decrease of the objective
+        new_t, value, grad, hess = point
         history.append(value)
-        try:
-            _, state_grad, hess = _potential(frame, t, order=2)
-        except NotPositiveDefiniteError:
-            if divergence_witness(datum, t, config.rank_tol):
-                status = STATUS_UNBOUNDED
-            break
+        # A step below the float resolution of t cannot make progress;
+        # the run ends as max_iters once the new gradient is tested.
+        stalled = float(np.max(np.abs(new_t - t))) <= _resolution(
+            float(np.max(np.abs(t)))
+        )
+        t = new_t
     else:
         iterations = config.max_iters
 
@@ -196,26 +202,19 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         except EnumerationSizeError:
             pass
 
-    grad_norm = float(np.linalg.norm(state_grad - c_floats))
     transformer = None
     extremisers = None
     if status in (STATUS_CONVERGED, STATUS_MAX_ITERS):
-        try:
-            transformer = sym_inverse_sqrt(scaled_frame_operator(frame, t))
-            residual_norms = np.add.reduceat(
-                np.sum((transformer @ frame.pooled()) ** 2, axis=0), frame.block_starts
-            )
-            extremisers = 1.0 / residual_norms
-            grad_norm = float(np.linalg.norm(np.exp(t) * residual_norms - c_floats))
-        except NotPositiveDefiniteError:
-            # Stalled at the edge of the cone; leave the transformer unset.
-            transformer = None
-            extremisers = None
+        # t is a point the kernel accepted, so Q(t) passes the same floor.
+        transformer = sym_inverse_sqrt(scaled_frame_operator(frame, t))
+        extremisers = 1.0 / np.add.reduceat(
+            np.sum((transformer @ frame.pooled()) ** 2, axis=0), frame.block_starts
+        )
     return SolveResult(
         t_star=t,
         transformer=transformer,
         objective_value=value,
-        grad_norm=grad_norm,
+        grad_norm=float(np.linalg.norm(grad - c_floats)),
         extremisers=extremisers,
         status=status,
         iterations=iterations,
@@ -223,6 +222,11 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         objective_history=np.array(history),
         polytope=polytope_report,
     )
+
+
+def _resolution(magnitude: float) -> float:
+    """Float resolution of a quantity of the given magnitude."""
+    return 256.0 * np.finfo(float).eps * max(1.0, magnitude)
 
 
 def _newton_direction(hess: np.ndarray, gradient: np.ndarray) -> np.ndarray:
@@ -245,12 +249,14 @@ def _newton_direction(hess: np.ndarray, gradient: np.ndarray) -> np.ndarray:
 
 
 def _line_search(frame, t, value, gradient, direction, c_floats):
-    """Armijo backtracking.
+    """Armijo backtracking with one kernel evaluation per trial point.
 
-    Returns (step, new_t, new_value, full_step_floored); the last flag
-    records whether the initial (largest) trial was rejected by the
-    positive-definiteness floor, the signature of sliding along the edge
-    of the cone.  Returns (None, None, None, flag) when no step succeeds.
+    Each trial is recentred before it is evaluated.  Returns (point,
+    full_step_floored): ``point`` is (t, objective, gradient of the
+    potential, Hessian) at the accepted trial, or None when no step
+    succeeds; the flag records whether the initial (largest) trial was
+    rejected by the positive-definiteness floor, the signature of sliding
+    along the edge of the cone.
     """
     slope = float(np.dot(gradient, direction))
     step = _INIT_STEP
@@ -258,22 +264,24 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
     # Differences below float resolution of the objective cannot be
     # compared meaningfully; accept non-increase there so descent can
     # continue into the last digits.
-    resolution = 256.0 * np.finfo(float).eps * max(1.0, abs(value))
+    resolution = _resolution(abs(value))
     while step > 1e-20:
-        trial = t + step * direction
+        trial = recenter(t + step * direction, c_floats, frame.d)
         try:
-            trial_value = log_det_potential(frame, trial) - float(np.dot(trial, c_floats))
+            potential, grad, hess = _potential(frame, trial, order=2)
         except (NotPositiveDefiniteError, OverflowError):
             full_step_floored = full_step_floored or step == _INIT_STEP
             step *= _BACKTRACK
             continue
+        trial_value = potential - float(np.dot(trial, c_floats))
         required = value + _ARMIJO_C1 * step * slope
-        if trial_value <= required:
-            return step, trial, trial_value, full_step_floored
-        if _ARMIJO_C1 * step * abs(slope) < resolution and trial_value <= value + resolution:
-            return step, trial, trial_value, full_step_floored
+        if trial_value <= required or (
+            _ARMIJO_C1 * step * abs(slope) < resolution
+            and trial_value <= value + resolution
+        ):
+            return (trial, trial_value, grad, hess), full_step_floored
         step *= _BACKTRACK
-    return None, None, None, full_step_floored
+    return None, full_step_floored
 
 
 def stationarity_residual(datum: FrameDatum, t, minors=None) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from frameiso import MatrixFrame, WeightVector, dist_squared
 from frameiso.cli import main
+from frameiso.generate import random_frame
 from frameiso.io import (
     FrameFileError,
     payload_to_frame,
@@ -146,6 +147,19 @@ def test_solve_rif_command(tmp_path, capsys):
     assert report["variety_residual_max"] <= 1e-7
     transformed, _ = read_frame_file(out_path)
     assert transformed.block_cols == frame.block_cols
+
+
+def test_solve_rif_residual_over_minor_guard(tmp_path, capsys):
+    # C(40, 8) column selections exceed the guard; the residual is still
+    # reported, from the kernel's gradient.
+    frame = random_frame(8, [4] * 10, np.random.default_rng(3))
+    path = tmp_path / "wide.json"
+    write_frame_file(path, frame, WeightVector.uniform(8, 10))
+    code, out, _ = run_cli(["solve-rif", str(path), "--human"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "converged"
+    assert report["variety_residual_max"] <= 1e-7
 
 
 def test_solve_rif_orthonormal_capacity(tmp_path, capsys):

@@ -264,3 +264,15 @@ def test_sym_inverse_sqrt():
     assert_close(root @ spd @ root, np.eye(3), tol=1e-10)
     with pytest.raises(NotPositiveDefiniteError):
         sym_inverse_sqrt(np.diag([1.0, 0.0]))
+
+
+def test_hessian_survives_huge_scalings(mixed_frame):
+    # e^{400} e^{400} overflows; the kernel scales the columns by e^{t/2}
+    # before rotating, so the Hessian stays finite.
+    t = np.array([400.0, 400.0, -800.0])
+    value, grad, hess = _potential(mixed_frame, t, order=2)
+    assert math.isfinite(value) and np.all(np.isfinite(grad))
+    assert np.all(np.isfinite(hess))
+    assert np.array_equal(hess, hess.T)
+    row_sums = np.abs(hess.sum(axis=1))
+    assert float(np.max(row_sums)) <= 1e-12 * float(np.max(np.abs(hess)))

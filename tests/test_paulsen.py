@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from frameiso import (
     MatrixFrame,
+    SolverConfig,
     dist_squared,
     is_equal_norm_parseval,
     is_generic,
@@ -16,6 +17,7 @@ from frameiso import (
     paulsen_round,
     perturb_to_generic,
 )
+import frameiso.paulsen
 from frameiso.generate import random_nearly_parseval
 
 
@@ -142,6 +144,20 @@ def test_round_exact_input(tight_four_frame):
     assert report.dist_input_output <= report.bound
     assert is_equal_norm_parseval(report.output, report.pipeline_tol)
     assert report.dist_input_output <= 1e-20
+
+
+def test_round_uses_config_rank_tol(tight_four_frame, monkeypatch):
+    seen = []
+    perturb = frameiso.paulsen.perturb_to_generic
+
+    def recording(frame, epsilon, seed, tol):
+        seen.append(tol)
+        return perturb(frame, epsilon, seed, tol)
+
+    monkeypatch.setattr(frameiso.paulsen, "perturb_to_generic", recording)
+    report = paulsen_round(tight_four_frame, SolverConfig(rank_tol=1e-7), rng_seed=3)
+    assert report.certified
+    assert seen == [1e-7]
 
 
 def test_round_preconditions(orthonormal_frame):

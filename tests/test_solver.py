@@ -21,6 +21,8 @@ from frameiso import (
     stationarity_residual,
     to_radial_isotropic,
 )
+import frameiso.objective
+import frameiso.solver
 from frameiso.generate import random_degenerate_frame, random_frame
 from frameiso.objective import _potential
 from frameiso.solver import _newton_direction
@@ -219,6 +221,62 @@ def test_boundary_weights_terminate():
     assert result.iterations <= 50
     assert result.polytope.member
     assert not in_relative_interior(datum)
+
+
+def test_tiny_tolerance_stalls():
+    # No step resolves a 1e-16 gradient; the stall rule must end the run
+    # instead of the iteration cap.
+    frame = random_frame(4, [1] * 7, np.random.default_rng(0))
+    datum = FrameDatum(frame, WeightVector.uniform(4, 7))
+    start = time.perf_counter()
+    result = minimize(datum, SolverConfig(grad_tol=1e-16))
+    assert time.perf_counter() - start < 2.0
+    assert result.status == "max_iters"
+    assert result.iterations <= 50
+
+
+def test_boundary_member_stalls():
+    # Block 2 spans a line and carries weight 1 = its rank: a member whose
+    # tight subset is (2,), so no minimiser exists and t drifts.
+    frame = MatrixFrame(
+        3,
+        (
+            [[-18.08, 2.44], [8.11, 4.73], [-5.66, 5.74]],
+            [[-9.39, -1.85], [0.87, -1.25], [-3.94, -5.24]],
+            [-0.01, -0.02, -0.07],
+        ),
+    )
+    datum = FrameDatum(frame, WeightVector((1, 1, 1)))
+    report = in_orbit_polytope(datum)
+    assert report.member and not report.relative_interior
+    assert report.tight_subsets == ((2,),)
+    for check in (True, False):
+        result = minimize(datum, SolverConfig(check_polytope=check))
+        assert result.status == "max_iters"
+        assert result.iterations <= 50
+        assert result.transformer is not None
+
+
+def test_each_point_evaluated_once(mixed_frame, thirds, monkeypatch):
+    # No two kernel calls are at the same point up to the all-ones gauge:
+    # the accepted trial's evaluation is the iterate's, with no second
+    # call after acceptance.
+    points = []
+    kernel = frameiso.objective._potential
+
+    def counted(frame, t, order=1):
+        t = np.asarray(t, dtype=float)
+        points.append(t - np.mean(t))
+        return kernel(frame, t, order)
+
+    monkeypatch.setattr(frameiso.objective, "_potential", counted)
+    monkeypatch.setattr(frameiso.solver, "_potential", counted)
+    result = minimize(FrameDatum(mixed_frame, thirds))
+    assert result.status == "converged" and result.iterations >= 3
+    gaps = [
+        float(np.max(np.abs(p - q))) for i, p in enumerate(points) for q in points[:i]
+    ]
+    assert min(gaps) > 1e-9
 
 
 def test_widely_scaled_member_converges():
