@@ -44,7 +44,9 @@ from .paulsen import (
     perturb_to_generic,
 )
 from .polytope import (
+    MembershipCertificate,
     PolytopeReport,
+    certify_membership,
     has_stability_certificate,
     in_orbit_polytope,
     in_relative_interior,
@@ -77,6 +79,7 @@ __all__ = [
     "EnumerationSizeError",
     "FrameDatum",
     "MatrixFrame",
+    "MembershipCertificate",
     "MinorTerm",
     "NearnessReport",
     "NotPositiveDefiniteError",
@@ -86,6 +89,7 @@ __all__ = [
     "SolverConfig",
     "WeightVector",
     "apply_transform",
+    "certify_membership",
     "column_span_dim",
     "det_via_minors",
     "dist_squared",

@@ -34,7 +34,7 @@ from .generate import random_equal_norm_parseval, random_frame, random_nearly_pa
 from .io import encode_report, read_frame_datum, read_frame_file, write_frame_file
 from .objective import enumerate_minors, log_capacity, log_det_potential_grad
 from .paulsen import paulsen_round
-from .polytope import in_orbit_polytope
+from .polytope import orbit_polytope_report
 from .quiver import (
     is_equal_norm_parseval,
     is_parseval,
@@ -98,7 +98,7 @@ def cmd_check(args) -> int:
 
     if weights is not None:
         datum = FrameDatum(frame, weights)
-        poly = in_orbit_polytope(datum, args.tol)
+        poly = orbit_polytope_report(datum, args.tol)
         report["pmf"] = is_parseval(datum, args.tol)
         try:
             report["rif"] = is_radial_isotropic(datum, args.tol)

@@ -7,29 +7,62 @@ is equivalent to semi-stability of the frame's quiver representation,
 and membership in the relative interior characterises transformability
 into a radial isotropic frame (for locally semi-simple representations).
 
-Both verdicts come from one pass over all 2^n - 1 nonempty block
-subsets, which ranks each subset once.  Subsets are bitmasks, taken in
-chunks of 2^_CHUNK_BITS; inside a chunk, the subsets with the same pooled
+The subset bound r(S) is the rank of the pooled columns of the blocks in
+S, so r is the polymatroid induced by the pooled column matroid (Edmonds
+1970), and membership is a matroid-intersection question.  With omega
+the weights' common denominator and a_i = omega c_i, let M1 be omega
+copies of the pooled column matroid and M2 the partition matroid that
+takes at most a_i columns of block i over all copies.  The weights are a
+member exactly when M1 and M2 have a common independent set of omega d
+elements: omega bases of R^d in which block i supplies a_i columns.
+``certify_membership`` finds one in polynomial time and returns a
+certificate for either answer.
+
+- Member: the omega bases.  The packing starts from a plan of every
+  copy's basis at once, ranked by one stacked SVD; only copies whose plan
+  fails grow along shortest augmenting paths of the exchange graph.
+- Non-member: when no augmenting path is left, the blocks the search
+  cannot reach form a set T with c(T) > r(T).
+- Relative interior: a member lies in it exactly when the block exchange
+  digraph of its bases is strongly connected (Cunningham 1984).  The
+  digraph has an arc j -> i when some basis stays a basis after a block-i
+  column is swapped for a block-j column; a set with no arc leaving it is
+  tight, and a tight set has none.  All arcs of a copy come from one
+  solve against its basis.
+
+Every set a certificate reports is rechecked with exact integer weight
+sums and the ``_numerical_rank`` rule of the subset pass, and the
+certificate reports its smallest rank margin.  Its cost is linear in
+omega, so it refuses with EnumerationSizeError when omega N exceeds
+DEFAULT_SIZE_GUARD.  ``orbit_polytope_report`` builds the report the
+solver and the CLI use from it.
+
+``in_orbit_polytope`` stays as the exact oracle: one pass over all
+2^n - 1 nonempty block subsets, which ranks each subset once and lists
+every tight and violating subset.  Subsets are bitmasks, taken in chunks
+of 2^_CHUNK_BITS; inside a chunk, the subsets with the same pooled
 column count m are gathered as one (group, d, m) stack and ranked by one
-batched SVD, so the per-subset work runs in LAPACK rather than in the
-interpreter and every temporary is bounded by the chunk.  The weights
+batched SVD, so every temporary is bounded by the chunk.  The weights
 are scaled by their common denominator to Python ints, whose subset sums
 are compared exactly with the scaled ranks; only the span ranks carry a
 numeric tolerance.  The pass is exponential in n and refuses with
 EnumerationSizeError when 2^n - 1 exceeds DEFAULT_SIZE_GUARD (n >= 20).
 
-For n > d a generic frame needs no pass at all: the genericity
-certificate already puts the uniform weights in the relative interior
-(see ``has_stability_certificate``).
+For n > d a generic frame needs no certificate at all: genericity
+already puts the uniform weights in the relative interior (see
+``has_stability_certificate``).
 
-A non-member can also be caught without the pass: ``divergence_witness``
+A non-member can also be caught along a solver run: ``divergence_witness``
 ranks only the n - 1 proper upper level sets of a scaling vector t, and
-along a divergent solver run one of them violates the subset bound.
+along a divergent run one of them violates the subset bound.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -194,6 +227,410 @@ def divergence_witness(datum: FrameDatum, t, tol: float = DEFAULT_TOL):
             return None
     return None
 
+
+# Most floats in one stacked temporary of the certificate (planned bases,
+# exchange sines), so its temporaries stay bounded whatever omega is.
+_ARC_CHUNK = 2**18
+
+
+@dataclass(frozen=True)
+class MembershipCertificate:
+    """Outcome of ``certify_membership`` with the evidence behind it.
+
+    ``bases`` (members only) holds omega = the weights' common
+    denominator bases of R^d, each a tuple of pooled column indices;
+    block i supplies exactly omega c_i of their columns.  ``violating``
+    (non-members whose weights sum to d) is a block subset T with
+    c(T) > r(T); ``tight`` (members off the relative interior) is a
+    proper block subset S with c(S) = r(S).  Both sets are sorted block
+    indices, and both were rechecked with exact integer weight sums
+    against the ``_numerical_rank`` rule.  ``rank_margin`` is the factor
+    by which the closest numerical decision behind the verdict clears
+    ``tol``: a singular-value ratio of a basis or of the reported set, or
+    an exchange coefficient of the relative-interior test.  A margin near
+    1 flags a verdict that a slightly different tolerance would change;
+    inf means no decision was numerical.
+    """
+
+    member: bool
+    relative_interior: bool
+    bases: Optional[tuple]
+    violating: Optional[tuple]
+    tight: Optional[tuple]
+    rank_margin: float
+
+
+def _margin(svals: np.ndarray, rank: int, tol: float) -> float:
+    """Smallest factor by which the ratios s_k / s_1 of ``svals`` clear ``tol``.
+
+    ``svals`` is sorted in decreasing order and ``rank`` is the rank the
+    rule gives it; the deciding ratios are the last one counted and the
+    first one not counted.
+    """
+    if not len(svals) or svals[0] == 0.0:
+        return math.inf
+    ratios = svals / svals[0]
+    margin = math.inf
+    if rank > 0:
+        margin = ratios[rank - 1] / tol
+    if rank < len(ratios) and ratios[rank] > 0.0:
+        margin = min(margin, tol / ratios[rank])
+    return float(margin)
+
+
+def _check_subset(datum: FrameDatum, subset, tol: float, relation) -> float:
+    """Recheck omega c(S) against omega r(S) exactly; returns the rank margin.
+
+    ``relation`` is the required comparison of the two scaled integers.
+    """
+    if not subset:
+        raise ValueError(
+            "the certificate found no block subset: its rank decisions disagree"
+            " with the rank rule"
+        )
+    frame = datum.frame
+    omega, scaled = _scaled_weights(datum.weights)
+    columns = np.flatnonzero(np.isin(frame._owner, subset))
+    svals = np.linalg.svd(frame.pooled()[:, columns], compute_uv=False)
+    rank = int(_numerical_rank(svals, tol))
+    if not relation(sum(scaled[i] for i in subset), rank * omega):
+        raise ValueError(
+            f"block subset {subset} does not recheck at tol={tol}: the"
+            " certificate's rank decisions disagree with the rank rule"
+        )
+    return _margin(svals, rank, tol)
+
+
+class _Packing:
+    """omega independent sets of pooled columns under the block budgets.
+
+    Copy k holds ``basis[k, :size[k]]``; column j of copy k is the element
+    (k, j) of the first matroid, the direct sum of omega copies of the
+    pooled column matroid.  Block i supplies at most ``budget[i]``
+    elements over all copies (the partition matroid).  ``coords[k, p]``
+    is row p of the pseudo-inverse of copy k's unit columns, scaled to
+    unit length.  For a unit column u in the span of copy k,
+    |coords[k, p] . u| is the sine of the angle between u and the span of
+    copy k's columns other than its p-th: swapping the p-th for u keeps
+    the set independent exactly when that sine exceeds the tolerance.
+    """
+
+    def __init__(self, frame: MatrixFrame, budget: np.ndarray, omega: int, tol: float):
+        pooled = frame.pooled()
+        norms = np.linalg.norm(pooled, axis=0)
+        self.unit = np.divide(pooled, norms, out=np.zeros_like(pooled), where=norms > 0)
+        self.frame = frame
+        self.owner = frame._owner
+        self.budget = budget
+        self.tol = tol
+        self.d = frame.d
+        self.basis = np.zeros((omega, frame.d), dtype=np.intp)
+        self.size = np.zeros(omega, dtype=np.intp)
+        self.chosen = np.zeros((omega, frame.total_cols), dtype=bool)
+        self.used = np.zeros(len(budget), dtype=np.int64)
+        self.coords = np.zeros((omega, frame.d, frame.d))
+        self.stale = np.ones(omega, dtype=bool)
+        # Copies whose full basis passed the rank rule, and its margin.
+        self.checked = np.zeros(omega, dtype=bool)
+        self.margins = np.full(omega, math.inf)
+
+    def check_bases(self, copies: np.ndarray) -> np.ndarray:
+        """Rank the full bases of ``copies`` by the rule of the subset pass.
+
+        Returns the mask of those of rank d; records their margins.
+        """
+        full = np.zeros(len(copies), dtype=bool)
+        step = max(1, _ARC_CHUNK // self.d**2)
+        for lo in range(0, len(copies), step):
+            ks = copies[lo : lo + step]
+            stack = self.frame.pooled()[:, self.basis[ks]].transpose(1, 0, 2)
+            svals = np.linalg.svd(stack, compute_uv=False)
+            ranks = _numerical_rank(svals, self.tol)
+            ok = ranks == self.d
+            full[lo : lo + step] = ok
+            self.margins[ks[ok]] = svals[ok, -1] / (svals[ok, 0] * self.tol)
+        self.checked[copies[full]] = True
+        return full
+
+    def warm_start(self):
+        """Plan all omega bases at once and keep the ones of full rank.
+
+        The blocks, sorted by decreasing budget, are written out budget
+        times each into omega d slots, and slot p goes to copy p mod omega
+        (wrap-around), so every copy gets d slots and a block's slots land
+        in consecutive copies.  A copy whose planned basis fails the rank
+        rule keeps the planned columns that are independent of those
+        before them.
+        """
+        omega, d = self.basis.shape
+        frame = self.frame
+        order = np.argsort(-self.budget, kind="stable")
+        counts = self.budget[order]
+        labels = np.repeat(order, counts)
+        slots = np.arange(omega * d)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        copy = slots % omega
+        # A block's occurrences inside one copy take distinct columns.
+        occurrence = (slots - first) // omega
+        cols = np.asarray(frame.block_cols)[labels]
+        self.basis[copy, slots // omega] = (
+            frame.block_starts[labels] + (occurrence + copy) % cols
+        )
+        full = self.check_bases(np.arange(omega))
+        self.size[full] = d
+        for k in np.flatnonzero(~full):
+            planned = self.basis[k].copy()
+            for j in planned:
+                if self._sines_outside(k)[j] > self.tol:
+                    self.basis[k, self.size[k]] = j
+                    self.size[k] += 1
+        rows = np.arange(d) < self.size[:, None]
+        self.chosen[np.nonzero(rows)[0], self.basis[rows]] = True
+        self.used = np.bincount(self.owner[self.basis[rows]], minlength=len(self.budget))
+
+    def _sines_outside(self, k: int) -> np.ndarray:
+        """Sine of the angle between each unit column and copy k's span."""
+        members = self.basis[k, : self.size[k]]
+        if not len(members):
+            return np.linalg.norm(self.unit, axis=0)
+        q, _ = np.linalg.qr(self.unit[:, members])
+        return np.linalg.norm(self.unit - q @ (q.T @ self.unit), axis=0)
+
+    def _refresh(self):
+        """Recompute the coordinate rows of the copies changed since last time."""
+        stale = np.flatnonzero(self.stale & (self.size > 0))
+        for s in set(self.size[stale].tolist()):
+            ks = stale[self.size[stale] == s]
+            stack = self.unit[:, self.basis[ks, :s]].transpose(1, 0, 2)
+            rows = np.linalg.inv(stack) if s == self.d else np.linalg.pinv(stack)
+            self.coords[ks, :s] = rows / np.sqrt(np.sum(rows * rows, axis=2, keepdims=True))
+        self.stale[:] = False
+
+    def _sines(self, ks: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        """|coords[k, p] . u| for each pair (k, p) and each unit column u."""
+        return np.abs(self.coords[ks, ps] @ self.unit)
+
+    def augment(self) -> Optional[np.ndarray]:
+        """Grow the packing by one element along a shortest augmenting path.
+
+        Breadth-first search over the exchange graph, compressed to blocks:
+        every element outside the packing of a saturated block leads to
+        the same elements, the packed ones of its block, so a block is
+        entered once, by the first column that reaches it.  Layer 0 holds
+        the columns independent of a deficient copy; a packed element
+        (k, p) leads to the columns that can replace it in copy k.  The
+        search ends at a block with budget to spare.  Returns None after
+        growing the packing, or the mask of the blocks the search reached
+        when no augmenting path exists.
+        """
+        self._refresh()
+        n = len(self.budget)
+        spare = self.budget - self.used
+        reached = np.zeros(n, dtype=bool)
+        # Block -> (copy, column entering it, (copy, row) displaced or None).
+        entry = {}
+        for k in np.flatnonzero(self.size < self.d):
+            free = np.flatnonzero(
+                (self._sines_outside(k) > self.tol) & ~self.chosen[k]
+            )
+            blocks, first = np.unique(self.owner[free], return_index=True)
+            new = ~reached[blocks]
+            for b, j in zip(blocks[new], free[first[new]]):
+                entry[b] = (k, j, None)
+            reached[blocks] = True
+        layer = np.flatnonzero(reached)
+        valid = np.arange(self.d) < self.size[:, None]
+        owners = np.where(valid, self.owner[self.basis], -1)
+        while layer.size:
+            ends = layer[spare[layer] > 0]
+            if ends.size:
+                self._apply(entry, ends[np.argmax(spare[ends])])
+                return None
+            ks, ps = np.nonzero(np.isin(owners, layer))
+            found = []
+            step = max(1, _ARC_CHUNK // self.unit.shape[1])
+            for lo in range(0, len(ks), step):
+                k, p = ks[lo : lo + step], ps[lo : lo + step]
+                arcs = (self._sines(k, p) > self.tol) & ~self.chosen[k]
+                arcs &= ~reached[self.owner]
+                rows, cols = np.nonzero(arcs)
+                blocks, first = np.unique(self.owner[cols], return_index=True)
+                reached[blocks] = True
+                for b, f in zip(blocks, first):
+                    y = (k[rows[f]], p[rows[f]])
+                    entry[b] = (y[0], cols[f], y)
+                found.append(blocks)
+            layer = np.concatenate(found) if found else layer[:0]
+        return reached
+
+    def _apply(self, entry: dict, end: int):
+        """Swap the elements along the path that ends by entering block ``end``."""
+        path = []
+        block = end
+        while True:
+            k, j, displaced = entry[block]
+            path.append((k, j, displaced))
+            if displaced is None:
+                break
+            block = self.owner[self.basis[displaced]]
+        for k, j, displaced in path:
+            if displaced is None:
+                self.basis[k, self.size[k]] = j
+                self.size[k] += 1
+            else:
+                self.chosen[k, self.basis[displaced]] = False
+                self.basis[displaced] = j
+            self.chosen[k, j] = True
+            self.stale[k] = True
+            self.checked[k] = False
+        self.used[end] += 1
+
+    def exchange_digraph(self) -> tuple:
+        """(adjacency, margin) of the block exchange digraph of full bases.
+
+        adjacency[j, i] holds when some copy's basis stays a basis after
+        one of its block-i columns is swapped for a block-j column.  The
+        margin is the smallest factor by which a swap's sine clears or
+        misses the tolerance.
+        """
+        self._refresh()
+        omega, d = self.basis.shape
+        n = len(self.budget)
+        swaps = np.zeros((n, n), dtype=bool)
+        margin = math.inf
+        step = max(1, _ARC_CHUNK // (d * self.unit.shape[1]))
+        rows = np.arange(d)
+        for lo in range(0, omega, step):
+            ks = np.arange(lo, min(lo + step, omega))
+            sines = self._sines(ks[:, None], rows[None, :])
+            outside = ~self.chosen[ks][:, None, :]
+            arcs = (sines > self.tol) & outside
+            ratios = sines[np.broadcast_to(outside, sines.shape)] / self.tol
+            ratios = ratios[ratios > 0.0]
+            if ratios.size:
+                margin = min(margin, float(np.min(np.maximum(ratios, 1.0 / ratios))))
+            # hits[k, p, j]: row p of copy k can be swapped for a block-j column.
+            hits = np.logical_or.reduceat(arcs, self.frame.block_starts, axis=2)
+            # Row i of swaps: the blocks whose columns a block-i row can give way to.
+            np.logical_or.at(swaps, self.owner[self.basis[ks]].ravel(), hits.reshape(-1, n))
+        return swaps.T, margin
+
+
+def _closed_set(adjacency: np.ndarray) -> Optional[tuple]:
+    """A nonempty proper block set with no arc leaving it, or None.
+
+    None means the digraph is strongly connected.  Otherwise the set is
+    the blocks reachable from block 0, or, when that is all of them, the
+    blocks that cannot reach block 0.
+    """
+    n = len(adjacency)
+    if np.all(adjacency | np.eye(n, dtype=bool)):
+        return None  # every block swaps with every other
+    for graph, complement in ((adjacency, False), (adjacency.T, True)):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = np.any(graph[frontier], axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return tuple(np.flatnonzero(~seen if complement else seen).tolist())
+    return None
+
+
+def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> MembershipCertificate:
+    """Exact polynomial membership certificate by matroid intersection.
+
+    With omega the weights' common denominator and a_i = omega c_i, the
+    weights are a member exactly when omega bases of R^d can be packed
+    from the pooled columns with block i supplying a_i of their columns
+    (see the module docstring).  Refuses with EnumerationSizeError when
+    omega N exceeds DEFAULT_SIZE_GUARD, before anything is allocated.
+    Raises ValueError when a certificate found by the search fails its
+    recheck, which happens only when rank decisions sit at the tolerance.
+    """
+    frame, weights = datum.frame, datum.weights
+    omega = weights.omega
+    if omega * frame.total_cols > DEFAULT_SIZE_GUARD:
+        raise EnumerationSizeError(
+            f"{omega} copies of {frame.total_cols} pooled columns exceed the"
+            f" size guard {DEFAULT_SIZE_GUARD}"
+        )
+    omega, scaled = _scaled_weights(weights)
+    if sum(scaled) != frame.d * omega:
+        return MembershipCertificate(False, False, None, None, None, math.inf)
+    budget = np.array(scaled, dtype=np.int64)
+    over = np.flatnonzero(budget > omega * np.asarray(frame.block_cols))
+    if over.size:
+        # a_i > omega d_i >= omega r({i}): no packing can use block i enough.
+        subset = (int(over[0]),)
+        margin = _check_subset(datum, subset, tol, operator.gt)
+        return MembershipCertificate(False, False, None, subset, None, margin)
+
+    packing = _Packing(frame, budget, omega, tol)
+    packing.warm_start()
+    while np.any(packing.size < frame.d):
+        reached = packing.augment()
+        if reached is not None:
+            subset = tuple(np.flatnonzero(~reached).tolist())
+            margin = _check_subset(datum, subset, tol, operator.gt)
+            return MembershipCertificate(False, False, None, subset, None, margin)
+
+    full = packing.check_bases(np.flatnonzero(~packing.checked))
+    uses = np.bincount(packing.owner[packing.basis].ravel(), minlength=frame.n)
+    if not (np.all(full) and np.array_equal(uses, budget)):
+        raise ValueError(
+            f"packed bases do not recheck at tol={tol}: the certificate's rank"
+            " decisions disagree with the rank rule"
+        )
+    margin = float(np.min(packing.margins))
+    tight = None
+    if frame.n > 1:
+        adjacency, arc_margin = packing.exchange_digraph()
+        margin = min(margin, arc_margin)
+        tight = _closed_set(adjacency)
+        if tight is not None:
+            margin = min(margin, _check_subset(datum, tight, tol, operator.eq))
+    return MembershipCertificate(
+        member=True,
+        relative_interior=tight is None,
+        bases=tuple(tuple(row) for row in np.sort(packing.basis, axis=1).tolist()),
+        violating=None,
+        tight=tight,
+        rank_margin=margin,
+    )
+
+
+def orbit_polytope_report(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeReport:
+    """The membership report of ``solver.minimize`` and ``cli check``.
+
+    The verdict comes from ``certify_membership``.  A member in the
+    relative interior has no tight and no violating subset: a proper
+    tight set would put the weights on a face, and positive weights
+    leave no proper set of weight d, the only weight a rank-d tight set
+    can have.  So its report is exact without any enumeration.  Any
+    other report takes its subset lists from ``in_orbit_polytope`` while
+    2^n - 1 is within DEFAULT_SIZE_GUARD; above it, the report lists the
+    certificate's violating or tight set.
+    """
+    certificate = certify_membership(datum, tol)
+    if certificate.relative_interior:
+        return PolytopeReport(
+            member=True,
+            sum_check=True,
+            tight_subsets=(),
+            violating_subsets=(),
+            relative_interior=True,
+        )
+    if 2**datum.frame.n - 1 <= DEFAULT_SIZE_GUARD:
+        return in_orbit_polytope(datum, tol)
+    return PolytopeReport(
+        member=certificate.member,
+        sum_check=datum.weights.total() == datum.frame.d,
+        tight_subsets=tuple(filter(None, [certificate.tight])),
+        violating_subsets=tuple(filter(None, [certificate.violating])),
+        relative_interior=False,
+    )
 
 def in_relative_interior(datum: FrameDatum, tol: float = DEFAULT_TOL) -> bool:
     """True when the weights lie in the relative interior of the polytope.

@@ -14,7 +14,9 @@ gauge when the weights sum to d, and recentring keeps the iterates
 bounded whenever a minimiser exists.
 
 When the weights fail the orbit-polytope test the infimum is -inf and the
-solver reports ``not_semistable`` without iterating.  Without the
+solver reports ``not_semistable`` without iterating; the test is the
+polynomial matroid-intersection certificate of
+``polytope.certify_membership``, so it runs at any n.  Without the
 pre-check, ``unbounded_below`` needs a witness: a proper upper level set S
 of the current scalings with c(S) > dim span(S), found by
 ``polytope.divergence_witness``.  The loop looks for one whenever the
@@ -38,7 +40,6 @@ import numpy as np
 
 from .frames import (
     DEFAULT_TOL,
-    EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
     apply_transform,
@@ -51,7 +52,7 @@ from .objective import (
     scaled_frame_operator,
     sym_inverse_sqrt,
 )
-from .polytope import PolytopeReport, divergence_witness, in_orbit_polytope
+from .polytope import PolytopeReport, divergence_witness, orbit_polytope_report
 
 STATUS_CONVERGED = "converged"
 STATUS_UNBOUNDED = "unbounded_below"
@@ -73,9 +74,12 @@ class SolverConfig:
     ``grad_tol`` is the gradient-norm tolerance, 1e-9 * d when left at
     None; ``max_iters`` caps the iterations; ``check_polytope`` runs the
     exact orbit-polytope certificate first and skips the loop for
-    non-members (it raises EnumerationSizeError above the size guard,
-    n >= 20); ``rank_tol`` is the relative tolerance of the rank and
-    positive-definiteness predicates, the divergence witness included.
+    non-members.  The certificate is polynomial, so the pre-check runs
+    above the subset-enumeration guard too; it refuses with
+    EnumerationSizeError only when the weights' common denominator
+    times N exceeds DEFAULT_SIZE_GUARD.  ``rank_tol`` is the relative
+    tolerance of the rank and positive-definiteness predicates, the
+    certificate and the divergence witness included.
     """
 
     grad_tol: Optional[float] = None
@@ -103,9 +107,10 @@ class SolveResult:
     set of t, and ``max_iters`` also when the loop stalled: no step
     decreased the objective, or the accepted step moved t by at most
     256 eps max(1, |t|_inf).  ``polytope`` is the exact certificate's
-    report from the pre-check or from the cross-check of an unbounded run;
-    None when neither ran or the subset enumeration was over the size
-    guard.
+    report (``polytope.orbit_polytope_report``) from the pre-check or
+    from the cross-check of an unbounded run, at any n; None only when
+    neither ran.  Above the subset-enumeration guard its subset lists hold
+    the certificate's one violating or tight set.
     """
 
     t_star: np.ndarray
@@ -139,7 +144,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     grad_tol = config.effective_grad_tol(d)
     polytope_report: Optional[PolytopeReport] = None
     if config.check_polytope:
-        polytope_report = in_orbit_polytope(datum, config.rank_tol)
+        polytope_report = orbit_polytope_report(datum, config.rank_tol)
         if not polytope_report.member:
             return SolveResult(
                 t_star=np.zeros(frame.n),
@@ -195,12 +200,8 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         iterations = config.max_iters
 
     if status == STATUS_UNBOUNDED:
-        # A witness is found only without the pre-check.  Fill in the full
-        # certificate, where the subset enumeration is small enough to run.
-        try:
-            polytope_report = in_orbit_polytope(datum, config.rank_tol)
-        except EnumerationSizeError:
-            pass
+        # A witness is found only without the pre-check; fill in the report.
+        polytope_report = orbit_polytope_report(datum, config.rank_tol)
 
     transformer = None
     extremisers = None

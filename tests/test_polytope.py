@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from frameiso import (
     MatrixFrame,
     PolytopeReport,
     WeightVector,
+    certify_membership,
     column_span_dim,
     has_stability_certificate,
     in_orbit_polytope,
@@ -19,7 +21,8 @@ from frameiso import (
 )
 from frameiso import polytope
 from frameiso.generate import random_degenerate_frame, random_frame
-from frameiso.polytope import divergence_witness
+from frameiso.frames import _numerical_rank
+from frameiso.polytope import divergence_witness, orbit_polytope_report
 
 from conftest import traced_peak
 
@@ -283,3 +286,123 @@ def test_witness_is_violating_subset(datum, data):
     if witness is not None:
         assert len(witness) < datum.frame.n
         assert witness in report.violating_subsets
+
+
+def _recheck_bases(datum, certificate):
+    """Each basis is full rank by the rank rule; block i is used omega c_i times."""
+    frame, weights = datum.frame, datum.weights
+    omega = weights.omega
+    assert len(certificate.bases) == omega
+    for basis in certificate.bases:
+        assert len(set(basis)) == frame.d
+        svals = np.linalg.svd(frame.pooled()[:, list(basis)], compute_uv=False)
+        assert _numerical_rank(svals, 1e-9) == frame.d
+    owner = np.repeat(np.arange(frame.n), frame.block_cols)
+    uses = np.bincount(owner[np.ravel(certificate.bases)], minlength=frame.n)
+    assert uses.tolist() == [int(w * omega) for w in weights.weights]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_integer_data(), st.sampled_from((1, Fraction(3, 4), Fraction(5, 4))))
+def test_certificate_matches_enumeration(datum, factor):
+    weights = WeightVector(tuple(factor * w for w in datum.weights.weights))
+    datum = FrameDatum(datum.frame, weights)
+    report = in_orbit_polytope(datum)
+    certificate = certify_membership(datum)
+    # Below the subset guard the shared report is the enumeration's.
+    assert orbit_polytope_report(datum) == report
+    assert certificate.member == report.member
+    assert certificate.relative_interior == report.relative_interior
+    assert certificate.rank_margin > 1.0
+    if certificate.member:
+        _recheck_bases(datum, certificate)
+        assert certificate.violating is None
+        if not certificate.relative_interior:
+            assert certificate.tight in report.tight_subsets
+    else:
+        assert certificate.bases is None
+        if report.sum_check:
+            assert certificate.violating in report.violating_subsets
+
+
+def test_certificate_boundary_member():
+    # c_1 = 1 = dim span(e1): a member on a proper face of the polytope.
+    frame = MatrixFrame(2, ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]))
+    datum = FrameDatum(frame, WeightVector((1, "1/2", "1/2")))
+    certificate = certify_membership(datum)
+    assert certificate.member
+    assert not certificate.relative_interior
+    assert certificate.tight == (0,)
+    _recheck_bases(datum, certificate)
+
+
+def test_certificate_tight_rank_two_set():
+    # a, b, a + b span a plane and weigh 2 = its rank: tight set {0, 1, 2}.
+    rng = np.random.default_rng(21)
+    a, b, g1, g2 = rng.standard_normal((4, 3))
+    frame = MatrixFrame(3, (a, b, a + b, g1, g2))
+    datum = FrameDatum(frame, WeightVector(("2/3",) * 3 + ("1/2",) * 2))
+    certificate = certify_membership(datum)
+    assert certificate.member
+    assert not certificate.relative_interior
+    assert certificate.tight == (0, 1, 2)
+    assert in_orbit_polytope(datum).tight_subsets == ((0, 1, 2),)
+    _recheck_bases(datum, certificate)
+
+
+def test_certificate_collinear_non_member(collinear_frame, thirds):
+    certificate = certify_membership(FrameDatum(collinear_frame, thirds))
+    assert not certificate.member
+    assert certificate.violating == (0, 1)  # 4/3 > rank 1
+
+
+def test_certificate_guard_on_denominators():
+    # omega = 999983 * 999979 copies of 3 pooled columns: refused at once.
+    p, q = 999_983, 999_979
+    weights = WeightVector((Fraction(1, p), Fraction(1, q), 2 - Fraction(1, p) - Fraction(1, q)))
+    frame = MatrixFrame(2, ([1.0, 0.0], [0.0, 1.0], [[1.0, 0.0], [1.0, 1.0]]))
+    start = time.perf_counter()
+    with pytest.raises(EnumerationSizeError):
+        certify_membership(FrameDatum(frame, weights))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_certificate_is_polynomial():
+    # 2^19 - 1 subsets take the enumeration seconds; the certificate packs
+    # 19 bases.  Above the subset guard it still answers.
+    for d, n, limit in ((8, 19, 0.25), (8, 40, 0.25), (16, 256, 2.0)):
+        frame = random_frame(d, [1] * n, np.random.default_rng(n))
+        datum = FrameDatum(frame, WeightVector.uniform(d, n))
+        start = time.perf_counter()
+        certificate = certify_membership(datum)
+        assert time.perf_counter() - start < limit
+        assert certificate.relative_interior
+        _recheck_bases(datum, certificate)
+
+
+def test_certificate_non_member_above_subset_guard():
+    frame, _ = random_degenerate_frame(8, 40, np.random.default_rng(4))
+    weights = WeightVector.uniform(8, 40)
+    certificate = certify_membership(FrameDatum(frame, weights))
+    assert not certificate.member
+    violating = certificate.violating
+    weight = sum(weights.weights[i] for i in violating)
+    assert weight > column_span_dim(frame, violating)
+
+
+def test_report_above_subset_guard_lists_certificate_set():
+    # 2^20 - 1 subsets: the boundary member's report lists the tight set
+    # the certificate found instead of enumerating.
+    rng = np.random.default_rng(8)
+    blocks = ([1.0, 0.0],) + tuple(rng.standard_normal((19, 2)))
+    datum = FrameDatum(
+        MatrixFrame(2, blocks), WeightVector((1,) + (Fraction(1, 19),) * 19)
+    )
+    report = orbit_polytope_report(datum)
+    assert report == PolytopeReport(
+        member=True,
+        sum_check=True,
+        tight_subsets=((0,),),
+        violating_subsets=(),
+        relative_interior=False,
+    )

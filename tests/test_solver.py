@@ -160,15 +160,22 @@ def test_degenerate_random_frames_diverge():
 
 
 def test_cross_check_over_size_guard_is_skipped():
-    # 2^40 subsets: the divergence cross-check must refuse, not enumerate.
+    # 2^40 subsets: the divergence cross-check must not enumerate them; the
+    # polynomial certificate reports a violating set instead.
     rng = np.random.default_rng(15)
     frame, _ = random_degenerate_frame(16, 40, rng)
-    datum = FrameDatum(frame, WeightVector.uniform(16, 40))
+    weights = WeightVector.uniform(16, 40)
+    datum = FrameDatum(frame, weights)
     start = time.perf_counter()
     result = minimize(datum, SolverConfig(check_polytope=False))
     assert time.perf_counter() - start < 5.0
     assert result.status == "unbounded_below"
-    assert result.polytope is None
+    assert result.polytope is not None and not result.polytope.member
+    (subset,) = result.polytope.violating_subsets
+    columns = np.hstack([frame.blocks[i] for i in subset])
+    svals = np.linalg.svd(columns, compute_uv=False)
+    rank = int(np.sum(svals > 1e-9 * svals[0]))
+    assert sum(weights.weights[i] for i in subset) > rank
 
 
 def _generic_random_data():
