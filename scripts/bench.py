@@ -10,8 +10,8 @@ records the median and the interquartile range of the five end-to-end
 metrics over ``--runs`` untraced runs per side, the failed operations,
 and the exact counts of one traced run per side: orbit-polytope
 enumerations, SVD and eigh calls, and solver iterations.  The base
-checkout is made with ``git archive`` under ``--workdir`` (a temporary
-directory by default).
+checkout is made with ``git archive`` in a temporary directory that is
+removed afterwards.
 """
 
 from __future__ import annotations
@@ -44,13 +44,10 @@ def _parse(argv):
     parser.add_argument("--runs", type=int, default=10, help="untraced runs per side")
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", default=None,
-                        help="workload to run (repeatable; default: all of BENCHMARK.json)")
-    parser.add_argument("--workdir", default=None, help="where checkouts go")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    args.workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    args.workloads = [w["name"] for w in spec["workloads"]]
     return args
 
 
@@ -109,10 +106,18 @@ def _side(results: list, traced: dict) -> dict:
 
 def main(argv=None) -> int:
     args = _parse(argv)
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="frameiso-bench-"))
     base_rev = _revision(args.base)
-    trees = {"base": _checkout(base_rev, workdir / f"base-{base_rev[:12]}"), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="frameiso-bench-") as workdir:
+        base = _checkout(base_rev, Path(workdir) / "base")
+        report = _measure(args, base_rev, {"base": base, "change": ROOT})
+    out = ROOT / f"BENCH_{args.number}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
 
+
+def _measure(args, base_rev: str, trees: dict) -> dict:
+    """Alternating runs of every workload on both trees, summarised."""
     report = {
         "number": args.number,
         "base": base_rev,
@@ -144,11 +149,7 @@ def main(argv=None) -> int:
         report["workloads"][workload] = entry
         print(f"{workload}: change/base medians "
               + " ".join(f"{k}={v:.3f}" for k, v in entry["ratio"].items()), flush=True)
-
-    out = ROOT / f"BENCH_{args.number}.json"
-    out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {out}")
-    return 0
+    return report
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ from .paulsen import (
     perturb_to_generic,
 )
 from .polytope import (
+    CertificateError,
     MembershipCertificate,
     PolytopeReport,
     certify_membership,
@@ -76,6 +77,7 @@ from .solver import (
 __all__ = [
     "DEFAULT_TOL",
     "BipartiteQuiverRep",
+    "CertificateError",
     "EnumerationSizeError",
     "FrameDatum",
     "MatrixFrame",

@@ -27,15 +27,27 @@ certificate for either answer.
   digraph of its bases is strongly connected (Cunningham 1984).  The
   digraph has an arc j -> i when some basis stays a basis after a block-i
   column is swapped for a block-j column; a set with no arc leaving it is
-  tight, and a tight set has none.  All arcs of a copy come from one
-  solve against its basis.
+  tight, and a tight set has none.  All arcs of a copy come from the
+  one SVD of its basis; only swaps too close to call get their own.
 
-Every set a certificate reports is rechecked with exact integer weight
-sums and the ``_numerical_rank`` rule of the subset pass, and the
-certificate reports its smallest rank margin.  Its cost is linear in
-omega, so it refuses with EnumerationSizeError when omega N exceeds
-DEFAULT_SIZE_GUARD.  ``orbit_polytope_report`` builds the report the
-solver and the CLI use from it.
+The certificate decides independence by one rule: a set of pooled
+columns is independent when its smallest singular value exceeds tol
+times the largest singular value of the whole pooled matrix.  This is
+the ``_numerical_rank`` rule of the subset pass with the frame's top
+singular value in place of the set's, which is never larger, so a basis
+it accepts shows the pass rank every block subset at least as high as
+the basis's columns in it.  Its member and relative-interior verdicts
+therefore hold for the pass's rule too.  Its violating and tight sets
+are rechecked against the pass's rule with exact integer weight sums.
+Where the pass's rule does not act as a matroid, as on frames whose
+column norms differ so widely that it ranks a block subset below one of
+its parts, a recheck can fail, or an augmenting path can leave a
+dependent set: the certificate then raises CertificateError, and
+``orbit_polytope_report`` falls back on the enumeration.
+The certificate reports its smallest rank margin.  Its cost is linear in
+omega, so it refuses with EnumerationSizeError when omega max(N, d^2)
+exceeds DEFAULT_SIZE_GUARD.  ``orbit_polytope_report`` builds the report
+the solver and the CLI use from it.
 
 ``in_orbit_polytope`` stays as the exact oracle: one pass over all
 2^n - 1 nonempty block subsets, which ranks each subset once and lists
@@ -89,10 +101,17 @@ class PolytopeReport:
     ``tight_subsets`` lists the proper nonempty subsets whose weight sum
     equals the span bound; the full set [n] is excluded because its
     constraint is forced tight by the sum condition.  ``violating_subsets``
-    lists every subset (including [n]) whose weight sum exceeds the bound.
+    lists the subsets (including [n]) whose weight sum exceeds the bound.
     Subsets are 0-based index tuples in lexicographic order.
     ``relative_interior`` holds when the weights are a member and no
     tight subset has span rank below d.
+
+    ``in_orbit_polytope`` lists every tight and violating subset, and so
+    does ``orbit_polytope_report`` while 2^n - 1 is within
+    DEFAULT_SIZE_GUARD.  Above it, ``orbit_polytope_report`` lists only
+    the one violating or tight set of its certificate (none for a
+    relative-interior member), and a subset missing from the lists may
+    still be tight or violating.
     """
 
     member: bool
@@ -229,8 +248,23 @@ def divergence_witness(datum: FrameDatum, t, tol: float = DEFAULT_TOL):
 
 
 # Most floats in one stacked temporary of the certificate (planned bases,
-# exchange sines), so its temporaries stay bounded whatever omega is.
-_ARC_CHUNK = 2**18
+# exchange bounds), so its temporaries stay bounded whatever omega is.
+_ARC_CHUNK = 2**16
+# Rounding allowance of the exchange bounds: _ROUNDING d eps kappa(B)
+# (1 + h_p / s_min(B)) |x| for column x put in place p of copy B.
+_ROUNDING = 16.0
+_EPS = float(np.finfo(float).eps)
+
+
+class CertificateError(ValueError):
+    """The rank rule does not act as a matroid on this frame at this tolerance.
+
+    Raised when a basis the packing built, or a set its search delimits,
+    fails its recheck.  With exact ranks neither can happen; numerically
+    it takes decisions at the tolerance, or columns whose norms differ so
+    widely that the rule, which compares singular values with the
+    largest one, ranks a set below one of its subsets.
+    """
 
 
 @dataclass(frozen=True)
@@ -244,12 +278,14 @@ class MembershipCertificate:
     c(T) > r(T); ``tight`` (members off the relative interior) is a
     proper block subset S with c(S) = r(S).  Both sets are sorted block
     indices, and both were rechecked with exact integer weight sums
-    against the ``_numerical_rank`` rule.  ``rank_margin`` is the factor
-    by which the closest numerical decision behind the verdict clears
-    ``tol``: a singular-value ratio of a basis or of the reported set, or
-    an exchange coefficient of the relative-interior test.  A margin near
-    1 flags a verdict that a slightly different tolerance would change;
-    inf means no decision was numerical.
+    against the ``_numerical_rank`` rule.  ``rank_margin`` is a lower
+    bound on the factor by which the closest numerical decision behind
+    the verdict clears its threshold: the smallest singular value of a
+    basis or of a swap of the relative-interior test against tol times
+    the frame's top singular value, or the singular-value ratios of the
+    reported set against tol.  A margin near 1 flags a verdict that a
+    slightly different tolerance would change; inf means no decision was
+    numerical.
     """
 
     member: bool
@@ -284,9 +320,9 @@ def _check_subset(datum: FrameDatum, subset, tol: float, relation) -> float:
     ``relation`` is the required comparison of the two scaled integers.
     """
     if not subset:
-        raise ValueError(
-            "the certificate found no block subset: its rank decisions disagree"
-            " with the rank rule"
+        raise CertificateError(
+            "the certificate found no block subset: the rank rule does not"
+            " act as a matroid here"
         )
     frame = datum.frame
     omega, scaled = _scaled_weights(datum.weights)
@@ -294,9 +330,9 @@ def _check_subset(datum: FrameDatum, subset, tol: float, relation) -> float:
     svals = np.linalg.svd(frame.pooled()[:, columns], compute_uv=False)
     rank = int(_numerical_rank(svals, tol))
     if not relation(sum(scaled[i] for i in subset), rank * omega):
-        raise ValueError(
-            f"block subset {subset} does not recheck at tol={tol}: the"
-            " certificate's rank decisions disagree with the rank rule"
+        raise CertificateError(
+            f"block subset {subset} does not recheck at tol={tol}: the rank"
+            " rule does not act as a matroid here"
         )
     return _margin(svals, rank, tol)
 
@@ -307,50 +343,160 @@ class _Packing:
     Copy k holds ``basis[k, :size[k]]``; column j of copy k is the element
     (k, j) of the first matroid, the direct sum of omega copies of the
     pooled column matroid.  Block i supplies at most ``budget[i]``
-    elements over all copies (the partition matroid).  ``coords[k, p]``
-    is row p of the pseudo-inverse of copy k's unit columns, scaled to
-    unit length.  For a unit column u in the span of copy k,
-    |coords[k, p] . u| is the sine of the angle between u and the span of
-    copy k's columns other than its p-th: swapping the p-th for u keeps
-    the set independent exactly when that sine exceeds the tolerance.
+    elements over all copies (the partition matroid).
+
+    Independence has one rule: a set of raw pooled columns is independent
+    when its smallest singular value exceeds ``floor``, tol times the
+    largest singular value of the whole pooled matrix.  It is the subset
+    pass's rule (``_numerical_rank``) with the frame's top singular value
+    in place of the set's, which is never larger, so any k columns of a
+    block subset that it accepts make the pass rank that subset at least
+    k.  Subsets of independent sets stay independent (interlacing).
+
+    The SVD B = U S V^T of each copy gives its pseudo-inverse rows P and,
+    for every pooled column x, the coefficients alpha = P x and the
+    residual w = x - B alpha.  For the set B' in which x replaces column
+    p of B (or joins B), they bound s_min(B').  From above by the
+    distance of x from the span of B's other columns, |(alpha_p h_p, w)|
+    with h_p = 1 / |P_p|.  From below through B' = B E + w e_p^T, with E
+    the identity whose column p is alpha: s_min(B') >= max(s_min(B)
+    s_min(E), min(s_min(B), |w|) s_min([E; e_p^T])), and both s_min have
+    closed forms.  A set whose bound clears the floor by a factor of two,
+    after a rounding allowance, is decided by it; any other by the SVD of
+    B' itself.
     """
 
     def __init__(self, frame: MatrixFrame, budget: np.ndarray, omega: int, tol: float):
-        pooled = frame.pooled()
-        norms = np.linalg.norm(pooled, axis=0)
-        self.unit = np.divide(pooled, norms, out=np.zeros_like(pooled), where=norms > 0)
-        self.frame = frame
+        self.pooled = frame.pooled()
+        self.norms = np.linalg.norm(self.pooled, axis=0)
+        # tol times the top singular value, from the d x d frame operator.
+        self.floor = tol * math.sqrt(max(np.linalg.eigvalsh(self.pooled @ self.pooled.T)[-1], 0.0))
         self.owner = frame._owner
+        self.starts = frame.block_starts
         self.budget = budget
-        self.tol = tol
-        self.d = frame.d
-        self.basis = np.zeros((omega, frame.d), dtype=np.intp)
+        self.d = d = frame.d
+        cols = frame.total_cols
+        self.basis = np.zeros((omega, d), dtype=np.intp)
         self.size = np.zeros(omega, dtype=np.intp)
-        self.chosen = np.zeros((omega, frame.total_cols), dtype=bool)
+        self.chosen = np.zeros((omega, cols), dtype=bool)
         self.used = np.zeros(len(budget), dtype=np.int64)
-        self.coords = np.zeros((omega, frame.d, frame.d))
+        # From each copy's SVD: pseudo-inverse rows, extreme singular
+        # values, and |alpha|^2 and |w| of every pooled column.
+        self.pinv = np.zeros((omega, d, d))
+        self.smin = np.zeros(omega)
+        self.smax = np.zeros(omega)
+        self.alpha2 = np.zeros((omega, cols))
+        self.resid = np.zeros((omega, cols))
         self.stale = np.ones(omega, dtype=bool)
-        # Copies whose full basis passed the rank rule, and its margin.
-        self.checked = np.zeros(omega, dtype=bool)
-        self.margins = np.full(omega, math.inf)
 
-    def check_bases(self, copies: np.ndarray) -> np.ndarray:
-        """Rank the full bases of ``copies`` by the rule of the subset pass.
+    def _rule(self, columns: np.ndarray) -> tuple:
+        """(independent, margin) of each row of pooled column indices by the SVD."""
+        independent = np.zeros(len(columns), dtype=bool)
+        margins = np.full(len(columns), np.inf)
+        width = columns.shape[1]
+        step = max(1, _ARC_CHUNK // (self.d * width))
+        for lo in range(0, len(columns), step):
+            rows = columns[lo : lo + step]
+            svals = np.linalg.svd(self.pooled[:, rows].transpose(1, 0, 2), compute_uv=False)
+            smin = svals[:, -1]
+            full = smin > self.floor
+            with np.errstate(divide="ignore", invalid="ignore"):
+                margins[lo : lo + step] = np.where(full, smin / self.floor, self.floor / smin)
+            independent[lo : lo + step] = full
+        return independent, margins
 
-        Returns the mask of those of rank d; records their margins.
+    def _rank(self, copies: np.ndarray) -> np.ndarray:
+        """SVD ``copies`` at their sizes and keep the data of the independent ones.
+
+        Returns the mask of the copies the rule finds independent.
         """
-        full = np.zeros(len(copies), dtype=bool)
-        step = max(1, _ARC_CHUNK // self.d**2)
-        for lo in range(0, len(copies), step):
-            ks = copies[lo : lo + step]
-            stack = self.frame.pooled()[:, self.basis[ks]].transpose(1, 0, 2)
-            svals = np.linalg.svd(stack, compute_uv=False)
-            ranks = _numerical_rank(svals, self.tol)
-            ok = ranks == self.d
-            full[lo : lo + step] = ok
-            self.margins[ks[ok]] = svals[ok, -1] / (svals[ok, 0] * self.tol)
-        self.checked[copies[full]] = True
-        return full
+        ok = np.ones(len(copies), dtype=bool)
+        cols = self.pooled.shape[1]
+        step = max(1, _ARC_CHUNK // (self.d * cols))
+        for s in np.unique(self.size[copies]).tolist():
+            group = np.flatnonzero(self.size[copies] == s)
+            if s == 0:
+                self.smin[copies[group]] = self.smax[copies[group]] = 0.0
+                self.alpha2[copies[group]] = 0.0
+                self.resid[copies[group]] = self.norms
+                continue
+            for lo in range(0, len(group), step):
+                sel = group[lo : lo + step]
+                stack = self.pooled[:, self.basis[copies[sel], :s]].transpose(1, 0, 2)
+                u, svals, vt = np.linalg.svd(stack, full_matrices=False)
+                good = svals[:, -1] > self.floor
+                ok[sel] = good
+                ks, u, svals, vt = copies[sel[good]], u[good], svals[good], vt[good]
+                pinv = (np.swapaxes(vt, 1, 2) / svals[:, None, :]) @ np.swapaxes(u, 1, 2)
+                self.pinv[ks, :s] = pinv
+                self.smin[ks] = svals[:, -1]
+                self.smax[ks] = svals[:, 0]
+                self.alpha2[ks] = np.sum((pinv @ self.pooled) ** 2, axis=1)
+                if s == self.d:
+                    self.resid[ks] = 0.0
+                else:
+                    ut_x = np.swapaxes(u, 1, 2) @ self.pooled
+                    self.resid[ks] = np.linalg.norm(self.pooled - u @ ut_x, axis=1)
+        self.stale[copies[ok]] = False
+        return ok
+
+    def refresh(self):
+        """Rank the copies changed since last time; they must be independent."""
+        stale = np.flatnonzero(self.stale)
+        if stale.size and not np.all(self._rank(stale)):
+            raise CertificateError(
+                "an augmenting path left a dependent set: the rank rule does not"
+                " act as a matroid here"
+            )
+
+    def decide(self, ks: np.ndarray, ps: Optional[np.ndarray], candidates: np.ndarray) -> tuple:
+        """(independent, margin) of copy k with column p replaced by each pooled column.
+
+        Row r is copy ks[r] with its column ps[r] swapped out, or with
+        nothing swapped out when ``ps`` is None; column x of the result is
+        the verdict on putting pooled column x in.  Entries outside
+        ``candidates`` are False with margin inf.  The copies must be
+        fresh (``refresh``).
+        """
+        floor, x = self.floor, self.norms
+        smin, smax = self.smin[ks, None], self.smax[ks, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if ps is None:
+                ap, hp = np.zeros((len(ks), len(x))), 0.0
+            else:
+                prow = self.pinv[ks, ps]
+                ap = prow @ self.pooled
+                hp = 1.0 / np.linalg.norm(prow, axis=1)[:, None]
+            slack = _ROUNDING * self.d * _EPS * (smax / smin) * (1.0 + hp / smin) * x
+            wn = self.resid[ks]
+            big = 1.0 + self.alpha2[ks]
+            ap2 = ap * ap
+            # s_min(E) = |alpha_p| / s_max(E), from s_max s_min = |alpha_p|
+            # and s_max^2 + s_min^2 = 1 + |alpha|^2.
+            smax_e2 = 0.5 * (big + np.sqrt(np.maximum(big * big - 4.0 * ap2, 0.0)))
+            lower = np.where(np.abs(ap) * hp > 4.0 * slack, smin * np.abs(ap) / np.sqrt(smax_e2), 0.0)
+            if wn.any():  # only sets short of a basis have a residual
+                # s_min([E; e_p^T])^2: the smaller eigenvalue of a 2 x 2
+                # block with trace 1 + big and determinant 1 + alpha_p^2.
+                trace, det = 1.0 + big, 1.0 + ap2
+                root = np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))
+                via_w = np.minimum(smin, wn) * np.sqrt(2.0 * det / (trace + root))
+                lower = np.maximum(lower, np.where(wn > 4.0 * slack, via_w, 0.0))
+            upper = np.sqrt(ap2 * hp * hp + wn * wn)
+            dependent = upper + slack <= 0.5 * floor
+            independent = lower > 2.0 * floor
+            margin = np.where(independent, lower / floor, floor / (upper + slack))
+        rows, cols = np.nonzero(candidates & ~(dependent | independent))
+        for s in np.unique(self.size[ks[rows]]).tolist():
+            pick = self.size[ks[rows]] == s
+            r, c = rows[pick], cols[pick]
+            members = self.basis[ks[r], :s]
+            if ps is None:
+                members = np.concatenate((members, c[:, None]), axis=1)
+            else:
+                members[np.arange(len(r)), ps[r]] = c
+            independent[r, c], margin[r, c] = self._rule(members)
+        return independent & candidates, np.where(candidates, margin, np.inf)
 
     def warm_start(self):
         """Plan all omega bases at once and keep the ones of full rank.
@@ -363,7 +509,6 @@ class _Packing:
         before them.
         """
         omega, d = self.basis.shape
-        frame = self.frame
         order = np.argsort(-self.budget, kind="stable")
         counts = self.budget[order]
         labels = np.repeat(order, counts)
@@ -372,43 +517,22 @@ class _Packing:
         copy = slots % omega
         # A block's occurrences inside one copy take distinct columns.
         occurrence = (slots - first) // omega
-        cols = np.asarray(frame.block_cols)[labels]
-        self.basis[copy, slots // omega] = (
-            frame.block_starts[labels] + (occurrence + copy) % cols
-        )
-        full = self.check_bases(np.arange(omega))
-        self.size[full] = d
-        for k in np.flatnonzero(~full):
-            planned = self.basis[k].copy()
-            for j in planned:
-                if self._sines_outside(k)[j] > self.tol:
-                    self.basis[k, self.size[k]] = j
-                    self.size[k] += 1
+        cols = np.diff(np.append(self.starts, len(self.owner)))[labels]
+        self.basis[copy, slots // omega] = self.starts[labels] + (occurrence + copy) % cols
+        self.size[:] = d
+        failing = np.flatnonzero(~self._rank(np.arange(omega)))
+        planned = self.basis.copy()
+        self.size[failing] = 0
+        for t in range(d if failing.size else 0):
+            for s in np.unique(self.size[failing]).tolist():
+                ks = failing[self.size[failing] == s]
+                members = np.concatenate((self.basis[ks, :s], planned[ks, t, None]), axis=1)
+                grow = ks[self._rule(members)[0]]
+                self.basis[grow, s] = planned[grow, t]
+                self.size[grow] += 1
         rows = np.arange(d) < self.size[:, None]
         self.chosen[np.nonzero(rows)[0], self.basis[rows]] = True
         self.used = np.bincount(self.owner[self.basis[rows]], minlength=len(self.budget))
-
-    def _sines_outside(self, k: int) -> np.ndarray:
-        """Sine of the angle between each unit column and copy k's span."""
-        members = self.basis[k, : self.size[k]]
-        if not len(members):
-            return np.linalg.norm(self.unit, axis=0)
-        q, _ = np.linalg.qr(self.unit[:, members])
-        return np.linalg.norm(self.unit - q @ (q.T @ self.unit), axis=0)
-
-    def _refresh(self):
-        """Recompute the coordinate rows of the copies changed since last time."""
-        stale = np.flatnonzero(self.stale & (self.size > 0))
-        for s in set(self.size[stale].tolist()):
-            ks = stale[self.size[stale] == s]
-            stack = self.unit[:, self.basis[ks, :s]].transpose(1, 0, 2)
-            rows = np.linalg.inv(stack) if s == self.d else np.linalg.pinv(stack)
-            self.coords[ks, :s] = rows / np.sqrt(np.sum(rows * rows, axis=2, keepdims=True))
-        self.stale[:] = False
-
-    def _sines(self, ks: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        """|coords[k, p] . u| for each pair (k, p) and each unit column u."""
-        return np.abs(self.coords[ks, ps] @ self.unit)
 
     def augment(self) -> Optional[np.ndarray]:
         """Grow the packing by one element along a shortest augmenting path.
@@ -423,21 +547,24 @@ class _Packing:
         growing the packing, or the mask of the blocks the search reached
         when no augmenting path exists.
         """
-        self._refresh()
+        self.refresh()
         n = len(self.budget)
         spare = self.budget - self.used
         reached = np.zeros(n, dtype=bool)
         # Block -> (copy, column entering it, (copy, row) displaced or None).
         entry = {}
-        for k in np.flatnonzero(self.size < self.d):
-            free = np.flatnonzero(
-                (self._sines_outside(k) > self.tol) & ~self.chosen[k]
-            )
-            blocks, first = np.unique(self.owner[free], return_index=True)
-            new = ~reached[blocks]
-            for b, j in zip(blocks[new], free[first[new]]):
-                entry[b] = (k, j, None)
-            reached[blocks] = True
+        step = max(1, _ARC_CHUNK // len(self.owner))
+        deficient = np.flatnonzero(self.size < self.d)
+        for lo in range(0, len(deficient), step):
+            ks = deficient[lo : lo + step]
+            grows, _ = self.decide(ks, None, ~self.chosen[ks])
+            for k, row in zip(ks, grows):
+                free = np.flatnonzero(row)
+                blocks, first = np.unique(self.owner[free], return_index=True)
+                new = ~reached[blocks]
+                for b, j in zip(blocks[new], free[first[new]]):
+                    entry[b] = (k, j, None)
+                reached[blocks] = True
         layer = np.flatnonzero(reached)
         valid = np.arange(self.d) < self.size[:, None]
         owners = np.where(valid, self.owner[self.basis], -1)
@@ -448,11 +575,10 @@ class _Packing:
                 return None
             ks, ps = np.nonzero(np.isin(owners, layer))
             found = []
-            step = max(1, _ARC_CHUNK // self.unit.shape[1])
             for lo in range(0, len(ks), step):
                 k, p = ks[lo : lo + step], ps[lo : lo + step]
-                arcs = (self._sines(k, p) > self.tol) & ~self.chosen[k]
-                arcs &= ~reached[self.owner]
+                candidates = ~self.chosen[k] & ~reached[self.owner]
+                arcs, _ = self.decide(k, p, candidates)
                 rows, cols = np.nonzero(arcs)
                 blocks, first = np.unique(self.owner[cols], return_index=True)
                 reached[blocks] = True
@@ -482,7 +608,6 @@ class _Packing:
                 self.basis[displaced] = j
             self.chosen[k, j] = True
             self.stale[k] = True
-            self.checked[k] = False
         self.used[end] += 1
 
     def exchange_digraph(self) -> tuple:
@@ -490,29 +615,23 @@ class _Packing:
 
         adjacency[j, i] holds when some copy's basis stays a basis after
         one of its block-i columns is swapped for a block-j column.  The
-        margin is the smallest factor by which a swap's sine clears or
-        misses the tolerance.
+        margin is the smallest factor by which a swap's bound clears the floor.
         """
-        self._refresh()
+        self.refresh()
         omega, d = self.basis.shape
         n = len(self.budget)
         swaps = np.zeros((n, n), dtype=bool)
         margin = math.inf
-        step = max(1, _ARC_CHUNK // (d * self.unit.shape[1]))
-        rows = np.arange(d)
+        step = max(1, _ARC_CHUNK // (d * len(self.owner)))
         for lo in range(0, omega, step):
-            ks = np.arange(lo, min(lo + step, omega))
-            sines = self._sines(ks[:, None], rows[None, :])
-            outside = ~self.chosen[ks][:, None, :]
-            arcs = (sines > self.tol) & outside
-            ratios = sines[np.broadcast_to(outside, sines.shape)] / self.tol
-            ratios = ratios[ratios > 0.0]
-            if ratios.size:
-                margin = min(margin, float(np.min(np.maximum(ratios, 1.0 / ratios))))
-            # hits[k, p, j]: row p of copy k can be swapped for a block-j column.
-            hits = np.logical_or.reduceat(arcs, self.frame.block_starts, axis=2)
+            ks = np.repeat(np.arange(lo, min(lo + step, omega)), d)
+            ps = np.tile(np.arange(d), len(ks) // d)
+            arcs, margins = self.decide(ks, ps, ~self.chosen[ks])
+            margin = min(margin, float(np.min(margins)))
+            # hits[r, j]: row r can be swapped for a block-j column.
+            hits = np.logical_or.reduceat(arcs, self.starts, axis=1)
             # Row i of swaps: the blocks whose columns a block-i row can give way to.
-            np.logical_or.at(swaps, self.owner[self.basis[ks]].ravel(), hits.reshape(-1, n))
+            np.logical_or.at(swaps, self.owner[self.basis[ks, ps]], hits)
         return swaps.T, margin
 
 
@@ -544,17 +663,19 @@ def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> Membershi
     With omega the weights' common denominator and a_i = omega c_i, the
     weights are a member exactly when omega bases of R^d can be packed
     from the pooled columns with block i supplying a_i of their columns
-    (see the module docstring).  Refuses with EnumerationSizeError when
-    omega N exceeds DEFAULT_SIZE_GUARD, before anything is allocated.
-    Raises ValueError when a certificate found by the search fails its
-    recheck, which happens only when rank decisions sit at the tolerance.
+    (see the module docstring).  Its arrays hold omega N and omega d^2
+    floats, so it refuses with EnumerationSizeError, before anything is
+    allocated, when omega max(N, d^2) exceeds DEFAULT_SIZE_GUARD.  Raises
+    CertificateError (a ValueError) when a basis or set it found fails
+    its recheck, which takes a frame on which the rank rule does not act
+    as a matroid.
     """
     frame, weights = datum.frame, datum.weights
     omega = weights.omega
-    if omega * frame.total_cols > DEFAULT_SIZE_GUARD:
+    if omega * max(frame.total_cols, frame.d**2) > DEFAULT_SIZE_GUARD:
         raise EnumerationSizeError(
-            f"{omega} copies of {frame.total_cols} pooled columns exceed the"
-            f" size guard {DEFAULT_SIZE_GUARD}"
+            f"{omega} copies of {frame.total_cols} pooled columns in R^{frame.d}"
+            f" exceed the size guard {DEFAULT_SIZE_GUARD}"
         )
     omega, scaled = _scaled_weights(weights)
     if sum(scaled) != frame.d * omega:
@@ -576,14 +697,8 @@ def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> Membershi
             margin = _check_subset(datum, subset, tol, operator.gt)
             return MembershipCertificate(False, False, None, subset, None, margin)
 
-    full = packing.check_bases(np.flatnonzero(~packing.checked))
-    uses = np.bincount(packing.owner[packing.basis].ravel(), minlength=frame.n)
-    if not (np.all(full) and np.array_equal(uses, budget)):
-        raise ValueError(
-            f"packed bases do not recheck at tol={tol}: the certificate's rank"
-            " decisions disagree with the rank rule"
-        )
-    margin = float(np.min(packing.margins))
+    packing.refresh()
+    margin = float(np.min(packing.smin)) / packing.floor
     tight = None
     if frame.n > 1:
         adjacency, arc_margin = packing.exchange_digraph()
@@ -609,11 +724,18 @@ def orbit_polytope_report(datum: FrameDatum, tol: float = DEFAULT_TOL) -> Polyto
     tight set would put the weights on a face, and positive weights
     leave no proper set of weight d, the only weight a rank-d tight set
     can have.  So its report is exact without any enumeration.  Any
-    other report takes its subset lists from ``in_orbit_polytope`` while
-    2^n - 1 is within DEFAULT_SIZE_GUARD; above it, the report lists the
-    certificate's violating or tight set.
+    other report, and any frame on which the certificate fails its
+    recheck (CertificateError), takes its subset lists from
+    ``in_orbit_polytope`` while 2^n - 1 is within DEFAULT_SIZE_GUARD;
+    above it, the report lists the certificate's violating or tight set.
     """
-    certificate = certify_membership(datum, tol)
+    enumerable = 2**datum.frame.n - 1 <= DEFAULT_SIZE_GUARD
+    try:
+        certificate = certify_membership(datum, tol)
+    except CertificateError:
+        if not enumerable:
+            raise
+        return in_orbit_polytope(datum, tol)
     if certificate.relative_interior:
         return PolytopeReport(
             member=True,
@@ -622,7 +744,7 @@ def orbit_polytope_report(datum: FrameDatum, tol: float = DEFAULT_TOL) -> Polyto
             violating_subsets=(),
             relative_interior=True,
         )
-    if 2**datum.frame.n - 1 <= DEFAULT_SIZE_GUARD:
+    if enumerable:
         return in_orbit_polytope(datum, tol)
     return PolytopeReport(
         member=certificate.member,
@@ -631,6 +753,7 @@ def orbit_polytope_report(datum: FrameDatum, tol: float = DEFAULT_TOL) -> Polyto
         violating_subsets=tuple(filter(None, [certificate.violating])),
         relative_interior=False,
     )
+
 
 def in_relative_interior(datum: FrameDatum, tol: float = DEFAULT_TOL) -> bool:
     """True when the weights lie in the relative interior of the polytope.

@@ -77,7 +77,9 @@ class SolverConfig:
     non-members.  The certificate is polynomial, so the pre-check runs
     above the subset-enumeration guard too; it refuses with
     EnumerationSizeError only when the weights' common denominator
-    times N exceeds DEFAULT_SIZE_GUARD.  ``rank_tol`` is the relative
+    times max(N, d^2) exceeds DEFAULT_SIZE_GUARD, and raises
+    CertificateError (a ValueError) above that guard on a frame whose
+    column norms differ too widely for its rank rule.  ``rank_tol`` is the relative
     tolerance of the rank and positive-definiteness predicates, the
     certificate and the divergence witness included.
     """

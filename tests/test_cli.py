@@ -212,6 +212,19 @@ def test_solve_rif_not_semistable(tmp_path, capsys):
     assert [0, 1] in report["violating_subsets"]
 
 
+def test_check_widely_scaled_blocks(tmp_path, capsys):
+    # Ranked against its largest singular value, [[1, 0], [0, 1e-12]] has
+    # rank 1, so the two blocks of weight 1 violate.
+    path = tmp_path / "scaled.json"
+    write_frame_file(path, MatrixFrame(2, ([1.0, 0.0], [0.0, 1e-12])), WeightVector((1, 1)))
+    code, out, _ = run_cli(["check", str(path), "--human"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["polytope"] is False
+    assert report["violating_subsets"] == [[0, 1]]
+    assert report["relint"] is False
+
+
 def test_paulsen_command(tmp_path, capsys):
     r = 2.0**-0.5
     frame = MatrixFrame(2, ([r, 0.0], [0.0, r], [0.5, 0.5], [0.5, -0.5]))

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from frameiso import (
 from frameiso import polytope
 from frameiso.generate import random_degenerate_frame, random_frame
 from frameiso.frames import _numerical_rank
-from frameiso.polytope import divergence_witness, orbit_polytope_report
+from frameiso.polytope import CertificateError, divergence_witness, orbit_polytope_report
 
 from conftest import traced_peak
 
@@ -365,6 +366,72 @@ def test_certificate_guard_on_denominators():
     with pytest.raises(EnumerationSizeError):
         certify_membership(FrameDatum(frame, weights))
     assert time.perf_counter() - start < 1.0
+
+
+def test_certificate_guard_on_basis_arrays():
+    # omega = 10^4 copies of 100 pooled columns pass omega N = 10^6, but
+    # the copies' 50 x 50 inverses would hold 2.5 10^7 floats: refused first.
+    frame = random_frame(50, [2] * 50, np.random.default_rng(3))
+    shift = Fraction(1, 10_000)
+    weights = WeightVector((1 + shift, 1 - shift) + (1,) * 48)
+    datum = FrameDatum(frame, weights)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationSizeError):
+            certify_membership(datum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20
+
+
+def test_certificate_widely_scaled_columns():
+    # The rule ranks [[1, 0], [0, 1e-12]] 1 against its largest singular
+    # value: the two blocks weigh 2 and violate.
+    datum = FrameDatum(MatrixFrame(2, ([1.0, 0.0], [0.0, 1e-12])), WeightVector((1, 1)))
+    certificate = certify_membership(datum)
+    assert not certificate.member
+    assert certificate.violating == (0, 1)
+    assert orbit_polytope_report(datum) == in_orbit_polytope(datum)
+
+
+def test_report_falls_back_where_rank_rule_is_not_a_matroid():
+    # Block 2 alone has rank 2 but with e1 and e2 only rank 1: the rule is
+    # not a matroid here, so the certificate fails its recheck and the
+    # report comes from the enumeration.
+    tiny = [[1e-12, 0.0], [0.0, 1e-12]]
+    datum = FrameDatum(
+        MatrixFrame(2, ([1.0, 0.0], [0.0, 1.0], tiny)), WeightVector(("1/2", "1/2", 1))
+    )
+    with pytest.raises(CertificateError):
+        certify_membership(datum)
+    report = orbit_polytope_report(datum)
+    assert report == in_orbit_polytope(datum)
+    assert report.violating_subsets == ((0, 2), (1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_integer_data(), st.lists(st.integers(-14, 14), min_size=8, max_size=8))
+def test_certificate_on_widely_scaled_blocks(datum, exponents):
+    # Blocks scaled by 10^-14 .. 10^14 put rank decisions of the rule far
+    # from those on unit columns; the shared report stays the enumeration's.
+    frame = datum.frame
+    blocks = tuple(10.0**e * b for e, b in zip(exponents, frame.blocks))
+    datum = FrameDatum(MatrixFrame(frame.d, blocks), datum.weights)
+    report = in_orbit_polytope(datum)
+    assert orbit_polytope_report(datum) == report
+    try:
+        certificate = certify_membership(datum)
+    except CertificateError:
+        return
+    assert certificate.member == report.member
+    assert certificate.relative_interior == report.relative_interior
+    if certificate.member:
+        _recheck_bases(datum, certificate)
+    elif report.sum_check:
+        assert certificate.violating in report.violating_subsets
 
 
 def test_certificate_is_polynomial():

@@ -178,6 +178,25 @@ def test_cross_check_over_size_guard_is_skipped():
     assert sum(weights.weights[i] for i in subset) > rank
 
 
+@pytest.mark.parametrize(
+    "blocks, weights, violating",
+    [
+        # The rule ranks e1 with 1e-12 e2 1: blocks 0 and 1 weigh 3/2.
+        (([1.0, 0.0], [0.0, 1e-12], [1.0, 1.0]), ("1/2", 1, "1/2"), ((0, 1), (1, 2))),
+        # 1e-12 I has rank 2 alone but rank 1 beside e1 or e2: the rule is
+        # not a matroid, and the report comes from the enumeration.
+        (([1.0, 0.0], [0.0, 1.0], [[1e-12, 0.0], [0.0, 1e-12]]), ("1/2", "1/2", 1),
+         ((0, 2), (1, 2))),
+    ],
+)
+def test_precheck_on_widely_scaled_columns(blocks, weights, violating):
+    datum = FrameDatum(MatrixFrame(2, blocks), WeightVector(weights))
+    result = minimize(datum)
+    assert result.status == "not_semistable"
+    assert result.polytope == in_orbit_polytope(datum)
+    assert result.polytope.violating_subsets == violating
+
+
 def _generic_random_data():
     rng = np.random.default_rng(13)
     for _ in range(5):
