@@ -413,7 +413,7 @@ class _Packing:
         ok = np.ones(len(copies), dtype=bool)
         cols = self.pooled.shape[1]
         step = max(1, _ARC_CHUNK // (self.d * cols))
-        for s in np.unique(self.size[copies]).tolist():
+        for s in set(self.size[copies].tolist()):
             group = np.flatnonzero(self.size[copies] == s)
             if s == 0:
                 self.smin[copies[group]] = self.smax[copies[group]] = 0.0
@@ -487,7 +487,7 @@ class _Packing:
             independent = lower > 2.0 * floor
             margin = np.where(independent, lower / floor, floor / (upper + slack))
         rows, cols = np.nonzero(candidates & ~(dependent | independent))
-        for s in np.unique(self.size[ks[rows]]).tolist():
+        for s in set(self.size[ks[rows]].tolist()):
             pick = self.size[ks[rows]] == s
             r, c = rows[pick], cols[pick]
             members = self.basis[ks[r], :s]
@@ -524,7 +524,7 @@ class _Packing:
         planned = self.basis.copy()
         self.size[failing] = 0
         for t in range(d if failing.size else 0):
-            for s in np.unique(self.size[failing]).tolist():
+            for s in set(self.size[failing].tolist()):
                 ks = failing[self.size[failing] == s]
                 members = np.concatenate((self.basis[ks, :s], planned[ks, t, None]), axis=1)
                 grow = ks[self._rule(members)[0]]
