@@ -38,28 +38,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_block(mat, d: int, index: int) -> np.ndarray:
-    arr = np.asarray(mat, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise ValueError(f"block {index}: expected a matrix, got ndim={arr.ndim}")
-    if arr.shape[0] != d:
-        raise ValueError(f"block {index}: has {arr.shape[0]} rows, frame needs {d}")
-    if arr.shape[1] < 1:
-        raise ValueError(f"block {index}: needs at least one column")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"block {index}: non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixFrame:
     """Ordered blocks X_1..X_n, each of shape d x d_i with finite real entries.
 
     The blocks are copied once, into a read-only pooled d x N matrix, and
-    are kept as views of it; ``block_starts`` holds the offset of each
-    block's first pooled column.
+    are kept as views of it; ``block_cols`` holds the column counts
+    (d_1, ..., d_n) and ``block_starts`` the offset of each block's first
+    pooled column.  Construction checks every block's shape and then
+    makes one finiteness pass over the pooled matrix.
     """
 
     d: int
@@ -68,16 +55,41 @@ class MatrixFrame:
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
             raise ValueError("d must be a positive integer")
-        blocks = tuple(_as_block(b, self.d, i) for i, b in enumerate(self.blocks))
+        blocks = []
+        for i, mat in enumerate(self.blocks):
+            arr = np.asarray(mat, dtype=float)
+            if arr.ndim == 1:
+                arr = arr.reshape(-1, 1)
+            if arr.ndim != 2:
+                raise ValueError(f"block {i}: expected a matrix, got ndim={arr.ndim}")
+            if arr.shape[0] != self.d:
+                raise ValueError(f"block {i}: has {arr.shape[0]} rows, frame needs {self.d}")
+            if arr.shape[1] < 1:
+                raise ValueError(f"block {i}: needs at least one column")
+            blocks.append(arr)
         if not blocks:
             raise ValueError("a frame needs at least one block")
-        cols = [b.shape[1] for b in blocks]
-        pooled = _freeze(np.hstack(blocks))
-        starts = _freeze(np.cumsum([0] + cols[:-1]))
-        views = tuple(pooled[:, s : s + c] for s, c in zip(starts, cols))
+        cols = tuple(b.shape[1] for b in blocks)
+        starts = _freeze(np.cumsum((0,) + cols[:-1]))
+        owner = _freeze(np.repeat(np.arange(len(cols)), cols))
+        self._adopt(np.hstack(blocks), cols, starts, owner)
+
+    def _adopt(self, pooled, cols, starts, owner):
+        """Freeze ``pooled`` and keep it as the frame's columns, laid out in
+        blocks by ``cols``, ``starts`` and the column ``owner`` indices.
+
+        The frame's one finiteness check; it names the first block that
+        holds a non-finite entry.
+        """
+        finite = np.isfinite(pooled).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"block {owner[np.argmin(finite)]}: non-finite entries")
+        _freeze(pooled)
+        views = tuple(pooled[:, s : s + c] for s, c in zip(starts.tolist(), cols))
         object.__setattr__(self, "blocks", views)
+        object.__setattr__(self, "block_cols", cols)
         object.__setattr__(self, "_pooled", pooled)
-        object.__setattr__(self, "_owner", _freeze(np.repeat(np.arange(len(cols)), cols)))
+        object.__setattr__(self, "_owner", owner)
         object.__setattr__(self, "block_starts", starts)
 
     @property
@@ -85,14 +97,9 @@ class MatrixFrame:
         return len(self.blocks)
 
     @property
-    def block_cols(self) -> tuple:
-        """Column counts (d_1, ..., d_n)."""
-        return tuple(b.shape[1] for b in self.blocks)
-
-    @property
     def total_cols(self) -> int:
         """N = d_1 + ... + d_n."""
-        return sum(self.block_cols)
+        return self._pooled.shape[1]
 
     def pooled(self) -> np.ndarray:
         """All columns side by side as a read-only d x N matrix, in block order."""
@@ -104,7 +111,7 @@ class MatrixFrame:
         return (
             self.d == other.d
             and self.block_cols == other.block_cols
-            and all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
+            and np.array_equal(self._pooled, other._pooled)
         )
 
     __hash__ = None
@@ -194,6 +201,33 @@ def is_matrix_frame(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
     return bool(eigvals[0] > tol * max(eigvals[-1], 1.0))
 
 
+def _with_columns(frame: MatrixFrame, cols: np.ndarray) -> MatrixFrame:
+    """The frame with ``frame``'s block layout over the d x N matrix ``cols``.
+
+    ``cols`` must be a fresh array: it is frozen and kept, not copied.
+    The layout is ``frame``'s, already checked, so only the finiteness
+    check of the constructor runs.
+    """
+    cols = np.asarray(cols, dtype=float)
+    if cols.shape != frame.pooled().shape:
+        raise ValueError(f"columns of shape {cols.shape} for a {frame!r}")
+    new = object.__new__(MatrixFrame)
+    object.__setattr__(new, "d", frame.d)
+    new._adopt(cols, frame.block_cols, frame.block_starts, frame._owner)
+    return new
+
+
+def _block_norms_sq(frame: MatrixFrame, cols=None) -> np.ndarray:
+    """Squared Frobenius norm of each block, as an (n,) array.
+
+    ``cols`` is a d x N matrix in ``frame``'s block layout, by default the
+    frame's own pooled columns; its column sums of squares are added up
+    block by block in one ``reduceat``.
+    """
+    cols = frame.pooled() if cols is None else cols
+    return np.add.reduceat(np.sum(cols * cols, axis=0), frame.block_starts)
+
+
 def apply_transform(transform, frame: MatrixFrame) -> MatrixFrame:
     """The frame {A X_1, ..., A X_n}; block shapes are unchanged."""
     a = np.asarray(transform, dtype=float)
@@ -201,20 +235,22 @@ def apply_transform(transform, frame: MatrixFrame) -> MatrixFrame:
         raise ValueError(f"transform shape {a.shape} does not match d={frame.d}")
     if not np.all(np.isfinite(a)):
         raise ValueError("transform has non-finite entries")
-    return MatrixFrame(frame.d, tuple(a @ b for b in frame.blocks))
+    return _with_columns(frame, a @ frame.pooled())
 
 
 def dist_squared(frame_a: MatrixFrame, frame_b: MatrixFrame) -> float:
-    """Sum of squared Frobenius norms of blockwise differences."""
+    """Sum of squared Frobenius norms of blockwise differences.
+
+    Taken as one sum over the difference of the pooled matrices.
+    """
     if frame_a.d != frame_b.d or frame_a.block_cols != frame_b.block_cols:
         raise ValueError(
             "shape mismatch: "
             f"d={frame_a.d} cols={frame_a.block_cols} vs "
             f"d={frame_b.d} cols={frame_b.block_cols}"
         )
-    return float(
-        sum(np.sum((a - b) ** 2) for a, b in zip(frame_a.blocks, frame_b.blocks))
-    )
+    diff = frame_a.pooled() - frame_b.pooled()
+    return float(np.sum(diff * diff))
 
 
 # Column selections whose determinants one batched call takes; bounds the

@@ -14,6 +14,15 @@ without the 2^n subset pre-check.  The one exponential step left is the
 C(N, d) minor test behind the certificate, which refuses with
 EnumerationSizeError above DEFAULT_SIZE_GUARD.
 
+Every step after the solve works on the pooled d x N matrices of the
+frames, never block by block: each rotation is one d x d by d x N
+product, the block norms behind the snapping come from one ``reduceat``
+over the block starts, the row masses of all blocks form one (d, n)
+array, and the six reported distances are sums over pooled differences.
+Every check is array-wise too: the majorization of all blocks is one
+cumsum down the rows of the row-mass arrays, and the nearness and
+equal-norm tests take their block norms from the same pooled helper.
+
 The distance argument runs through a majorization step: with the
 singular values sorted weakly decreasing, the row masses of the helper
 frame majorize those of the rotated perturbed frame, coordinates taken
@@ -35,6 +44,8 @@ from .frames import (
     FrameDatum,
     MatrixFrame,
     WeightVector,
+    _block_norms_sq,
+    _with_columns,
     dist_squared,
 )
 from .polytope import has_stability_certificate
@@ -57,6 +68,13 @@ def majorizes(v, u, tol: float = 1e-9) -> bool:
     if abs(prefix[-1]) > tol:
         return False
     return bool(np.all(prefix >= -tol))
+
+
+def _majorizes_columns(v: np.ndarray, u: np.ndarray, tol: float) -> bool:
+    """``majorizes(v[:, k], u[:, k], tol)`` for every column k at once,
+    by one cumsum down the rows."""
+    prefix = np.cumsum(v - u, axis=0)
+    return bool(np.all(np.abs(prefix[-1]) <= tol) and np.all(prefix >= -tol))
 
 
 def majorization_transport(v, u, tol: float = 1e-9) -> float:
@@ -104,11 +122,10 @@ def perturb_to_generic(
         raise ValueError(f"need n > d, got n={n}, d={d}")
 
     target = math.sqrt(d / n)
-    norms = [float(np.linalg.norm(b)) for b in frame.blocks]
-    if min(norms) == 0.0:
+    norms = np.sqrt(_block_norms_sq(frame))
+    if np.min(norms) == 0.0:
         raise ValueError("zero block cannot be normalised")
-    base_blocks = tuple(target * b / s for b, s in zip(frame.blocks, norms))
-    base = MatrixFrame(d, base_blocks)
+    base = _with_columns(frame, target * frame.pooled() / norms[frame._owner])
 
     # Zero perturbation wins whenever the normalised frame is already generic.
     if _perturbation_ok(frame, base, epsilon, tol):
@@ -119,13 +136,14 @@ def perturb_to_generic(
     delta = budget / math.sqrt(d * max_cols)
     rng = np.random.default_rng(rng_seed)
     for _ in range(_MAX_RETRIES):
-        noise = [rng.uniform(-delta, delta, size=b.shape) for b in frame.blocks]
-        h_norms = [float(np.linalg.norm(h)) for h in noise]
-        gamma = max((n / d) * (h * h + 2.0 * h) for h in h_norms)
-        if max(h_norms) <= budget and gamma <= min(1.0, epsilon):
-            candidate = MatrixFrame(
-                d, tuple(b + h for b, h in zip(base_blocks, noise))
-            )
+        # One draw per block, in block order, keeps the seeded stream.
+        noise = np.hstack(
+            [rng.uniform(-delta, delta, size=(d, c)) for c in frame.block_cols]
+        )
+        h_norms = np.sqrt(_block_norms_sq(frame, noise))
+        gamma = float(np.max((n / d) * (h_norms * h_norms + 2.0 * h_norms)))
+        if np.max(h_norms) <= budget and gamma <= min(1.0, epsilon):
+            candidate = _with_columns(frame, base.pooled() + noise)
             if _perturbation_ok(frame, candidate, epsilon, tol):
                 return candidate, gamma
         delta /= 2.0
@@ -148,11 +166,10 @@ def _signed_svd(mat: np.ndarray):
     convention: each left singular vector's largest-magnitude entry is
     made positive (the right vector flips with it)."""
     u, s, vh = np.linalg.svd(mat)
-    for k in range(s.size):
-        pivot = int(np.argmax(np.abs(u[:, k])))
-        if u[pivot, k] < 0.0:
-            u[:, k] = -u[:, k]
-            vh[k, :] = -vh[k, :]
+    pivots = np.argmax(np.abs(u), axis=0)
+    flip = u[pivots, np.arange(s.size)] < 0.0
+    u[:, flip] = -u[:, flip]
+    vh[flip, :] = -vh[flip, :]
     return u, s, vh
 
 
@@ -233,34 +250,22 @@ def paulsen_round(
     rot_left, sigma, rot_right_t = _signed_svd(result.transformer)
     rot_right = rot_right_t.T
 
-    rotated_input = MatrixFrame(d, tuple(rot_right.T @ b for b in frame.blocks))
-    rotated_perturbed = MatrixFrame(
-        d, tuple(rot_right.T @ b for b in perturbed.blocks)
-    )
+    owner = frame._owner
+    rotated_input = _with_columns(frame, rot_right.T @ frame.pooled())
+    rotated_perturbed = _with_columns(frame, rot_right.T @ perturbed.pooled())
+    cols = rotated_perturbed.pooled()
+    scaled = sigma[:, None] * cols
+    scaled_norms = np.sqrt(_block_norms_sq(frame, scaled))[owner]
+    block_norms = np.sqrt(_block_norms_sq(frame, cols))[owner]
+    helper = _with_columns(frame, block_norms * scaled / scaled_norms)
+    rounded = _with_columns(frame, math.sqrt(d / n) * scaled / scaled_norms)
+    output = _with_columns(frame, rot_right @ rounded.pooled())
 
-    target = math.sqrt(d / n)
-    helper_blocks = []
-    rounded_blocks = []
-    helper_masses = []
-    perturbed_masses = []
-    for block in rotated_perturbed.blocks:
-        scaled = sigma[:, None] * block
-        scaled_norm = float(np.linalg.norm(scaled))
-        block_norm = float(np.linalg.norm(block))
-        helper_block = block_norm * scaled / scaled_norm
-        helper_blocks.append(helper_block)
-        rounded_blocks.append(target * scaled / scaled_norm)
-        helper_masses.append(np.sum(helper_block**2, axis=1))
-        perturbed_masses.append(np.sum(block**2, axis=1))
-    helper = MatrixFrame(d, tuple(helper_blocks))
-    rounded = MatrixFrame(d, tuple(rounded_blocks))
-    output = MatrixFrame(d, tuple(rot_right @ b for b in rounded.blocks))
-
+    # Row masses as (d, n) arrays, one column per block.
+    helper_masses = np.add.reduceat(helper.pooled() ** 2, frame.block_starts, axis=1)
+    perturbed_masses = np.add.reduceat(cols**2, frame.block_starts, axis=1)
     mass_tol = 1e-9 * max(1.0, d / n)
-    majorization_ok = all(
-        majorizes(a, b, mass_tol)
-        for a, b in zip(helper_masses, perturbed_masses)
-    )
+    majorization_ok = _majorizes_columns(helper_masses, perturbed_masses, mass_tol)
 
     distances = {
         "input_perturbed": dist_squared(frame, perturbed),
@@ -289,8 +294,8 @@ def paulsen_round(
         helper=helper,
         rounded_rotated=rounded,
         output=output,
-        helper_row_masses=tuple(helper_masses),
-        perturbed_row_masses=tuple(perturbed_masses),
+        helper_row_masses=tuple(helper_masses.T),
+        perturbed_row_masses=tuple(perturbed_masses.T),
         majorization_ok=majorization_ok,
         distances=distances,
         dist_input_output=distances["input_output"],

@@ -23,6 +23,7 @@ from .frames import (
     FrameDatum,
     MatrixFrame,
     WeightVector,
+    _block_norms_sq,
     _weighted_operator,
     frame_operator,
 )
@@ -41,7 +42,7 @@ def parseval_residual(datum: FrameDatum) -> tuple:
     frame = datum.frame
     op = _weighted_operator(frame, datum.weights.as_floats())
     op_dev = _spectral_deviation_from_identity(op)
-    norm_dev = max(abs(float(np.sum(b**2)) - 1.0) for b in frame.blocks)
+    norm_dev = float(np.max(np.abs(_block_norms_sq(frame) - 1.0)))
     return op_dev, norm_dev
 
 
@@ -55,7 +56,7 @@ def equal_norm_residual(frame: MatrixFrame) -> tuple:
     """(operator deviation of sum X_i X_i^T from I, max |norm^2 - d/n|)."""
     op_dev = _spectral_deviation_from_identity(frame_operator(frame))
     target = frame.d / frame.n
-    norm_dev = max(abs(float(np.sum(b**2)) - target) for b in frame.blocks)
+    norm_dev = float(np.max(np.abs(_block_norms_sq(frame) - target)))
     return op_dev, norm_dev
 
 
@@ -84,9 +85,7 @@ def nearness(frame: MatrixFrame) -> NearnessReport:
     eigvals = np.linalg.eigvalsh(frame_operator(frame))
     eps_op = max(1.0 - float(eigvals[0]), float(eigvals[-1]) - 1.0, 0.0)
     target = frame.d / frame.n
-    eps_norms = max(
-        abs(float(np.sum(b**2)) / target - 1.0) for b in frame.blocks
-    )
+    eps_norms = float(np.max(np.abs(_block_norms_sq(frame) / target - 1.0)))
     return NearnessReport(
         epsilon_operator=eps_op,
         epsilon_norms=eps_norms,
@@ -97,7 +96,7 @@ def nearness(frame: MatrixFrame) -> NearnessReport:
 def radial_isotropy_residual(datum: FrameDatum) -> float:
     """Spectral deviation of sum c_i X_i X_i^T / |X_i|_F^2 from the identity."""
     frame = datum.frame
-    norms_sq = np.array([float(np.sum(b**2)) for b in frame.blocks])
+    norms_sq = _block_norms_sq(frame)
     if np.any(norms_sq == 0.0):
         raise ValueError("zero block: normalised term undefined")
     op = _weighted_operator(frame, datum.weights.as_floats() / norms_sq)

@@ -24,12 +24,21 @@ from conftest import assert_close, traced_peak
 
 
 def test_frame_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a frame needs at least one block"):
         MatrixFrame(2, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block 1: expected a matrix, got ndim=3"):
+        MatrixFrame(2, ([1.0, 0.0], np.ones((2, 1, 1))))
+    with pytest.raises(ValueError, match="block 0: has 3 rows, frame needs 2"):
         MatrixFrame(2, ([[1.0], [2.0], [3.0]],))  # wrong row count
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block 1: needs at least one column"):
+        MatrixFrame(2, ([1.0, 0.0], np.zeros((2, 0))))
+    with pytest.raises(ValueError, match="block 0: non-finite entries"):
         MatrixFrame(2, ([np.nan, 1.0],))
+    # the message names the first block holding a non-finite entry
+    with pytest.raises(ValueError, match="block 2: non-finite entries"):
+        MatrixFrame(2, ([1.0, 0.0], np.eye(2), [[1.0, np.nan], [0.0, np.inf]]))
+    with pytest.raises(ValueError, match="block 1: non-finite entries"):
+        MatrixFrame(2, ([1.0, 0.0], [[0.0, 1.0], [-np.inf, 0.0]], [np.nan, 1.0]))
     frame = MatrixFrame(2, ([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]))
     assert frame.n == 2
     assert frame.block_cols == (1, 2)
@@ -67,6 +76,10 @@ def test_apply_transform(mixed_frame):
     assert_close(scaled.blocks[1], [[0.0], [1.0]])
     with pytest.raises(ValueError):
         apply_transform(np.eye(3), mixed_frame)
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="block 0: non-finite entries"
+    ):
+        apply_transform(np.diag([1.0, 1e308]), mixed_frame)  # 2e308 overflows
 
 
 def test_transform_inverse_round_trip(mixed_frame):

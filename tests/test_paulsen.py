@@ -227,3 +227,57 @@ def test_round_sweep_small():
         assert report.certified, (trial, d, cols, eps)
         assert is_equal_norm_parseval(report.output, report.pipeline_tol)
         assert report.dist_input_output <= 26 * report.epsilon_used * d * d
+
+
+def _blockwise_dist(frame_a, frame_b):
+    return sum(
+        float(np.sum((a - b) ** 2)) for a, b in zip(frame_a.blocks, frame_b.blocks)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda d: st.tuples(
+            st.just(d), st.lists(st.integers(1, 2), min_size=d + 2, max_size=d + 4)
+        )
+    ),
+    st.floats(1e-3, 0.29),
+    st.integers(0, 2**31 - 1),
+)
+def test_pooled_report_matches_blockwise_definitions(shape, eps, seed):
+    d, cols = shape
+    frame = random_nearly_parseval(d, cols, eps, np.random.default_rng(seed))
+    report = paulsen_round(frame, rng_seed=seed)
+    pairs = {
+        "input_perturbed": (frame, report.perturbed),
+        "rotated_perturbed_helper": (report.rotated_perturbed, report.helper),
+        "helper_rounded": (report.helper, report.rounded_rotated),
+        "rotated_perturbed_rounded": (report.rotated_perturbed, report.rounded_rotated),
+        "rotated_input_rounded": (report.rotated_input, report.rounded_rotated),
+        "input_output": (frame, report.output),
+    }
+    assert set(report.distances) == set(pairs)
+    for name, (a, b) in pairs.items():
+        assert report.distances[name] == pytest.approx(_blockwise_dist(a, b), rel=1e-12)
+    assert report.dist_input_output == report.distances["input_output"]
+
+    helper_masses = [np.sum(b**2, axis=1) for b in report.helper.blocks]
+    perturbed_masses = [np.sum(b**2, axis=1) for b in report.rotated_perturbed.blocks]
+    assert len(report.helper_row_masses) == len(report.perturbed_row_masses) == frame.n
+    for got, want in zip(
+        report.helper_row_masses + report.perturbed_row_masses,
+        helper_masses + perturbed_masses,
+    ):
+        assert got.shape == (d,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    mass_tol = 1e-9 * max(1.0, d / frame.n)
+    assert report.majorization_ok == all(
+        majorizes(a, b, mass_tol) for a, b in zip(helper_masses, perturbed_masses)
+    )
+    # The array-wise test also agrees where majorization fails, as it
+    # usually does with the roles swapped.
+    assert frameiso.paulsen._majorizes_columns(
+        np.column_stack(perturbed_masses), np.column_stack(helper_masses), mass_tol
+    ) == all(majorizes(b, a, mass_tol) for a, b in zip(helper_masses, perturbed_masses))

@@ -1,0 +1,30 @@
+"""Smoke tests: the scripts under scripts/ run against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+def test_paulsen_sweep_script():
+    proc = run_script("scripts/paulsen_sweep.py", "--runs", "5", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "certified:       5/5" in proc.stdout
+
+
+def test_gradient_check_script():
+    proc = run_script(
+        "scripts/gradient_check.py", "--frames", "2", "--points", "2", "--seed", "2"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "frames checked:                 2" in proc.stdout
