@@ -48,9 +48,7 @@ from .polytope import (
     MembershipCertificate,
     PolytopeReport,
     certify_membership,
-    has_stability_certificate,
     in_orbit_polytope,
-    in_relative_interior,
 )
 from .quiver import (
     BipartiteQuiverRep,
@@ -99,9 +97,7 @@ __all__ = [
     "frame_operator",
     "frame_to_rep",
     "grad_via_minors",
-    "has_stability_certificate",
     "in_orbit_polytope",
-    "in_relative_interior",
     "induced_sigma",
     "is_equal_norm_parseval",
     "is_generic",

@@ -15,6 +15,8 @@ _MAX_SWEEPS = 200
 # Rescalings of the noise random_nearly_parseval tries to land its
 # measured nearness in [epsilon / 2, 0.98 epsilon].
 _NEARNESS_ROUNDS = 4
+# Halvings of the noise scale when those rescalings overshoot the cap.
+_BISECTION_STEPS = 60
 
 
 def random_frame(d: int, block_cols, rng) -> MatrixFrame:
@@ -144,11 +146,14 @@ def random_nearly_parseval(d: int, block_cols, epsilon: float, rng) -> MatrixFra
     exact = random_equal_norm_parseval(d, block_cols, rng)
     noise = [rng.standard_normal(b.shape) for b in exact.blocks]
     delta = 0.25 * epsilon / math.sqrt(d)
-    frame = exact
-    for _ in range(_NEARNESS_ROUNDS):
-        frame = MatrixFrame(
-            d, tuple(b + delta * h for b, h in zip(exact.blocks, noise))
+    def perturbed(scale):
+        return MatrixFrame(
+            d, tuple(b + scale * h for b, h in zip(exact.blocks, noise))
         )
+
+    frame, used = exact, 0.0
+    for _ in range(_NEARNESS_ROUNDS):
+        frame, used = perturbed(delta), delta
         measured = nearness(frame).epsilon
         if 0.5 * epsilon <= measured <= 0.98 * epsilon:
             break
@@ -156,7 +161,22 @@ def random_nearly_parseval(d: int, block_cols, epsilon: float, rng) -> MatrixFra
             delta *= 4.0
         else:
             delta *= 0.9 * epsilon / measured
-    if nearness(frame).epsilon >= 0.3:
+    if measured >= 0.3:
+        # Nearness grows faster than linearly in the noise scale, so the
+        # rescaling can overshoot the cap; bisect the scale between the
+        # exact frame (nearness 0) and the overshooting one.
+        low, high = 0.0, used
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (low + high)
+            frame = perturbed(mid)
+            measured = nearness(frame).epsilon
+            if measured < 0.5 * epsilon:
+                low = mid
+            elif measured > 0.98 * epsilon:
+                high = mid
+            else:
+                break
+    if measured >= 0.3:
         raise RuntimeError("perturbation overshot the nearness cap")
     return frame
 

@@ -7,12 +7,17 @@ diagonally scaled directions, and rotate back.  The output is an exact
 equal-norm Parseval frame (up to the solver tail) whose squared distance
 from the input is certified against the bound 26 * epsilon * d^2.
 
-The perturbed frame is accepted through the genericity certificate
-(``has_stability_certificate``), which already puts the uniform weights
-in the relative interior of the orbit polytope; the solve therefore runs
-without the 2^n subset pre-check.  The one exponential step left is the
-C(N, d) minor test behind the certificate, which refuses with
-EnumerationSizeError above DEFAULT_SIZE_GUARD.
+The perturbed frame is accepted only when it is generic
+(``frames.is_generic``: every d pooled columns form a basis, checked for
+n > d, which ``perturb_to_generic`` requires).  Genericity makes the
+frame's representation stable for the uniform integer weight, hence
+locally semi-simple, the hypothesis of the radial-isotropy
+equivalences, and it puts the uniform weights d/n in the relative
+interior of the orbit polytope: every proper block subset S has
+r(S) >= min(d, |S|) > |S| d/n.  The solve therefore runs without the
+membership pre-check.  The one exponential step left is the C(N, d)
+minor test behind genericity, which refuses with EnumerationSizeError
+above DEFAULT_SIZE_GUARD.
 
 Every step after the solve works on the pooled d x N matrices of the
 frames, never block by block: each rotation is one d x d by d x N
@@ -47,8 +52,8 @@ from .frames import (
     _block_norms_sq,
     _with_columns,
     dist_squared,
+    is_generic,
 )
-from .polytope import has_stability_certificate
 from .quiver import is_equal_norm_parseval, nearness
 from .solver import STATUS_CONVERGED, SolverConfig, SolveResult, minimize
 
@@ -154,7 +159,7 @@ def perturb_to_generic(
 
 
 def _perturbation_ok(original, candidate, epsilon, tol) -> bool:
-    if not has_stability_certificate(candidate, tol):
+    if not is_generic(candidate, tol):
         return False
     if dist_squared(original, candidate) > epsilon * original.d * (1.0 + 1e-9):
         return False
@@ -236,9 +241,9 @@ def paulsen_round(
 
     perturbed, gamma = perturb_to_generic(frame, eps, rng_seed, config.rank_tol)
     datum = FrameDatum(perturbed, WeightVector.uniform(d, n))
-    # The perturbed frame carries the genericity certificate, so the
-    # uniform weights need no subset enumeration: for every proper block
-    # subset S, r(S) >= min(d, |S|) > |S| d/n, because d/n < 1 and |S| < n.
+    # The perturbed frame is generic, so the uniform weights need no
+    # membership pre-check: for every proper block subset S,
+    # r(S) >= min(d, |S|) > |S| d/n, because d/n < 1 and |S| < n.
     # The weights therefore lie in the relative interior.
     result = minimize(datum, replace(config, check_polytope=False))
     if result.status != STATUS_CONVERGED:

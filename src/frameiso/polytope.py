@@ -1,4 +1,4 @@
-"""Orbit-polytope membership and stability certificates for frame data.
+"""Orbit-polytope membership certificates for frame data.
 
 The orbit polytope of a frame consists of the nonnegative weight vectors
 summing to d whose subset sums are bounded by the corresponding
@@ -42,12 +42,16 @@ are rechecked against the pass's rule with exact integer weight sums.
 Where the pass's rule does not act as a matroid, as on frames whose
 column norms differ so widely that it ranks a block subset below one of
 its parts, a recheck can fail, or an augmenting path can leave a
-dependent set: the certificate then raises CertificateError, and
-``orbit_polytope_report`` falls back on the enumeration.
+dependent set: the certificate then raises CertificateError.
 The certificate reports its smallest rank margin.  Its cost is linear in
 omega, so it refuses with EnumerationSizeError when omega max(N, d^2)
-exceeds DEFAULT_SIZE_GUARD.  ``orbit_polytope_report`` builds the report
-the solver and the CLI use from it.
+exceeds DEFAULT_SIZE_GUARD.
+
+``orbit_polytope_report`` builds the report the solver and the CLI use
+from the certificate alone, at every n: its verdicts, and its one
+violating or tight set as the subset lists.  Only where the certificate
+cannot answer (CertificateError, or a denominator past its guard) does
+it fall back on the enumeration, below the enumeration's own guard.
 
 ``in_orbit_polytope`` stays as the exact oracle: one pass over all
 2^n - 1 nonempty block subsets, which ranks each subset once and lists
@@ -59,10 +63,6 @@ are scaled by their common denominator to Python ints, whose subset sums
 are compared exactly with the scaled ranks; only the span ranks carry a
 numeric tolerance.  The pass is exponential in n and refuses with
 EnumerationSizeError when 2^n - 1 exceeds DEFAULT_SIZE_GUARD (n >= 20).
-
-For n > d a generic frame needs no certificate at all: genericity
-already puts the uniform weights in the relative interior (see
-``has_stability_certificate``).
 
 A non-member can also be caught along a solver run: ``divergence_witness``
 ranks only the n - 1 proper upper level sets of a scaling vector t, and
@@ -86,7 +86,6 @@ from .frames import (
     MatrixFrame,
     _numerical_rank,
     column_span_dim,
-    is_generic,
 )
 
 # Subsets per chunk of the pass: 2^_CHUNK_BITS masks, so every temporary
@@ -106,12 +105,13 @@ class PolytopeReport:
     ``relative_interior`` holds when the weights are a member and no
     tight subset has span rank below d.
 
-    ``in_orbit_polytope`` lists every tight and violating subset, and so
-    does ``orbit_polytope_report`` while 2^n - 1 is within
-    DEFAULT_SIZE_GUARD.  Above it, ``orbit_polytope_report`` lists only
-    the one violating or tight set of its certificate (none for a
-    relative-interior member), and a subset missing from the lists may
-    still be tight or violating.
+    Every listed subset was rechecked exactly, and a report off the
+    relative interior whose weights sum to d lists at least one subset.
+    Only ``in_orbit_polytope``, the exact oracle, lists them all;
+    ``orbit_polytope_report`` lists the one violating or tight set of its
+    certificate (none for a relative-interior member or a failed sum
+    check), so a subset missing from its lists may still be tight or
+    violating.
     """
 
     member: bool
@@ -719,63 +719,27 @@ def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> Membershi
 def orbit_polytope_report(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeReport:
     """The membership report of ``solver.minimize`` and ``cli check``.
 
-    The verdict comes from ``certify_membership``.  A member in the
-    relative interior has no tight and no violating subset: a proper
-    tight set would put the weights on a face, and positive weights
-    leave no proper set of weight d, the only weight a rank-d tight set
-    can have.  So its report is exact without any enumeration.  Any
-    other report, and any frame on which the certificate fails its
-    recheck (CertificateError), takes its subset lists from
-    ``in_orbit_polytope`` while 2^n - 1 is within DEFAULT_SIZE_GUARD;
-    above it, the report lists the certificate's violating or tight set.
+    Membership and the relative-interior verdict come from
+    ``certify_membership``, and the subset lists hold its one violating
+    or tight set.  A member in the relative interior lists nothing, and
+    that is exact: a proper tight set would put the weights on a face,
+    and positive weights leave no proper set of weight d, the only
+    weight a rank-d tight set can have.  Where the certificate cannot
+    answer, on a frame on which it fails its recheck (CertificateError)
+    or on weights whose common denominator exceeds its size guard
+    (EnumerationSizeError), the report is ``in_orbit_polytope``'s while
+    2^n - 1 is within DEFAULT_SIZE_GUARD; above it the error is raised.
     """
-    enumerable = 2**datum.frame.n - 1 <= DEFAULT_SIZE_GUARD
     try:
         certificate = certify_membership(datum, tol)
-    except CertificateError:
-        if not enumerable:
+    except (CertificateError, EnumerationSizeError):
+        if 2**datum.frame.n - 1 > DEFAULT_SIZE_GUARD:
             raise
-        return in_orbit_polytope(datum, tol)
-    if certificate.relative_interior:
-        return PolytopeReport(
-            member=True,
-            sum_check=True,
-            tight_subsets=(),
-            violating_subsets=(),
-            relative_interior=True,
-        )
-    if enumerable:
         return in_orbit_polytope(datum, tol)
     return PolytopeReport(
         member=certificate.member,
         sum_check=datum.weights.total() == datum.frame.d,
         tight_subsets=tuple(filter(None, [certificate.tight])),
         violating_subsets=tuple(filter(None, [certificate.violating])),
-        relative_interior=False,
+        relative_interior=certificate.relative_interior,
     )
-
-
-def in_relative_interior(datum: FrameDatum, tol: float = DEFAULT_TOL) -> bool:
-    """True when the weights lie in the relative interior of the polytope.
-
-    Same pass, and same size guard, as ``in_orbit_polytope``; callers
-    that already hold its report read ``relative_interior`` instead.
-    """
-    return in_orbit_polytope(datum, tol).relative_interior
-
-
-def has_stability_certificate(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
-    """Genericity certificate for stability of the frame's representation.
-
-    A generic frame (every d pooled columns form a basis) is stable for
-    the uniform integer weight, hence locally semi-simple, which is the
-    hypothesis needed for the radial-isotropy equivalences.  It also puts
-    the uniform weights d/n in the relative interior of the orbit
-    polytope: every proper block subset S has r(S) >= min(d, |S|) >
-    |S| d/n.  Requires more blocks than rows; the minor enumeration
-    refuses with EnumerationSizeError when C(N, d) exceeds
-    DEFAULT_SIZE_GUARD.
-    """
-    if frame.n <= frame.d:
-        raise ValueError(f"certificate needs n > d, got n={frame.n}, d={frame.d}")
-    return is_generic(frame, tol)

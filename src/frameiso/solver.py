@@ -75,11 +75,12 @@ class SolverConfig:
     None; ``max_iters`` caps the iterations; ``check_polytope`` runs the
     exact orbit-polytope certificate first and skips the loop for
     non-members.  The certificate is polynomial, so the pre-check runs
-    above the subset-enumeration guard too; it refuses with
-    EnumerationSizeError only when the weights' common denominator
-    times max(N, d^2) exceeds DEFAULT_SIZE_GUARD, and raises
-    CertificateError (a ValueError) above that guard on a frame whose
-    column norms differ too widely for its rank rule.  ``rank_tol`` is the relative
+    at any n.  Where it cannot answer, because the weights' common
+    denominator times max(N, d^2) exceeds DEFAULT_SIZE_GUARD or because
+    the frame's column norms differ too widely for its rank rule, the
+    pre-check falls back on the subset enumeration while 2^n - 1 is
+    within DEFAULT_SIZE_GUARD, and otherwise raises EnumerationSizeError
+    or CertificateError (a ValueError).  ``rank_tol`` is the relative
     tolerance of the rank and positive-definiteness predicates, the
     certificate and the divergence witness included.
     """
@@ -111,8 +112,8 @@ class SolveResult:
     256 eps max(1, |t|_inf).  ``polytope`` is the exact certificate's
     report (``polytope.orbit_polytope_report``) from the pre-check or
     from the cross-check of an unbounded run, at any n; None only when
-    neither ran.  Above the subset-enumeration guard its subset lists hold
-    the certificate's one violating or tight set.
+    neither ran.  Its subset lists hold the certificate's one violating
+    or tight set, none for a relative-interior member.
     """
 
     t_star: np.ndarray

@@ -1,12 +1,13 @@
 import os
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import frameiso
-from frameiso import MatrixFrame, WeightVector
+from frameiso import FrameDatum, MatrixFrame, WeightVector
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -39,6 +40,19 @@ def collinear_frame():
 @pytest.fixture
 def orthonormal_frame():
     return MatrixFrame(2, ([1.0, 0.0], [0.0, 1.0]))
+
+
+@pytest.fixture
+def wide_denominators():
+    """Three blocks whose weights have the common denominator 999983 * 999979.
+
+    That many copies of the pooled columns exceed the certificate's size
+    guard; the weights are in the relative interior.
+    """
+    p, q = 999_983, 999_979
+    weights = WeightVector((Fraction(1, p), Fraction(1, q), 2 - Fraction(1, p) - Fraction(1, q)))
+    frame = MatrixFrame(2, ([1.0, 0.0], [0.0, 1.0], [[1.0, 0.0], [1.0, 1.0]]))
+    return FrameDatum(frame, weights)
 
 
 @pytest.fixture

@@ -353,3 +353,14 @@ def test_report_determinism(tmp_path):
             second = subprocess.run(cmd, capture_output=True, check=True)
             assert first.stdout == second.stdout
             assert json.loads(first.stdout.decode())  # valid JSON
+
+
+def test_public_exports_resolve():
+    with criterion("every exported name resolves"):
+        import frameiso
+
+        namespace = {}
+        exec("from frameiso import *", namespace)
+        for name in frameiso.__all__:
+            assert name in namespace, name
+            assert namespace[name] is getattr(frameiso, name)

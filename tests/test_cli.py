@@ -112,6 +112,18 @@ def test_check_over_size_guards(tmp_path, capsys):
     assert json.loads(out)["status"] == "converged"
 
 
+def test_check_denominators_over_certificate_guard(tmp_path, capsys, wide_denominators):
+    # The certificate refuses these denominators; the subset enumeration
+    # decides the three blocks instead.
+    path = tmp_path / "denominators.json"
+    write_frame_file(path, wide_denominators.frame, wide_denominators.weights)
+    code, out, _ = run_cli(["check", str(path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["polytope"] is True
+    assert report["relint"] is True
+
+
 def test_check_equal_norm(tmp_path, capsys):
     r = 2.0**-0.5
     frame = MatrixFrame(2, ([r, 0.0], [0.0, r], [0.5, 0.5], [0.5, -0.5]))

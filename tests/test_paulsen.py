@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameiso import (
@@ -229,6 +229,12 @@ def test_round_sweep_small():
         assert report.dist_input_output <= 26 * report.epsilon_used * d * d
 
 
+def test_nearly_parseval_bisects_an_overshoot():
+    # The fourth rescaling of this noise lands above the 0.3 cap.
+    frame = random_nearly_parseval(2, [2, 1, 1, 2, 1], 0.25, np.random.default_rng(1))
+    assert 0.5 * 0.25 <= nearness(frame).epsilon <= 0.98 * 0.25
+
+
 def _blockwise_dist(frame_a, frame_b):
     return sum(
         float(np.sum((a - b) ** 2)) for a, b in zip(frame_a.blocks, frame_b.blocks)
@@ -245,6 +251,7 @@ def _blockwise_dist(frame_a, frame_b):
     st.floats(1e-3, 0.29),
     st.integers(0, 2**31 - 1),
 )
+@example(shape=(2, [2, 1, 1, 2, 1]), eps=0.25, seed=1)
 def test_pooled_report_matches_blockwise_definitions(shape, eps, seed):
     d, cols = shape
     frame = random_nearly_parseval(d, cols, eps, np.random.default_rng(seed))

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -11,7 +12,6 @@ from frameiso import (
     SolverConfig,
     WeightVector,
     in_orbit_polytope,
-    in_relative_interior,
     is_generic,
     is_matrix_frame,
     is_radial_isotropic,
@@ -22,8 +22,11 @@ from frameiso import (
     to_radial_isotropic,
 )
 import frameiso.objective
+import frameiso.polytope
 import frameiso.solver
+from frameiso import cli
 from frameiso.generate import random_degenerate_frame, random_frame
+from frameiso.io import write_frame_file
 from frameiso.objective import _potential
 from frameiso.solver import _newton_direction
 
@@ -159,6 +162,52 @@ def test_degenerate_random_frames_diverge():
         assert free.status == "unbounded_below"
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_precheck_reports_generator_subset(d, data):
+    # The report lists the certificate's one violating set, and on these
+    # frames it is the generator's collinear blocks.
+    n = data.draw(st.integers(d + 1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    frame, subset = random_degenerate_frame(d, n, rng)
+    result = minimize(FrameDatum(frame, WeightVector.uniform(d, n)))
+    assert subset == tuple(range(n // d + 1))
+    assert result.polytope.violating_subsets == (subset,)
+
+
+def test_precheck_where_certificate_refuses_denominators(wide_denominators):
+    # The certificate refuses these denominators; the enumeration answers
+    # after seven subsets.
+    result = minimize(wide_denominators)
+    assert result.status == "converged"
+    assert result.polytope.relative_interior
+
+
+def test_library_path_enumerates_nothing(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subset enumeration ran")
+
+    monkeypatch.setattr(frameiso.polytope, "in_orbit_polytope", refuse)
+    rng = np.random.default_rng(17)
+    frame, subset = random_degenerate_frame(4, 9, rng)
+    datum = FrameDatum(frame, WeightVector.uniform(4, 9))
+    result = minimize(datum)
+    assert result.status == "not_semistable"
+    assert result.polytope.violating_subsets == (subset,)
+    boundary = FrameDatum(
+        MatrixFrame(2, ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])), WeightVector((1, "1/2", "1/2"))
+    )
+    result = minimize(boundary)
+    assert result.polytope.member and not result.polytope.relative_interior
+    assert result.polytope.tight_subsets == ((0,),)
+    path = tmp_path / "degenerate.json"
+    write_frame_file(path, frame, datum.weights)
+    assert cli.main(["check", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["polytope"] is False
+    assert report["violating_subsets"] == [list(subset)]
+
+
 def test_cross_check_over_size_guard_is_skipped():
     # 2^40 subsets: the divergence cross-check must not enumerate them; the
     # polynomial certificate reports a violating set instead.
@@ -246,7 +295,7 @@ def test_boundary_weights_terminate():
     result = minimize(datum)
     assert result.iterations <= 50
     assert result.polytope.member
-    assert not in_relative_interior(datum)
+    assert not in_orbit_polytope(datum).relative_interior
 
 
 def test_tiny_tolerance_stalls():
