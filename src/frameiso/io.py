@@ -41,6 +41,11 @@ def _encode_real(value: float, human: bool) -> object:
     return value if human else value.hex()
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer; bool is an int subclass, but JSON's true is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _decode_real(value, field: str) -> float:
     if isinstance(value, bool):
         raise FrameFileError(f"{field}: expected a real number")
@@ -107,10 +112,10 @@ def payload_to_frame(payload) -> tuple:
     if not isinstance(payload, dict):
         raise FrameFileError("top level: expected an object")
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_integer(version) or version != SCHEMA_VERSION:
         raise FrameFileError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     d = payload.get("d")
-    if not isinstance(d, int) or d < 1:
+    if not _is_integer(d) or d < 1:
         raise FrameFileError(f"d: expected a positive integer, got {d!r}")
     raw_blocks = payload.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
@@ -121,7 +126,7 @@ def payload_to_frame(payload) -> tuple:
         if not isinstance(entry, dict):
             raise FrameFileError(f"blocks[{idx}]: expected an object")
         cols = entry.get("cols")
-        if not isinstance(cols, int) or cols < 1:
+        if not _is_integer(cols) or cols < 1:
             raise FrameFileError(f"blocks[{idx}].cols: expected a positive integer")
         data = entry.get("data")
         if not isinstance(data, list) or len(data) != d * cols:
@@ -146,8 +151,11 @@ def payload_to_frame(payload) -> tuple:
             if not isinstance(entry, dict):
                 raise FrameFileError(f"weights[{idx}]: expected an object")
             num, den = entry.get("num"), entry.get("den")
-            if not isinstance(num, int) or not isinstance(den, int):
-                raise FrameFileError(f"weights[{idx}]: num and den must be integers")
+            for key, value in (("num", num), ("den", den)):
+                if not _is_integer(value):
+                    raise FrameFileError(
+                        f"weights[{idx}].{key}: expected an integer, got {value!r}"
+                    )
             if den <= 0 or num <= 0:
                 raise FrameFileError(f"weights[{idx}]: num and den must be positive")
             fractions.append(Fraction(num, den))

@@ -63,10 +63,6 @@ are scaled by their common denominator to Python ints, whose subset sums
 are compared exactly with the scaled ranks; only the span ranks carry a
 numeric tolerance.  The pass is exponential in n and refuses with
 EnumerationSizeError when 2^n - 1 exceeds DEFAULT_SIZE_GUARD (n >= 20).
-
-A non-member can also be caught along a solver run: ``divergence_witness``
-ranks only the n - 1 proper upper level sets of a scaling vector t, and
-along a divergent run one of them violates the subset bound.
 """
 
 from __future__ import annotations
@@ -85,7 +81,6 @@ from .frames import (
     FrameDatum,
     MatrixFrame,
     _numerical_rank,
-    column_span_dim,
 )
 
 # Subsets per chunk of the pass: 2^_CHUNK_BITS masks, so every temporary
@@ -220,31 +215,6 @@ def in_orbit_polytope(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeRe
         violating_subsets=tuple(sorted(_subset(m, n) for m in violating)),
         relative_interior=member and not tight_below_d,
     )
-
-
-def divergence_witness(datum: FrameDatum, t, tol: float = DEFAULT_TOL):
-    """A proper upper level set S of the scalings t with c(S) > r(S), or None.
-
-    The blocks are sorted by decreasing t (stably) and the proper prefixes
-    are ranked in turn by ``column_span_dim``, with the rank rule and the
-    exact scaled-integer weight comparison of ``in_orbit_polytope``.  A
-    prefix of rank d ends the walk: with weights summing to d every
-    proper prefix weighs less than d, so no longer one can violate.  At
-    most n - 1 small SVDs, hence no size guard.  A returned subset
-    (sorted block indices) certifies that the weights lie outside the
-    orbit polytope, so the scaling objective is unbounded below.
-    """
-    omega, scaled = _scaled_weights(datum.weights)
-    order = np.argsort(-np.asarray(t, dtype=float), kind="stable").tolist()
-    weight = 0
-    for size in range(1, datum.frame.n):
-        weight += scaled[order[size - 1]]
-        rank = column_span_dim(datum.frame, order[:size], tol)
-        if weight > rank * omega:
-            return tuple(sorted(order[:size]))
-        if rank == datum.frame.d:
-            return None
-    return None
 
 
 # Most floats in one stacked temporary of the certificate (planned bases,

@@ -17,12 +17,12 @@ When the weights fail the orbit-polytope test the infimum is -inf and the
 solver reports ``not_semistable`` without iterating; the test is the
 polynomial matroid-intersection certificate of
 ``polytope.certify_membership``, so it runs at any n.  Without the
-pre-check, ``unbounded_below`` needs a witness: a proper upper level set S
-of the current scalings with c(S) > dim span(S), found by
-``polytope.divergence_witness``.  The loop looks for one whenever the
-eigenvalue floor of Q(t) rejects a full Newton step, the signature of t
-running off along a degenerate direction; without a witness it takes the
-backtracked step.  The loop stops as ``max_iters`` (stalled) when no step
+pre-check the loop asks the same certificate, once, at the first full
+Newton step the eigenvalue floor of Q(t) rejects, the signature of t
+running off along a degenerate direction: it stops as ``unbounded_below``
+when the weights are not a member, and otherwise takes the backtracked
+step.  So every status rests on one membership report, built at most
+once per solve.  The loop stops as ``max_iters`` (stalled) when no step
 resolves a decrease of the objective, or when an accepted step moves t by
 no more than 256 eps max(1, |t|_inf) in every component and the new
 gradient is still above the tolerance.  On weights at the boundary of the
@@ -52,7 +52,7 @@ from .objective import (
     scaled_frame_operator,
     sym_inverse_sqrt,
 )
-from .polytope import PolytopeReport, divergence_witness, orbit_polytope_report
+from .polytope import PolytopeReport, orbit_polytope_report
 
 STATUS_CONVERGED = "converged"
 STATUS_UNBOUNDED = "unbounded_below"
@@ -80,9 +80,10 @@ class SolverConfig:
     the frame's column norms differ too widely for its rank rule, the
     pre-check falls back on the subset enumeration while 2^n - 1 is
     within DEFAULT_SIZE_GUARD, and otherwise raises EnumerationSizeError
-    or CertificateError (a ValueError).  ``rank_tol`` is the relative
+    or CertificateError (a ValueError); so does the same report when a
+    run without the pre-check builds it.  ``rank_tol`` is the relative
     tolerance of the rank and positive-definiteness predicates, the
-    certificate and the divergence witness included.
+    certificate included.
     """
 
     grad_tol: Optional[float] = None
@@ -106,14 +107,17 @@ class SolveResult:
     records the accepted objective values for descent diagnostics.
     ``grad_norm`` is |grad potential - c| at ``t_star``, from the same
     kernel evaluation as ``objective_value``.  ``status`` is
-    ``unbounded_below`` only when the loop found a violating upper level
-    set of t, and ``max_iters`` also when the loop stalled: no step
-    decreased the objective, or the accepted step moved t by at most
-    256 eps max(1, |t|_inf).  ``polytope`` is the exact certificate's
-    report (``polytope.orbit_polytope_report``) from the pre-check or
-    from the cross-check of an unbounded run, at any n; None only when
-    neither ran.  Its subset lists hold the certificate's one violating
-    or tight set, none for a relative-interior member.
+    ``unbounded_below`` only when a run without the pre-check met the
+    eigenvalue floor on a full step and the certificate then found the
+    weights outside the orbit polytope, and ``max_iters`` also when the
+    loop stalled: no step decreased the objective, or the accepted step
+    moved t by at most 256 eps max(1, |t|_inf).  ``polytope`` is the
+    exact certificate's report (``polytope.orbit_polytope_report``), at
+    any n, from the pre-check or, without it, from the first floored full
+    step; None only when neither happened.  Its subset lists hold the
+    certificate's one violating or tight set, none for a
+    relative-interior member, so an ``unbounded_below`` run lists the
+    violating set that is the reason for its status.
     """
 
     t_star: np.ndarray
@@ -184,11 +188,14 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         )
         # A full step rejected by the eigenvalue floor means t is sliding
         # along the edge of the positive definite cone.  It is reported as
-        # divergence only when an upper level set of t violates the subset
-        # bound, which certifies it; otherwise the backtracked step is taken.
-        if full_step_floored and divergence_witness(datum, t, config.rank_tol):
-            status = STATUS_UNBOUNDED
-            break
+        # divergence only when the certificate puts the weights outside
+        # the polytope; otherwise the backtracked step is taken.
+        if full_step_floored:
+            if polytope_report is None:
+                polytope_report = orbit_polytope_report(datum, config.rank_tol)
+            if not polytope_report.member:
+                status = STATUS_UNBOUNDED
+                break
         if point is None:
             break  # no step resolves a decrease of the objective
         new_t, value, grad, hess = point
@@ -201,10 +208,6 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         t = new_t
     else:
         iterations = config.max_iters
-
-    if status == STATUS_UNBOUNDED:
-        # A witness is found only without the pre-check; fill in the report.
-        polytope_report = orbit_polytope_report(datum, config.rank_tol)
 
     transformer = None
     extremisers = None

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -64,6 +65,29 @@ def test_payload_validation_messages():
         payload_to_frame(
             {"schema_version": 1, "d": 1, "blocks": [{"cols": 1, "data": ["inf"]}]}
         )
+    # JSON true is not an integer, though Python's bool is an int.
+    for field, payload in _boolean_payloads():
+        with pytest.raises(FrameFileError, match=field):
+            payload_to_frame(payload)
+
+
+def _boolean_payloads():
+    """(field pattern, payload) pairs with true where an integer belongs."""
+    def payload(version=1, d=1, cols=1, num=1, den=1):
+        return {
+            "schema_version": version,
+            "d": d,
+            "blocks": [{"cols": cols, "data": [1.0]}],
+            "weights": [{"num": num, "den": den}],
+        }
+
+    return [
+        ("schema_version", payload(version=True)),
+        ("^d:", payload(d=True)),
+        (r"blocks\[0\].cols", payload(cols=True)),
+        (r"weights\[0\].num", payload(num=True)),
+        (r"weights\[0\].den", payload(den=True)),
+    ]
 
 
 def test_check_command(tmp_path, capsys):
@@ -150,6 +174,13 @@ def test_check_malformed_file(tmp_path, capsys):
     code, _, err = run_cli(["check", str(path)], capsys)
     assert code == 2
     assert "blocks[1]" in err
+    # JSON true where an integer belongs: exit 2 naming the field, not a
+    # traceback.
+    for field, payload in _boolean_payloads():
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 2
+        assert re.search(field, err.removeprefix("error: "))
 
 
 def test_solve_rif_command(tmp_path, capsys):

@@ -28,3 +28,10 @@ def test_gradient_check_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert "frames checked:                 2" in proc.stdout
+
+
+def test_code_lines_script():
+    proc = run_script("scripts/code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "solver.py" in proc.stdout
+    assert proc.stdout.splitlines()[-1].split()[0] == "total"

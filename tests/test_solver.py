@@ -162,6 +162,22 @@ def test_degenerate_random_frames_diverge():
         assert free.status == "unbounded_below"
 
 
+def test_divergence_reports_violating_set(mixed_frame, thirds):
+    # Collinear blocks moved off the front: the run without the pre-check
+    # stops on the certificate, and its report lists the generator's set.
+    frame, subset = random_degenerate_frame(3, 7, np.random.default_rng(16))
+    perm = [3, 0, 4, 1, 5, 2, 6]
+    frame = MatrixFrame(3, tuple(frame.blocks[i] for i in perm))
+    subset = tuple(sorted(perm.index(i) for i in subset))
+    datum = FrameDatum(frame, WeightVector.uniform(3, 7))
+    result = minimize(datum, SolverConfig(check_polytope=False))
+    assert result.status == "unbounded_below"
+    assert result.polytope.violating_subsets == (subset,)
+    assert subset in in_orbit_polytope(datum).violating_subsets
+    member = FrameDatum(mixed_frame, thirds)
+    assert minimize(member, SolverConfig(check_polytope=False)).status == "converged"
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.data())
 def test_precheck_reports_generator_subset(d, data):
@@ -209,8 +225,8 @@ def test_library_path_enumerates_nothing(tmp_path, monkeypatch, capsys):
 
 
 def test_cross_check_over_size_guard_is_skipped():
-    # 2^40 subsets: the divergence cross-check must not enumerate them; the
-    # polynomial certificate reports a violating set instead.
+    # 2^40 subsets: the report that decides divergence must not enumerate
+    # them; the polynomial certificate reports a violating set instead.
     rng = np.random.default_rng(15)
     frame, _ = random_degenerate_frame(16, 40, rng)
     weights = WeightVector.uniform(16, 40)
@@ -356,8 +372,8 @@ def test_each_point_evaluated_once(mixed_frame, thirds, monkeypatch):
 
 def test_widely_scaled_member_converges():
     # Block norms 10^2 apart: generic, a member and in the relative interior,
-    # yet five of its nine full Newton steps meet the eigenvalue floor.  No
-    # upper level set violates the subset bound, so the solver must go on.
+    # yet five of its nine full Newton steps meet the eigenvalue floor.  The
+    # certificate finds a member, so the solver must go on.
     frame = MatrixFrame(
         2, ([50.0, -150.0], [-100.0, 20.0], [0.12, -0.14], [0.3, -1.4])
     )
@@ -367,6 +383,7 @@ def test_widely_scaled_member_converges():
     for check in (True, False):
         result = minimize(datum, SolverConfig(check_polytope=check))
         assert result.status == "converged"
+        assert result.polytope.member
         transformed = to_radial_isotropic(datum, result)
         assert is_radial_isotropic(FrameDatum(transformed, datum.weights), 1e-6)
 
@@ -403,3 +420,63 @@ def test_status_follows_certificate(datum):
         assert guarded.status == "not_semistable"
         assert free.status == "unbounded_below"
         assert not free.polytope.member
+    if free.polytope is not None:
+        oracle = in_orbit_polytope(datum).violating_subsets
+        assert set(free.polytope.violating_subsets) <= set(oracle)
+
+
+def _scaled_non_member(index):
+    """Draw ``index`` of a fixed sequence of widely scaled non-members.
+
+    Each draw is random_degenerate_frame(d, n) with d in [2, 6) and n in
+    [d + 1, 11), its blocks scaled by 10^U(-2, 2), with uniform weights.
+    """
+    rng = np.random.default_rng(5)
+    for _ in range(index + 1):
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(d + 1, 11))
+        frame, _ = random_degenerate_frame(d, n, rng)
+        scales = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    frame = MatrixFrame(d, tuple(s * b for s, b in zip(scales, frame.blocks)))
+    return FrameDatum(frame, WeightVector.uniform(d, n))
+
+
+def _assert_stops_at_first_floor(datum):
+    """Without the pre-check, one report decides at the first floored step."""
+    reports, floored = [], []
+    report_of = frameiso.solver.orbit_polytope_report
+    line_search = frameiso.solver._line_search
+
+    def counted_report(*args):
+        reports.append(report_of(*args))
+        return reports[-1]
+
+    def recorded_search(*args):
+        point, full_step_floored = line_search(*args)
+        floored.append(full_step_floored)
+        return point, full_step_floored
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frameiso.solver, "orbit_polytope_report", counted_report)
+        patch.setattr(frameiso.solver, "_line_search", recorded_search)
+        result = minimize(datum, SolverConfig(check_polytope=False))
+    assert len(reports) == 1 and not reports[0].member
+    assert result.status == "unbounded_below"
+    assert result.polytope is reports[0]
+    assert result.iterations == len(floored) == floored.index(True) + 1
+    return result
+
+
+def test_scaled_non_member_stops_at_first_floor():
+    # d = 4, n = 10: no upper level set of t violates the subset bound at
+    # the first floored step, yet the weights are outside the polytope.
+    datum = _scaled_non_member(58)
+    assert (datum.frame.d, datum.frame.n) == (4, 10)
+    assert _assert_stops_at_first_floor(datum).iterations == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(_widely_scaled_data())
+def test_one_report_decides_divergence(datum):
+    assume(not frameiso.polytope.orbit_polytope_report(datum).member)
+    _assert_stops_at_first_floor(datum)
