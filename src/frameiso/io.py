@@ -41,9 +41,11 @@ def _encode_real(value: float, human: bool) -> object:
     return value if human else value.hex()
 
 
-def _is_integer(value) -> bool:
-    """A JSON integer; bool is an int subclass, but JSON's true is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _positive_integer(value, field: str) -> int:
+    """A JSON integer >= 1; bool is an int subclass, but JSON's true is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise FrameFileError(f"{field}: expected a positive integer, got {value!r}")
+    return value
 
 
 def _decode_real(value, field: str) -> float:
@@ -112,11 +114,9 @@ def payload_to_frame(payload) -> tuple:
     if not isinstance(payload, dict):
         raise FrameFileError("top level: expected an object")
     version = payload.get("schema_version")
-    if not _is_integer(version) or version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise FrameFileError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-    d = payload.get("d")
-    if not _is_integer(d) or d < 1:
-        raise FrameFileError(f"d: expected a positive integer, got {d!r}")
+    d = _positive_integer(payload.get("d"), "d")
     raw_blocks = payload.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise FrameFileError("blocks: expected a non-empty list")
@@ -125,9 +125,7 @@ def payload_to_frame(payload) -> tuple:
     for idx, entry in enumerate(raw_blocks):
         if not isinstance(entry, dict):
             raise FrameFileError(f"blocks[{idx}]: expected an object")
-        cols = entry.get("cols")
-        if not _is_integer(cols) or cols < 1:
-            raise FrameFileError(f"blocks[{idx}].cols: expected a positive integer")
+        cols = _positive_integer(entry.get("cols"), f"blocks[{idx}].cols")
         data = entry.get("data")
         if not isinstance(data, list) or len(data) != d * cols:
             have = len(data) if isinstance(data, list) else None
@@ -150,14 +148,8 @@ def payload_to_frame(payload) -> tuple:
         for idx, entry in enumerate(raw_weights):
             if not isinstance(entry, dict):
                 raise FrameFileError(f"weights[{idx}]: expected an object")
-            num, den = entry.get("num"), entry.get("den")
-            for key, value in (("num", num), ("den", den)):
-                if not _is_integer(value):
-                    raise FrameFileError(
-                        f"weights[{idx}].{key}: expected an integer, got {value!r}"
-                    )
-            if den <= 0 or num <= 0:
-                raise FrameFileError(f"weights[{idx}]: num and den must be positive")
+            num = _positive_integer(entry.get("num"), f"weights[{idx}].num")
+            den = _positive_integer(entry.get("den"), f"weights[{idx}].den")
             fractions.append(Fraction(num, den))
         weights = WeightVector(tuple(fractions))
     return frame, weights

@@ -22,10 +22,13 @@ Newton step the eigenvalue floor of Q(t) rejects, the signature of t
 running off along a degenerate direction: it stops as ``unbounded_below``
 when the weights are not a member, and otherwise takes the backtracked
 step.  So every status rests on one membership report, built at most
-once per solve.  The loop stops as ``max_iters`` (stalled) when no step
-resolves a decrease of the objective, or when an accepted step moves t by
-no more than 256 eps max(1, |t|_inf) in every component and the new
-gradient is still above the tolerance.  On weights at the boundary of the
+once per solve.  Where the certificate cannot answer, the run goes on
+without it: a converged run needs none, since a minimiser shows the
+weights are a member, and any other run raises the certificate's error.
+The loop stops as ``max_iters`` (stalled) when no step resolves a
+decrease of the objective, or when an accepted step moves t by no more
+than 256 eps max(1, |t|_inf) in every component and the new gradient is
+still above the tolerance.  On weights at the boundary of the
 polytope, where no minimiser exists, this is how the run ends.
 """
 
@@ -40,6 +43,7 @@ import numpy as np
 
 from .frames import (
     DEFAULT_TOL,
+    EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
     apply_transform,
@@ -52,7 +56,7 @@ from .objective import (
     scaled_frame_operator,
     sym_inverse_sqrt,
 )
-from .polytope import PolytopeReport, orbit_polytope_report
+from .polytope import CertificateError, PolytopeReport, orbit_polytope_report
 
 STATUS_CONVERGED = "converged"
 STATUS_UNBOUNDED = "unbounded_below"
@@ -80,10 +84,11 @@ class SolverConfig:
     the frame's column norms differ too widely for its rank rule, the
     pre-check falls back on the subset enumeration while 2^n - 1 is
     within DEFAULT_SIZE_GUARD, and otherwise raises EnumerationSizeError
-    or CertificateError (a ValueError); so does the same report when a
-    run without the pre-check builds it.  ``rank_tol`` is the relative
-    tolerance of the rank and positive-definiteness predicates, the
-    certificate included.
+    or CertificateError (a ValueError).  A run without the pre-check
+    that builds the report where it cannot answer raises the same error,
+    unless the run converges, which shows the weights are a member.
+    ``rank_tol`` is the relative tolerance of the rank and
+    positive-definiteness predicates, the certificate included.
     """
 
     grad_tol: Optional[float] = None
@@ -114,7 +119,8 @@ class SolveResult:
     moved t by at most 256 eps max(1, |t|_inf).  ``polytope`` is the
     exact certificate's report (``polytope.orbit_polytope_report``), at
     any n, from the pre-check or, without it, from the first floored full
-    step; None only when neither happened.  Its subset lists hold the
+    step; None when neither happened, or when the certificate could not
+    answer and the run converged.  Its subset lists hold the
     certificate's one violating or tight set, none for a
     relative-interior member, so an ``unbounded_below`` run lists the
     violating set that is the reason for its status.
@@ -172,6 +178,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     history = [value]
     status = STATUS_MAX_ITERS
     stalled = False
+    refusal = None
     iterations = 0
 
     for iterations in range(1, config.max_iters + 1):
@@ -191,9 +198,12 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         # divergence only when the certificate puts the weights outside
         # the polytope; otherwise the backtracked step is taken.
         if full_step_floored:
-            if polytope_report is None:
-                polytope_report = orbit_polytope_report(datum, config.rank_tol)
-            if not polytope_report.member:
+            if polytope_report is None and refusal is None:
+                try:
+                    polytope_report = orbit_polytope_report(datum, config.rank_tol)
+                except (CertificateError, EnumerationSizeError) as exc:
+                    refusal = exc  # a run that converges needs no report
+            if polytope_report is not None and not polytope_report.member:
                 status = STATUS_UNBOUNDED
                 break
         if point is None:
@@ -208,6 +218,8 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         t = new_t
     else:
         iterations = config.max_iters
+    if refusal is not None and status != STATUS_CONVERGED:
+        raise refusal
 
     transformer = None
     extremisers = None

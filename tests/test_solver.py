@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frameiso import (
+    EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
     SolverConfig,
@@ -197,6 +199,30 @@ def test_precheck_where_certificate_refuses_denominators(wide_denominators):
     result = minimize(wide_denominators)
     assert result.status == "converged"
     assert result.polytope.relative_interior
+
+
+def test_free_run_where_certificate_refuses_denominators():
+    # Twenty widely scaled blocks, weights over the denominator 100003: the
+    # certificate refuses omega N columns and the enumeration 2^20 - 1
+    # subsets, so the report a floored step asks for is unavailable.  A
+    # member still converges, which shows it is one; a non-member raises.
+    rng = np.random.default_rng(1)
+    frame = random_frame(2, [1] * 20, rng)
+    blocks = [s * b for s, b in zip(10.0 ** rng.uniform(-2.0, 2.0, 20), frame.blocks)]
+    tilt = Fraction(1, 100_003)
+    tenth = Fraction(1, 10)
+    member = WeightVector((tenth + tilt, tenth - tilt) + (tenth,) * 18)
+    with pytest.raises(EnumerationSizeError):
+        minimize(FrameDatum(MatrixFrame(2, tuple(blocks)), member))
+    free = SolverConfig(check_polytope=False)
+    result = minimize(FrameDatum(MatrixFrame(2, tuple(blocks)), member), free)
+    assert result.status == "converged" and result.polytope is None
+    blocks[1], blocks[2] = 3.0 * blocks[0], -2.0 * blocks[0]
+    heavy = Fraction(2, 5) + tilt  # three collinear blocks weigh more than 1
+    rest = (2 - 3 * heavy) / 17
+    outside = WeightVector((heavy,) * 3 + (rest,) * 17)
+    with pytest.raises(EnumerationSizeError):
+        minimize(FrameDatum(MatrixFrame(2, tuple(blocks)), outside), free)
 
 
 def test_library_path_enumerates_nothing(tmp_path, monkeypatch, capsys):
