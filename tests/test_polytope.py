@@ -255,6 +255,22 @@ def test_subset_pass_memory_is_bounded():
     assert peak < 8 * 2**20
 
 
+@settings(max_examples=80, deadline=None)
+@given(_small_integer_data())
+def test_witness_is_violating_subset(datum):
+    # The report minimize decides divergence on: a non-member lists one
+    # violating set, found among the enumeration's; a member none.
+    report = orbit_polytope_report(datum)
+    oracle = in_orbit_polytope(datum)
+    assert report.member == oracle.member
+    if report.member:
+        assert report.violating_subsets == ()
+    else:
+        (witness,) = report.violating_subsets
+        assert witness and set(witness) <= set(range(datum.frame.n))
+        assert witness in oracle.violating_subsets
+
+
 def _recheck_bases(datum, certificate):
     """Each basis is full rank by the rank rule; block i is used omega c_i times."""
     frame, weights = datum.frame, datum.weights
