@@ -9,7 +9,8 @@ the next, so that a drift of the machine's speed hits both sides alike.  For eac
 records the median and the interquartile range of the five end-to-end
 metrics over ``--runs`` untraced runs per side, the failed operations,
 and the exact counts of one traced run per side: orbit-polytope
-enumerations, SVD and eigh calls, and solver iterations.  The base
+enumerations, SVD and eigh calls, solver iterations and eigh calls per
+iteration, frame-operator builds, and nearness measurements.  The base
 checkout is made with ``git archive`` in a temporary directory that is
 removed afterwards.
 """
@@ -33,6 +34,10 @@ TRACED_COUNTS = (
     "linalg.svd.calls",
     "solver.iterations",
     "linalg.eigh.calls",
+    "solver.eigh_per_iteration",
+    "frames.frame_operator.calls",
+    "objective.scaled_frame_operator.calls",
+    "quiver.nearness.calls",
 )
 
 

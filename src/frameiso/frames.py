@@ -145,8 +145,12 @@ class WeightVector:
 
     @classmethod
     def uniform(cls, d: int, n: int) -> "WeightVector":
-        """The weight vector (d/n, ..., d/n)."""
-        return cls(tuple(Fraction(d, n) for _ in range(n)))
+        """The weight vector (d/n, ..., d/n): one weight, checked once."""
+        if n < 1:
+            raise ValueError("need at least one weight")
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "weights", (_as_weight(Fraction(d, n), 0),) * n)
+        return vec
 
     @property
     def n(self) -> int:
@@ -158,7 +162,11 @@ class WeightVector:
         return math.lcm(*(w.denominator for w in self.weights))
 
     def total(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        """The exact sum, as integer numerators over the common denominator."""
+        omega = self.omega
+        return Fraction(
+            sum(w.numerator * (omega // w.denominator) for w in self.weights), omega
+        )
 
     def as_floats(self) -> np.ndarray:
         return np.array([float(w) for w in self.weights])
@@ -197,7 +205,11 @@ def is_matrix_frame(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
     eigenvalue (floored at 1 so that tiny frames are not passed by
     scale alone).
     """
-    eigvals = np.linalg.eigvalsh(frame_operator(frame))
+    return _positive_definite(np.linalg.eigvalsh(frame_operator(frame)), tol)
+
+
+def _positive_definite(eigvals: np.ndarray, tol: float) -> bool:
+    """``is_matrix_frame``'s rule on the ascending eigenvalues of the frame operator."""
     return bool(eigvals[0] > tol * max(eigvals[-1], 1.0))
 
 

@@ -10,8 +10,12 @@ Two independent evaluation routes are provided:
 
 * the production path: one kernel builds Q(t) from the pooled d x N
   matrix and, from a single symmetric eigendecomposition, returns the
-  potential, the gradient components e^{t_i} |Q^{-1/2}(t) X_i|_F^2 and,
-  on request, the Hessian;
+  potential, the gradient components e^{t_i} |Q^{-1/2}(t) X_i|_F^2, on
+  request the Hessian, and the eigendecomposition itself, so a caller
+  forms Q^{-1/2}(t) at that point without a second ``eigh``.  The
+  Hessian's block coupling is one indicator product E^T (G o G) E over
+  the N x N Gram matrix G of the rotated columns, E the N x n 0/1 matrix
+  of column owners, built per call;
 * a combinatorial oracle that expands det Q(t) over all d-column
   selections from the pooled matrix (each selection contributes the
   squared d x d determinant of the chosen columns, scaled by
@@ -76,57 +80,77 @@ def _exp_scalings(frame: MatrixFrame, t) -> np.ndarray:
     return scale
 
 
-def _pd_eigh(op: np.ndarray):
-    eigvals, eigvecs = np.linalg.eigh(op)
-    floor = EIG_FLOOR * max(eigvals[-1], 0.0)
-    if eigvals[0] <= floor or eigvals[-1] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"operator not positive definite (eigenvalues {eigvals[0]:.3e}"
-            f" .. {eigvals[-1]:.3e}); the frame is degenerate along this direction"
-        )
-    return eigvals, eigvecs
+def _operator_eigh(frame: MatrixFrame, t):
+    """(eigenvalues ascending, eigenvectors) of Q(t) from one ``eigh``.
 
-
-def _potential(frame: MatrixFrame, t, order: int = 1) -> tuple:
-    """(log det Q(t), gradient, Hessian) from one eigendecomposition of Q(t).
-
-    Derivatives above ``order`` are returned as None.  With P the pooled
-    d x N matrix, each column scaled by e^{t_i/2} of its block i, and
-    Q = U diag(lam) U^T, let R = diag(lam)^{-1/2} U^T P.  Gradient
-    component i sums R o R over block i's columns, and the Hessian is
-    diag(g) - S, where S_ij sums (R^T R) o (R^T R) over the columns of
-    blocks i and j.  Scaling the columns by e^{t/2} before the rotation
-    keeps every entry of R bounded when some e^{t_i} is huge, where the
-    product e^{t_i} e^{t_j} would overflow.  The Hessian rows sum to
-    zero: the potential is linear along the all-ones direction.
+    No floor is applied.  Raises OverflowError when e^{t_i} or Q(t) is
+    non-finite.
     """
     scale = _exp_scalings(frame, t)
     with np.errstate(over="ignore", invalid="ignore"):
         op = _weighted_operator(frame, scale)
     if not np.all(np.isfinite(op)):
         raise OverflowError("Q(t) overflowed; recentre the scalings")
-    eigvals, eigvecs = _pd_eigh(op)
+    return np.linalg.eigh(op)
+
+
+def _check_floor(eigvals: np.ndarray) -> None:
+    floor = EIG_FLOOR * max(eigvals[-1], 0.0)
+    if eigvals[0] <= floor or eigvals[-1] <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"operator not positive definite (eigenvalues {eigvals[0]:.3e}"
+            f" .. {eigvals[-1]:.3e}); the frame is degenerate along this direction"
+        )
+
+
+def _potential(frame: MatrixFrame, t, order: int = 1, eig=None) -> tuple:
+    """(log det Q(t), gradient, Hessian, (eigvals, eigvecs)) from one
+    eigendecomposition of Q(t).
+
+    ``eig`` is ``_operator_eigh(frame, t)`` when the caller already has
+    it, and is taken here otherwise; either way it passes the
+    eigenvalue floor first and is returned as the last entry, so the
+    caller can form Q^{-1/2}(t) from it.  Derivatives above ``order``
+    are returned as None.  With P the pooled d x N matrix, each column
+    scaled by e^{t_i/2} of its block i, and Q = U diag(lam) U^T, let
+    R = diag(lam)^{-1/2} U^T P.  Gradient component i sums R o R over
+    block i's columns, and the Hessian is diag(g) - E^T (G o G) E, with
+    G = R^T R and E the N x n 0/1 matrix whose column i marks block i's
+    columns: one indicator product sums G o G over the columns of every
+    pair of blocks.  Scaling the columns by e^{t/2} before the rotation
+    keeps every entry of R bounded when some e^{t_i} is huge, where the
+    product e^{t_i} e^{t_j} would overflow.  The Hessian rows sum to
+    zero: the potential is linear along the all-ones direction.
+    """
+    if eig is None:
+        eig = _operator_eigh(frame, t)
+    eigvals, eigvecs = eig
+    _check_floor(eigvals)
     value = float(np.sum(np.log(eigvals)))
     if order < 1:
-        return value, None, None
-    starts = frame.block_starts
+        return value, None, None, eig
     half = np.exp(0.5 * np.asarray(t, dtype=float))[frame._owner]
     rotated = (eigvecs.T @ (frame.pooled() * half)) / np.sqrt(eigvals)[:, None]
-    grad = np.add.reduceat(np.sum(rotated**2, axis=0), starts)
+    grad = np.add.reduceat(np.sum(rotated**2, axis=0), frame.block_starts)
     if order < 2:
-        return value, grad, None
+        return value, grad, None, eig
     inner = rotated.T @ rotated
-    coupling = np.add.reduceat(
-        np.add.reduceat(inner * inner, starts, axis=0), starts, axis=1
-    )
-    hess = np.diag(grad) - coupling
-    return value, grad, (hess + hess.T) / 2.0
+    owners = np.zeros((frame.total_cols, frame.n))
+    owners[np.arange(frame.total_cols), frame._owner] = 1.0
+    hess = np.diag(grad) - owners.T @ (inner * inner) @ owners
+    return value, grad, (hess + hess.T) / 2.0, eig
+
+
+def _inverse_sqrt(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """U diag(lam)^{-1/2} U^T from a symmetric eigendecomposition."""
+    return (eigvecs * (eigvals**-0.5)) @ eigvecs.T
 
 
 def sym_inverse_sqrt(op: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix."""
-    eigvals, eigvecs = _pd_eigh(np.asarray(op, dtype=float))
-    return (eigvecs * (eigvals**-0.5)) @ eigvecs.T
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(op, dtype=float))
+    _check_floor(eigvals)
+    return _inverse_sqrt(eigvals, eigvecs)
 
 
 def log_det_potential(frame: MatrixFrame, t) -> float:

@@ -115,12 +115,18 @@ def perturb_to_generic(
     already generic.  Otherwise entries are drawn i.i.d. uniform from a
     seeded generator, with the magnitude halved on every retry.
     """
-    d, n = frame.d, frame.n
-    report = nearness(frame)
-    if report.epsilon > epsilon * (1.0 + 1e-12) + 1e-15:
+    measured = nearness(frame).epsilon
+    if measured > epsilon * (1.0 + 1e-12) + 1e-15:
         raise ValueError(
-            f"frame is {report.epsilon:.3g}-nearly equal-norm, beyond budget {epsilon:.3g}"
+            f"frame is {measured:.3g}-nearly equal-norm, beyond budget {epsilon:.3g}"
         )
+    return _perturb_to_generic(frame, epsilon, rng_seed, tol, measured)
+
+
+def _perturb_to_generic(frame, epsilon, rng_seed, tol, measured) -> tuple:
+    """``perturb_to_generic`` for an input whose nearness ``measured`` is
+    already known to be within the budget ``epsilon``."""
+    d, n = frame.d, frame.n
     if epsilon >= 0.3:
         raise ValueError(f"epsilon must be below 0.3, got {epsilon}")
     if n <= d:
@@ -154,7 +160,7 @@ def perturb_to_generic(
         delta /= 2.0
     raise RuntimeError(
         "could not produce a generic perturbation within the retry budget; "
-        f"epsilon={epsilon:.3g}, n={n}, d={d}, nearness={report.epsilon:.3g}"
+        f"epsilon={epsilon:.3g}, n={n}, d={d}, nearness={measured:.3g}"
     )
 
 
@@ -239,7 +245,8 @@ def paulsen_round(
         raise ValueError(f"need n > d, got n={n}, d={d}")
     eps = max(measured, epsilon_floor)
 
-    perturbed, gamma = perturb_to_generic(frame, eps, rng_seed, config.rank_tol)
+    # eps >= measured, so the budget check of perturb_to_generic would pass.
+    perturbed, gamma = _perturb_to_generic(frame, eps, rng_seed, config.rank_tol, measured)
     datum = FrameDatum(perturbed, WeightVector.uniform(d, n))
     # The perturbed frame is generic, so the uniform weights need no
     # membership pre-check: for every proper block subset S,

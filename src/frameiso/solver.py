@@ -13,6 +13,15 @@ next iterate, with that evaluation.  The objective is invariant under the
 gauge when the weights sum to d, and recentring keeps the iterates
 bounded whenever a minimiser exists.
 
+Every evaluated point costs one ``eigh`` of Q(t) and there is none after
+the loop: the kernel returns its eigendecomposition with the point, and
+the transformer Q^{-1/2}(t*) and the extremisers are formed from the
+accepted point's.  The first point is t = 0, and its ``eigh`` of the
+frame operator Q(0) is taken before anything else: the matrix-frame test
+reads it with ``is_matrix_frame``'s rule, then the pre-check runs, and
+then the first point's value and derivatives come from the same
+decomposition.
+
 When the weights fail the orbit-polytope test the infimum is -inf and the
 solver reports ``not_semistable`` without iterating; the test is the
 polynomial matroid-intersection certificate of
@@ -46,15 +55,15 @@ from .frames import (
     EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
+    _positive_definite,
     apply_transform,
-    is_matrix_frame,
 )
 from .objective import (
     NotPositiveDefiniteError,
+    _inverse_sqrt,
+    _operator_eigh,
     _potential,
     grad_via_minors,
-    scaled_frame_operator,
-    sym_inverse_sqrt,
 )
 from .polytope import CertificateError, PolytopeReport, orbit_polytope_report
 
@@ -151,7 +160,13 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     d = frame.d
     if weights.total() != Fraction(d):
         raise ValueError(f"weights sum to {weights.total()}, need exactly {d}")
-    if not is_matrix_frame(frame, config.rank_tol):
+    # One eigh of Q(0) serves the matrix-frame test and the first point.
+    t = np.zeros(frame.n)
+    try:
+        eig = _operator_eigh(frame, t)
+    except OverflowError:
+        eig = None  # a frame operator past the float range is no matrix frame
+    if eig is None or not _positive_definite(eig[0], config.rank_tol):
         raise ValueError("not a matrix frame: frame operator is not positive definite")
 
     grad_tol = config.effective_grad_tol(d)
@@ -173,8 +188,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
             )
 
     c_floats = weights.as_floats()
-    t = np.zeros(frame.n)
-    value, grad, hess = _potential(frame, t, order=2)
+    value, grad, hess, eig = _potential(frame, t, order=2, eig=eig)
     history = [value]
     status = STATUS_MAX_ITERS
     stalled = False
@@ -208,7 +222,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
                 break
         if point is None:
             break  # no step resolves a decrease of the objective
-        new_t, value, grad, hess = point
+        new_t, value, grad, hess, eig = point
         history.append(value)
         # A step below the float resolution of t cannot make progress;
         # the run ends as max_iters once the new gradient is tested.
@@ -224,8 +238,9 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     transformer = None
     extremisers = None
     if status in (STATUS_CONVERGED, STATUS_MAX_ITERS):
-        # t is a point the kernel accepted, so Q(t) passes the same floor.
-        transformer = sym_inverse_sqrt(scaled_frame_operator(frame, t))
+        # t is a point the kernel accepted: its eigendecomposition of Q(t)
+        # passed the floor and gives the transformer without another eigh.
+        transformer = _inverse_sqrt(*eig)
         extremisers = 1.0 / np.add.reduceat(
             np.sum((transformer @ frame.pooled()) ** 2, axis=0), frame.block_starts
         )
@@ -272,10 +287,10 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
 
     Each trial is recentred before it is evaluated.  Returns (point,
     full_step_floored): ``point`` is (t, objective, gradient of the
-    potential, Hessian) at the accepted trial, or None when no step
-    succeeds; the flag records whether the initial (largest) trial was
-    rejected by the positive-definiteness floor, the signature of sliding
-    along the edge of the cone.
+    potential, Hessian, eigendecomposition of Q(t)) at the accepted
+    trial, or None when no step succeeds; the flag records whether the
+    initial (largest) trial was rejected by the positive-definiteness
+    floor, the signature of sliding along the edge of the cone.
     """
     slope = float(np.dot(gradient, direction))
     step = _INIT_STEP
@@ -287,7 +302,7 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
     while step > 1e-20:
         trial = recenter(t + step * direction, c_floats, frame.d)
         try:
-            potential, grad, hess = _potential(frame, trial, order=2)
+            potential, grad, hess, eig = _potential(frame, trial, order=2)
         except (NotPositiveDefiniteError, OverflowError):
             full_step_floored = full_step_floored or step == _INIT_STEP
             step *= _BACKTRACK
@@ -298,7 +313,7 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
             _ARMIJO_C1 * step * abs(slope) < resolution
             and trial_value <= value + resolution
         ):
-            return (trial, trial_value, grad, hess), full_step_floored
+            return (trial, trial_value, grad, hess, eig), full_step_floored
         step *= _BACKTRACK
     return None, full_step_floored
 

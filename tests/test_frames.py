@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameiso import (
@@ -228,3 +229,33 @@ def test_uniform_weights():
     w = WeightVector.uniform(2, 4)
     assert all(str(c) == "1/2" for c in w.weights)
     assert float(w.total()) == 2.0
+
+
+def test_uniform_weights_validated_once():
+    w = WeightVector.uniform(3, 7)
+    assert w == WeightVector((Fraction(3, 7),) * 7)
+    assert all(type(c) is Fraction for c in w.weights)
+    for d, n in ((0, 3), (-2, 3), (2, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            WeightVector.uniform(d, n)
+    # Every other caller still has each weight checked.
+    with pytest.raises(TypeError):
+        WeightVector((Fraction(1, 2), 1.5))
+    with pytest.raises(ValueError):
+        WeightVector((Fraction(1, 2), Fraction(-1, 2)))
+
+
+_PRIMES_NEAR_1E6 = (999_983, 999_979, 999_961, 999_959, 999_953)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.builds(Fraction, st.integers(1, 2**80), st.integers(1, 2 * 10**6)),
+    min_size=1, max_size=8,
+))
+@example([Fraction(2**63 + k, p) for k, p in enumerate(_PRIMES_NEAR_1E6)])
+@example([Fraction(2**64 - 1, 999_983), Fraction(3, 999_979 * 999_961)])
+def test_weight_total_is_exact_sum(fracs):
+    total = WeightVector(tuple(fracs)).total()
+    assert type(total) is Fraction
+    assert total == sum(fracs, Fraction(0))

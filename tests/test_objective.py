@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameiso import (
     EnumerationSizeError,
@@ -242,7 +244,7 @@ def test_hessian_matches_gradient_differences():
         frame = random_frame(d, cols, rng)
         for _ in range(3):
             t = rng.uniform(-1.5, 1.5, frame.n)
-            _, _, hess = _potential(frame, t, order=2)
+            _, _, hess, _ = _potential(frame, t, order=2)
             numeric = np.empty((frame.n, frame.n))
             for j in range(frame.n):
                 up, down = t.copy(), t.copy()
@@ -266,11 +268,70 @@ def test_sym_inverse_sqrt():
         sym_inverse_sqrt(np.diag([1.0, 0.0]))
 
 
+def _blockwise_hessian(frame, t, eig):
+    """diag(g) - [sum over a in block i, b in block j of (r_a . r_b)^2], by loops.
+
+    r_a is column a scaled by e^{t_i/2} and rotated by diag(lam)^{-1/2} U^T
+    from the kernel's eigendecomposition (eigvals, eigvecs) of Q(t).
+    """
+    eigvals, eigvecs = eig
+    cols = [
+        (eigvecs.T @ (math.exp(t[i] / 2.0) * block[:, k])) / np.sqrt(eigvals)
+        for i, block in enumerate(frame.blocks)
+        for k in range(block.shape[1])
+    ]
+    owner = [i for i, c in enumerate(frame.block_cols) for _ in range(c)]
+    grad = np.zeros(frame.n)
+    coupling = np.zeros((frame.n, frame.n))
+    for a, r_a in enumerate(cols):
+        grad[owner[a]] += float(r_a @ r_a)
+        for b, r_b in enumerate(cols):
+            coupling[owner[a], owner[b]] += float(r_a @ r_b) ** 2
+    return np.diag(grad) - coupling
+
+
+@st.composite
+def _frames_and_scalings(draw):
+    """Blocks of 1 to 4 columns, n from 1, and scalings up to +-400.
+
+    A common offset carries t out to +-400 and a spread of e^{+-2} per
+    block keeps Q(t) well conditioned.
+    """
+    cols = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    d = draw(st.integers(1, min(4, sum(cols))))
+    frame = random_frame(d, cols, np.random.default_rng(draw(st.integers(0, 2**32))))
+    offset = draw(st.floats(-398.0, 398.0))
+    spread = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(cols), max_size=len(cols)))
+    return frame, offset + np.array(spread)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_frames_and_scalings())
+def test_hessian_matches_blockwise_definition(frame_and_t):
+    frame, t = frame_and_t
+    _assert_blockwise_hessian(frame, t)
+
+
+def test_hessian_blockwise_named_cases(mixed_frame):
+    # n = 1, and scalings whose products e^{t_i} e^{t_j} overflow.
+    single = MatrixFrame(3, (np.arange(12.0).reshape(3, 4) ** 1.5,))
+    _assert_blockwise_hessian(single, np.array([-400.0]))
+    _assert_blockwise_hessian(mixed_frame, np.array([400.0, 400.0, -800.0]))
+
+
+def _assert_blockwise_hessian(frame, t):
+    # Relative to the largest term of the difference diag(g) - coupling:
+    # at n = 1 the two cancel and the Hessian is rounding noise around 0.
+    _, grad, hess, eig = _potential(frame, t, order=2)
+    expected = _blockwise_hessian(frame, t, eig)
+    assert np.allclose(hess, expected, rtol=0.0, atol=1e-12 * float(np.max(grad)))
+
+
 def test_hessian_survives_huge_scalings(mixed_frame):
     # e^{400} e^{400} overflows; the kernel scales the columns by e^{t/2}
     # before rotating, so the Hessian stays finite.
     t = np.array([400.0, 400.0, -800.0])
-    value, grad, hess = _potential(mixed_frame, t, order=2)
+    value, grad, hess, _ = _potential(mixed_frame, t, order=2)
     assert math.isfinite(value) and np.all(np.isfinite(grad))
     assert np.all(np.isfinite(hess))
     assert np.array_equal(hess, hess.T)

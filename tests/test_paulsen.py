@@ -147,17 +147,33 @@ def test_round_exact_input(tight_four_frame):
 
 
 def test_round_uses_config_rank_tol(tight_four_frame, monkeypatch):
+    # The genericity test of the perturbation runs at config.rank_tol.
     seen = []
-    perturb = frameiso.paulsen.perturb_to_generic
+    generic = frameiso.paulsen.is_generic
 
-    def recording(frame, epsilon, seed, tol):
+    def recording(frame, tol):
         seen.append(tol)
-        return perturb(frame, epsilon, seed, tol)
+        return generic(frame, tol)
 
-    monkeypatch.setattr(frameiso.paulsen, "perturb_to_generic", recording)
+    monkeypatch.setattr(frameiso.paulsen, "is_generic", recording)
     report = paulsen_round(tight_four_frame, SolverConfig(rank_tol=1e-7), rng_seed=3)
     assert report.certified
-    assert seen == [1e-7]
+    assert seen and set(seen) == {1e-7}
+
+
+def test_round_measures_input_nearness_once(tight_four_frame, monkeypatch):
+    # One measurement of the input, shared with the perturbation's budget,
+    # and one of the accepted candidate.
+    measured = []
+    measure = frameiso.paulsen.nearness
+
+    def recording(frame):
+        measured.append(frame)
+        return measure(frame)
+
+    monkeypatch.setattr(frameiso.paulsen, "nearness", recording)
+    report = paulsen_round(tight_four_frame, rng_seed=3)
+    assert measured == [tight_four_frame, report.perturbed]
 
 
 def test_round_preconditions(orthonormal_frame):

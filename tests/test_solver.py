@@ -11,6 +11,7 @@ from frameiso import (
     EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
+    NotPositiveDefiniteError,
     SolverConfig,
     WeightVector,
     in_orbit_polytope,
@@ -20,7 +21,9 @@ from frameiso import (
     log_det_potential_grad,
     minimize,
     radial_isotropy_residual,
+    scaled_frame_operator,
     stationarity_residual,
+    sym_inverse_sqrt,
     to_radial_isotropic,
 )
 import frameiso.objective
@@ -86,6 +89,81 @@ def test_non_frame_precondition(thirds):
     flat = MatrixFrame(2, ([1.0, 0.0], [2.0, 0.0], [3.0, 0.0]))
     with pytest.raises(ValueError):
         minimize(FrameDatum(flat, thirds))
+
+
+def test_matrix_frame_test_precedes_certificate(thirds, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certificate called before the matrix-frame test")
+
+    monkeypatch.setattr(frameiso.solver, "orbit_polytope_report", refuse)
+    flat = MatrixFrame(2, ([1.0, 0.0], [2.0, 0.0], [3.0, 0.0]))
+    # Q(0) overflows: its eigenvalues are not finite, so no matrix frame.
+    huge = MatrixFrame(2, ([1e200, 0.0], [0.0, 1.0], [1.0, 1.0]))
+    for frame in (flat, huge):
+        for check in (True, False):
+            with pytest.raises(ValueError, match="not a matrix frame"):
+                minimize(FrameDatum(frame, thirds), SolverConfig(check_polytope=check))
+
+
+def test_matrix_frame_below_eigenvalue_floor(thirds):
+    # lambda(Q(0)) = 1.35e-13 and 2.0: a matrix frame at rank_tol 1e-14,
+    # which the kernel's floor of 1e-12 then rejects at t = 0.
+    frame = MatrixFrame(2, ([1.0, 0.0], [0.0, 3e-7], [1.0, 3e-7]))
+    assert is_matrix_frame(frame, 1e-14)
+    message = (
+        "operator not positive definite (eigenvalues 1.350e-13 .. 2.000e+00);"
+        " the frame is degenerate along this direction"
+    )
+    for check in (True, False):
+        config = SolverConfig(rank_tol=1e-14, check_polytope=check)
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            minimize(FrameDatum(frame, thirds), config)
+        assert str(info.value) == message
+
+
+def _assert_transformer_from_t_star(datum, result):
+    expected = sym_inverse_sqrt(scaled_frame_operator(datum.frame, result.t_star))
+    assert np.array_equal(result.transformer, expected)
+
+
+def test_transformer_is_inverse_sqrt_at_t_star(mixed_frame, thirds, monkeypatch):
+    # The transformer comes from the accepted point's own eigendecomposition,
+    # bit for bit what a fresh eigh of Q(t_star) gives.
+    no_step = []
+    line_search = frameiso.solver._line_search
+
+    def recording(*args):
+        point, floored = line_search(*args)
+        no_step.append(point is None)
+        return point, floored
+
+    monkeypatch.setattr(frameiso.solver, "_line_search", recording)
+    converged = [FrameDatum(mixed_frame, thirds), *_generic_random_data()]
+    for datum in converged:
+        result = minimize(datum)
+        assert result.status == "converged"
+        _assert_transformer_from_t_star(datum, result)
+    stalled = FrameDatum(
+        random_frame(4, [1] * 7, np.random.default_rng(0)), WeightVector.uniform(4, 7)
+    )
+    # Block 0 is one column with weight 1, its rank: a boundary member
+    # whose last line search finds no step, so t_star is the point before.
+    rng = np.random.default_rng(48)
+    assert (int(rng.integers(2, 5)), int(rng.integers(3, 9))) == (2, 5)
+    cols = [int(c) for c in rng.integers(1, 3, 5)]
+    boundary = FrameDatum(random_frame(2, cols, rng), WeightVector((1,) + ("1/4",) * 4))
+    runs = [
+        (FrameDatum(mixed_frame, thirds), SolverConfig(max_iters=1)),
+        (FrameDatum(mixed_frame, thirds), SolverConfig(max_iters=2, check_polytope=False)),
+        (stalled, SolverConfig(grad_tol=1e-16)),
+        (boundary, SolverConfig(grad_tol=0.0, check_polytope=False, max_iters=200)),
+    ]
+    for datum, config in runs:
+        no_step.clear()
+        result = minimize(datum, config)
+        assert result.status == "max_iters"
+        _assert_transformer_from_t_star(datum, result)
+    assert cols[0] == 1 and no_step[-1]
 
 
 def test_monotone_descent(mixed_frame, thirds):
@@ -321,7 +399,7 @@ def test_newton_direction_is_minimum_norm_solution():
     for datum in _generic_random_data():
         frame, c = datum.frame, datum.weights.as_floats()
         t = rng.uniform(-1.0, 1.0, frame.n)
-        _, grad, hess = _potential(frame, t, order=2)
+        _, grad, hess, _ = _potential(frame, t, order=2)
         gradient = grad - c
         direction = _newton_direction(hess, gradient)
         reference = -np.linalg.lstsq(hess, gradient, rcond=1e-12)[0]
@@ -381,10 +459,10 @@ def test_each_point_evaluated_once(mixed_frame, thirds, monkeypatch):
     points = []
     kernel = frameiso.objective._potential
 
-    def counted(frame, t, order=1):
+    def counted(frame, t, order=1, eig=None):
         t = np.asarray(t, dtype=float)
         points.append(t - np.mean(t))
-        return kernel(frame, t, order)
+        return kernel(frame, t, order, eig)
 
     monkeypatch.setattr(frameiso.objective, "_potential", counted)
     monkeypatch.setattr(frameiso.solver, "_potential", counted)
