@@ -10,15 +10,20 @@ records the median and the interquartile range of the five end-to-end
 metrics over ``--runs`` untraced runs per side, the failed operations,
 and the exact counts of one traced run per side: orbit-polytope
 enumerations, SVD and eigh calls, solver iterations and eigh calls per
-iteration, frame-operator builds, and nearness measurements.  The base
-checkout is made with ``git archive`` in a temporary directory that is
-removed afterwards.
+iteration, frame-operator builds, nearness measurements, CLI commands
+run and bytes the CLI wrote, so both sides can be seen to have done the
+same work.  The base checkout (``git archive``) and a copy of the
+working tree are made side by side in a temporary directory that is
+removed afterwards, so edits made while the runs go on do not reach
+them, and paths echoed in CLI reports have one length on both sides.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -38,6 +43,8 @@ TRACED_COUNTS = (
     "frames.frame_operator.calls",
     "objective.scaled_frame_operator.calls",
     "quiver.nearness.calls",
+    "cli.main.calls",
+    "io.bytes_out",
 )
 
 
@@ -69,6 +76,20 @@ def _checkout(rev: str, dest: Path) -> Path:
         ["git", "archive", rev], cwd=ROOT, capture_output=True, check=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def _copy_working_tree(dest: Path) -> Path:
+    """The working tree's tracked and unignored files copied into ``dest``."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout.split(b"\0")
+    for name in map(os.fsdecode, filter(None, names)):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in the working tree is listed too
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
     return dest
 
 
@@ -113,8 +134,13 @@ def main(argv=None) -> int:
     args = _parse(argv)
     base_rev = _revision(args.base)
     with tempfile.TemporaryDirectory(prefix="frameiso-bench-") as workdir:
-        base = _checkout(base_rev, Path(workdir) / "base")
-        report = _measure(args, base_rev, {"base": base, "change": ROOT})
+        # Names of one length: the CLI echoes input and output paths in
+        # its reports, and io.bytes_out counts them.
+        trees = {
+            "base": _checkout(base_rev, Path(workdir) / "base"),
+            "change": _copy_working_tree(Path(workdir) / "work"),
+        }
+        report = _measure(args, base_rev, trees)
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")

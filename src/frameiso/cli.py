@@ -14,6 +14,7 @@ large for an exact enumeration), 3 certificate failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -61,9 +62,13 @@ def _header(command: str, args: argparse.Namespace) -> dict:
     return {"tool": "frameiso", "version": __version__, "command": command, "flags": flags}
 
 
+def _write_json(obj):
+    """One JSON document on stdout, encoded whole and written at once."""
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+
+
 def _emit(report: dict, human: bool):
-    json.dump(encode_report(report, human), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(encode_report(report, human))
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
@@ -238,12 +243,19 @@ def cmd_gen(args) -> int:
     else:
         from .io import frame_to_payload
 
-        json.dump(frame_to_payload(frame, weights, args.human), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(frame_to_payload(frame, weights, args.human))
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``frameiso`` argument parser, built on the first call.
+
+    Every later call in the process returns the same parser, so
+    ``main`` pays for building it once; callers must not modify it.
+    Parsing keeps no state on the parser: each ``parse_args`` returns a
+    fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="frameiso",
         description="Radial isotropy and Paulsen rounding for matrix frames",
@@ -301,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command (``argv``, default ``sys.argv[1:]``); returns the exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, EnumerationSizeError) as exc:

@@ -48,21 +48,36 @@ def _positive_integer(value, field: str) -> int:
     return value
 
 
-def _decode_real(value, field: str) -> float:
+def _decode_real(value) -> float:
+    """A frame-file real; a ValueError carries the message after the field name."""
     if isinstance(value, bool):
-        raise FrameFileError(f"{field}: expected a real number")
-    if isinstance(value, (int, float)):
-        out = float(value)
-    elif isinstance(value, str):
-        try:
-            out = float.fromhex(value) if "x" in value.lower() else float(value)
-        except ValueError:
-            raise FrameFileError(f"{field}: cannot parse real {value!r}") from None
+        raise ValueError("expected a real number")
+    if isinstance(value, str):
+        parse = float.fromhex if "x" in value.lower() else float
+    elif isinstance(value, (int, float)):
+        parse = float
     else:
-        raise FrameFileError(f"{field}: expected a real number, got {type(value).__name__}")
+        raise ValueError(f"expected a real number, got {type(value).__name__}")
+    try:
+        out = parse(value)
+    except OverflowError:
+        raise ValueError(f"real {value!r} is outside the float range") from None
+    except ValueError:
+        raise ValueError(f"cannot parse real {value!r}") from None
     if not math.isfinite(out):
-        raise FrameFileError(f"{field}: non-finite value")
+        raise ValueError("non-finite value")
     return out
+
+
+def _decode_reals(data: list, field: str) -> list:
+    """``data`` as floats; an entry's field name is formatted only if it is rejected."""
+    values = []
+    for k, value in enumerate(data):
+        try:
+            values.append(_decode_real(value))
+        except ValueError as exc:
+            raise FrameFileError(f"{field}[{k}]: {exc}") from None
+    return values
 
 
 def encode_report(obj, human: bool = False):
@@ -104,9 +119,14 @@ def frame_to_payload(frame: MatrixFrame, weights: WeightVector = None, human: bo
 
 
 def write_frame_file(path, frame: MatrixFrame, weights: WeightVector = None, human: bool = False):
+    """Write ``frame`` (and ``weights``) as a frame file.
+
+    The document is encoded whole before the file is opened, so a failed
+    encode leaves an existing file at ``path`` as it was.
+    """
+    text = json.dumps(frame_to_payload(frame, weights, human), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(frame_to_payload(frame, weights, human), handle, indent=2)
-        handle.write("\n")
+        handle.write(text)
 
 
 def payload_to_frame(payload) -> tuple:
@@ -132,7 +152,7 @@ def payload_to_frame(payload) -> tuple:
             raise FrameFileError(
                 f"blocks[{idx}].data: expected {d * cols} values, got {have}"
             )
-        values = [_decode_real(v, f"blocks[{idx}].data[{k}]") for k, v in enumerate(data)]
+        values = _decode_reals(data, f"blocks[{idx}].data")
         blocks.append(np.array(values, dtype=float).reshape(d, cols))
     frame = MatrixFrame(d, tuple(blocks))
 
@@ -159,7 +179,7 @@ def read_frame_file(path) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FrameFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FrameFileError(f"{path}: invalid JSON ({exc})") from None

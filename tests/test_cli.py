@@ -65,6 +65,12 @@ def test_payload_validation_messages():
         payload_to_frame(
             {"schema_version": 1, "d": 1, "blocks": [{"cols": 1, "data": ["inf"]}]}
         )
+    # float.fromhex and float(int) raise OverflowError past the float range.
+    for value in ("0x1p+1024", 10**400):
+        with pytest.raises(FrameFileError, match=r"^blocks\[0\].data\[1\]: .*float range"):
+            payload_to_frame(
+                {"schema_version": 1, "d": 2, "blocks": [{"cols": 1, "data": [1.0, value]}]}
+            )
     # JSON true is not an integer, though Python's bool is an int.
     for field, payload in _boolean_payloads():
         with pytest.raises(FrameFileError, match=field):
@@ -181,6 +187,18 @@ def test_check_malformed_file(tmp_path, capsys):
         code, _, err = run_cli(["check", str(path)], capsys)
         assert code == 2
         assert re.search(field, err.removeprefix("error: "))
+    # A hex-float past the float range.
+    path.write_text(json.dumps(
+        {"schema_version": 1, "d": 2, "blocks": [{"cols": 1, "data": [1.0, "0x1p+1024"]}]}
+    ))
+    code, _, err = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: blocks[0].data[1]: ")
+    # A file that is not UTF-8 is named like any other unreadable file.
+    path.write_bytes(b'{"d": "\xff"}')
+    code, _, err = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 def test_solve_rif_command(tmp_path, capsys):
@@ -333,9 +351,83 @@ def test_gen_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_reports_byte_identical(tmp_path):
-    path, _ = write_mixed(tmp_path)
+def test_reports_byte_identical(tmp_path, capsys, tight_four_frame):
+    path = tmp_path / "tight.json"
+    write_frame_file(path, tight_four_frame, WeightVector.uniform(2, 4))
     cmd = [sys.executable, "-m", "frameiso", "solve-rif", str(path)]
     first = subprocess.run(cmd, capture_output=True, check=True)
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
+    # main called in-process, on the parser earlier calls built, prints
+    # what a fresh interpreter prints.
+    for command in ("check", "solve-rif", "paulsen"):
+        argv = [command, str(path)]
+        fresh = subprocess.run([sys.executable, "-m", "frameiso", *argv],
+                               capture_output=True, check=True)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out.encode() == fresh.stdout
+
+
+def test_parser_reuse_carries_no_state(tmp_path, capsys, tight_four_frame):
+    path = tmp_path / "tight.json"
+    write_frame_file(path, tight_four_frame)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    code, _, _ = run_cli(["paulsen", str(path), "--human", "--out", str(a)], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["paulsen", str(path), "--out", str(b)], capsys)
+    assert code == 0
+    assert all(isinstance(v, float) for v in json.loads(a.read_text())["blocks"][0]["data"])
+    assert all(v.startswith(("0x", "-0x"))
+               for v in json.loads(b.read_text())["blocks"][0]["data"])
+    flags = json.loads(out)["flags"]
+    assert flags["human"] is False
+    assert flags["out"] == str(b)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "frameiso", "paulsen", str(path), "--out", str(b)],
+        capture_output=True, check=True,
+    )
+    assert out.encode() == fresh.stdout
+
+
+def test_import_builds_no_parser():
+    probe = "import frameiso.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "0\n"
+
+
+FRAME_FILE_HEX = (
+    b'{\n  "schema_version": 1,\n  "d": 2,\n  "blocks": [\n    {\n      "cols": 2,\n'
+    b'      "data": [\n        "0x1.0000000000000p+0",\n        "0x1.0000000000000p-1",\n'
+    b'        "0x0.0p+0",\n        "-0x1.2000000000000p+1"\n      ]\n    },\n    {\n'
+    b'      "cols": 1,\n      "data": [\n        "0x1.999999999999ap-4",\n'
+    b'        "0x1.8000000000000p+1"\n      ]\n    }\n  ],\n  "weights": [\n    {\n'
+    b'      "num": 3,\n      "den": 2\n    },\n    {\n      "num": 1,\n'
+    b'      "den": 2\n    }\n  ]\n}\n'
+)
+FRAME_FILE_HUMAN = (
+    b'{\n  "schema_version": 1,\n  "d": 2,\n  "blocks": [\n    {\n      "cols": 2,\n'
+    b'      "data": [\n        1.0,\n        0.5,\n        0.0,\n        -2.25\n'
+    b'      ]\n    },\n    {\n      "cols": 1,\n      "data": [\n        0.1,\n'
+    b'        3.0\n      ]\n    }\n  ],\n  "weights": [\n    {\n      "num": 3,\n'
+    b'      "den": 2\n    },\n    {\n      "num": 1,\n      "den": 2\n    }\n  ]\n}\n'
+)
+
+
+def test_frame_file_golden_bytes(tmp_path):
+    frame = MatrixFrame(2, ([[1.0, 0.5], [0.0, -2.25]], [0.1, 3.0]))
+    weights = WeightVector(("3/2", "1/2"))
+    path = tmp_path / "golden.json"
+    write_frame_file(path, frame, weights)
+    assert path.read_bytes() == FRAME_FILE_HEX
+    write_frame_file(path, frame, weights, human=True)
+    assert path.read_bytes() == FRAME_FILE_HUMAN
+
+
+def test_failed_encode_keeps_existing_file(tmp_path):
+    path, frame = write_mixed(tmp_path)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        write_frame_file(path, frame, weights=object())
+    assert path.read_bytes() == before
