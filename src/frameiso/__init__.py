@@ -45,7 +45,6 @@ from .paulsen import (
 )
 from .polytope import (
     CertificateError,
-    MembershipCertificate,
     PolytopeReport,
     certify_membership,
     in_orbit_polytope,
@@ -79,7 +78,6 @@ __all__ = [
     "EnumerationSizeError",
     "FrameDatum",
     "MatrixFrame",
-    "MembershipCertificate",
     "MinorTerm",
     "NearnessReport",
     "NotPositiveDefiniteError",

@@ -187,9 +187,7 @@ def cmd_paulsen(args) -> int:
         "iterations": outcome.solver.iterations,
         "grad_norm": outcome.solver.grad_norm,
     }
-    report["output_equal_norm_pmf"] = is_equal_norm_parseval(
-        outcome.output, outcome.pipeline_tol
-    )
+    report["output_equal_norm_pmf"] = outcome.output_equal_norm_pmf
     if args.out:
         write_frame_file(args.out, outcome.output, human=args.human)
     _emit(report, args.human)

@@ -179,10 +179,12 @@ def read_frame_file(path) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FrameFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FrameFileError(f"{path}: invalid JSON ({exc})") from None
+    except (OSError, ValueError) as exc:
+        # ValueError: bytes that are not UTF-8, or an integer past the
+        # interpreter's digit limit.
+        raise FrameFileError(f"cannot read {path}: {exc}") from None
     return payload_to_frame(payload)
 
 

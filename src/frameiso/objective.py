@@ -182,13 +182,6 @@ class MinorTerm:
     value: float
     negligible: bool
 
-    def multiplicity(self, block: int) -> int:
-        """Number of columns taken from ``block``."""
-        try:
-            return len(self.column_sets[self.support.index(block)])
-        except ValueError:
-            return 0
-
 
 def enumerate_minors(
     frame: MatrixFrame,

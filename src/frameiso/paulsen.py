@@ -189,11 +189,12 @@ class PaulsenReport:
     """Everything a rounding run produced.
 
     ``certified`` requires both the distance bound
-    dist^2(input, output) <= 26 * epsilon_used * d^2 and the output
-    passing the equal-norm Parseval test at the pipeline tolerance
-    (10x the solver gradient tolerance).  ``gamma`` is the perturbation
-    norm slack; the row-mass vectors record the majorization data of the
-    distance argument (helper masses majorize rotated-perturbed masses).
+    dist^2(input, output) <= 26 * epsilon_used * d^2 and
+    ``output_equal_norm_pmf``, the output passing the equal-norm Parseval
+    test at the pipeline tolerance (10x the solver gradient tolerance).
+    ``gamma`` is the perturbation norm slack; the row-mass vectors record
+    the majorization data of the distance argument (helper masses
+    majorize rotated-perturbed masses).
     """
 
     input_epsilon: float
@@ -202,9 +203,7 @@ class PaulsenReport:
     perturbed: MatrixFrame
     rotated_input: MatrixFrame
     rotated_perturbed: MatrixFrame
-    rotation_left: np.ndarray
     singular_values: np.ndarray
-    rotation_right: np.ndarray
     helper: MatrixFrame
     rounded_rotated: MatrixFrame
     output: MatrixFrame
@@ -214,6 +213,7 @@ class PaulsenReport:
     distances: dict
     dist_input_output: float
     bound: float
+    output_equal_norm_pmf: bool
     certified: bool
     pipeline_tol: float
     solver: SolveResult
@@ -259,7 +259,7 @@ def paulsen_round(
             f"grad_norm={result.grad_norm:.3e}, iters={result.iterations})"
         )
 
-    rot_left, sigma, rot_right_t = _signed_svd(result.transformer)
+    _, sigma, rot_right_t = _signed_svd(result.transformer)
     rot_right = rot_right_t.T
 
     owner = frame._owner
@@ -289,9 +289,7 @@ def paulsen_round(
     }
     bound = 26.0 * eps * d * d
     pipeline_tol = 10.0 * result.grad_tol
-    certified = distances["input_output"] <= bound and is_equal_norm_parseval(
-        output, pipeline_tol
-    )
+    output_equal_norm_pmf = is_equal_norm_parseval(output, pipeline_tol)
 
     return PaulsenReport(
         input_epsilon=measured,
@@ -300,9 +298,7 @@ def paulsen_round(
         perturbed=perturbed,
         rotated_input=rotated_input,
         rotated_perturbed=rotated_perturbed,
-        rotation_left=rot_left,
         singular_values=sigma,
-        rotation_right=rot_right,
         helper=helper,
         rounded_rotated=rounded,
         output=output,
@@ -312,7 +308,8 @@ def paulsen_round(
         distances=distances,
         dist_input_output=distances["input_output"],
         bound=bound,
-        certified=certified,
+        output_equal_norm_pmf=output_equal_norm_pmf,
+        certified=distances["input_output"] <= bound and output_equal_norm_pmf,
         pipeline_tol=pipeline_tol,
         solver=result,
         rng_seed=rng_seed,

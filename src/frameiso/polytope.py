@@ -15,8 +15,8 @@ copies of the pooled column matroid and M2 the partition matroid that
 takes at most a_i columns of block i over all copies.  The weights are a
 member exactly when M1 and M2 have a common independent set of omega d
 elements: omega bases of R^d in which block i supplies a_i columns.
-``certify_membership`` finds one in polynomial time and returns a
-certificate for either answer.
+``certify_membership`` finds one in polynomial time and returns the
+membership report with the evidence for either answer.
 
 - Member: the omega bases.  The packing starts from a plan of every
   copy's basis at once, ranked by one stacked SVD; only copies whose plan
@@ -42,16 +42,15 @@ are rechecked against the pass's rule with exact integer weight sums.
 Where the pass's rule does not act as a matroid, as on frames whose
 column norms differ so widely that it ranks a block subset below one of
 its parts, a recheck can fail, or an augmenting path can leave a
-dependent set: the certificate then raises CertificateError.
-The certificate reports its smallest rank margin.  Its cost is linear in
-omega, so it refuses with EnumerationSizeError when omega max(N, d^2)
-exceeds DEFAULT_SIZE_GUARD.
+dependent set: the certificate then raises CertificateError.  Its cost
+is linear in omega, so it refuses with EnumerationSizeError when
+omega max(N, d^2) exceeds DEFAULT_SIZE_GUARD.
 
-``orbit_polytope_report`` builds the report the solver and the CLI use
-from the certificate alone, at every n: its verdicts, and its one
-violating or tight set as the subset lists.  Only where the certificate
-cannot answer (CertificateError, or a denominator past its guard) does
-it fall back on the enumeration, below the enumeration's own guard.
+``orbit_polytope_report``, the report the solver and the CLI use, is the
+certificate's report at every n: its verdicts, and its one violating or
+tight set as the subset lists.  Only where the certificate cannot answer
+(CertificateError, or a denominator past its guard) does it fall back on
+the enumeration, below the enumeration's own guard.
 
 ``in_orbit_polytope`` stays as the exact oracle: one pass over all
 2^n - 1 nonempty block subsets, which ranks each subset once and lists
@@ -69,7 +68,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -103,10 +102,16 @@ class PolytopeReport:
     Every listed subset was rechecked exactly, and a report off the
     relative interior whose weights sum to d lists at least one subset.
     Only ``in_orbit_polytope``, the exact oracle, lists them all;
-    ``orbit_polytope_report`` lists the one violating or tight set of its
-    certificate (none for a relative-interior member or a failed sum
-    check), so a subset missing from its lists may still be tight or
-    violating.
+    ``certify_membership`` lists its one violating or tight set (none for
+    a relative-interior member or a failed sum check), so a subset missing
+    from its lists may still be tight or violating.
+
+    ``bases`` is a member's evidence in a report of ``certify_membership``:
+    omega = the weights' common denominator bases of R^d, each a sorted
+    tuple of pooled column indices, in which block i supplies exactly
+    omega c_i columns.  It is None in every other report.  It is left out
+    of ``==``, so two reports compare equal when they give the same
+    verdicts and list the same sets, whichever path built them.
     """
 
     member: bool
@@ -114,6 +119,7 @@ class PolytopeReport:
     tight_subsets: tuple
     violating_subsets: tuple
     relative_interior: bool
+    bases: Optional[tuple] = field(default=None, compare=False)
 
 
 def _subset_sums(values) -> np.ndarray:
@@ -237,55 +243,8 @@ class CertificateError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
-    """Outcome of ``certify_membership`` with the evidence behind it.
-
-    ``bases`` (members only) holds omega = the weights' common
-    denominator bases of R^d, each a tuple of pooled column indices;
-    block i supplies exactly omega c_i of their columns.  ``violating``
-    (non-members whose weights sum to d) is a block subset T with
-    c(T) > r(T); ``tight`` (members off the relative interior) is a
-    proper block subset S with c(S) = r(S).  Both sets are sorted block
-    indices, and both were rechecked with exact integer weight sums
-    against the ``_numerical_rank`` rule.  ``rank_margin`` is a lower
-    bound on the factor by which the closest numerical decision behind
-    the verdict clears its threshold: the smallest singular value of a
-    basis or of a swap of the relative-interior test against tol times
-    the frame's top singular value, or the singular-value ratios of the
-    reported set against tol.  A margin near 1 flags a verdict that a
-    slightly different tolerance would change; inf means no decision was
-    numerical.
-    """
-
-    member: bool
-    relative_interior: bool
-    bases: Optional[tuple]
-    violating: Optional[tuple]
-    tight: Optional[tuple]
-    rank_margin: float
-
-
-def _margin(svals: np.ndarray, rank: int, tol: float) -> float:
-    """Smallest factor by which the ratios s_k / s_1 of ``svals`` clear ``tol``.
-
-    ``svals`` is sorted in decreasing order and ``rank`` is the rank the
-    rule gives it; the deciding ratios are the last one counted and the
-    first one not counted.
-    """
-    if not len(svals) or svals[0] == 0.0:
-        return math.inf
-    ratios = svals / svals[0]
-    margin = math.inf
-    if rank > 0:
-        margin = ratios[rank - 1] / tol
-    if rank < len(ratios) and ratios[rank] > 0.0:
-        margin = min(margin, tol / ratios[rank])
-    return float(margin)
-
-
-def _check_subset(datum: FrameDatum, subset, tol: float, relation) -> float:
-    """Recheck omega c(S) against omega r(S) exactly; returns the rank margin.
+def _check_subset(datum: FrameDatum, subset, tol: float, relation) -> None:
+    """Recheck omega c(S) against omega r(S) exactly; raise CertificateError if it fails.
 
     ``relation`` is the required comparison of the two scaled integers.
     """
@@ -304,7 +263,6 @@ def _check_subset(datum: FrameDatum, subset, tol: float, relation) -> float:
             f"block subset {subset} does not recheck at tol={tol}: the rank"
             " rule does not act as a matroid here"
         )
-    return _margin(svals, rank, tol)
 
 
 class _Packing:
@@ -359,21 +317,16 @@ class _Packing:
         self.resid = np.zeros((omega, cols))
         self.stale = np.ones(omega, dtype=bool)
 
-    def _rule(self, columns: np.ndarray) -> tuple:
-        """(independent, margin) of each row of pooled column indices by the SVD."""
+    def _rule(self, columns: np.ndarray) -> np.ndarray:
+        """Whether each row of pooled column indices is independent, by the SVD."""
         independent = np.zeros(len(columns), dtype=bool)
-        margins = np.full(len(columns), np.inf)
         width = columns.shape[1]
         step = max(1, _ARC_CHUNK // (self.d * width))
         for lo in range(0, len(columns), step):
             rows = columns[lo : lo + step]
             svals = np.linalg.svd(self.pooled[:, rows].transpose(1, 0, 2), compute_uv=False)
-            smin = svals[:, -1]
-            full = smin > self.floor
-            with np.errstate(divide="ignore", invalid="ignore"):
-                margins[lo : lo + step] = np.where(full, smin / self.floor, self.floor / smin)
-            independent[lo : lo + step] = full
-        return independent, margins
+            independent[lo : lo + step] = svals[:, -1] > self.floor
+        return independent
 
     def _rank(self, copies: np.ndarray) -> np.ndarray:
         """SVD ``copies`` at their sizes and keep the data of the independent ones.
@@ -419,14 +372,13 @@ class _Packing:
                 " act as a matroid here"
             )
 
-    def decide(self, ks: np.ndarray, ps: Optional[np.ndarray], candidates: np.ndarray) -> tuple:
-        """(independent, margin) of copy k with column p replaced by each pooled column.
+    def decide(self, ks: np.ndarray, ps: Optional[np.ndarray], candidates: np.ndarray) -> np.ndarray:
+        """Independence of copy k with column p replaced by each pooled column.
 
         Row r is copy ks[r] with its column ps[r] swapped out, or with
         nothing swapped out when ``ps`` is None; column x of the result is
         the verdict on putting pooled column x in.  Entries outside
-        ``candidates`` are False with margin inf.  The copies must be
-        fresh (``refresh``).
+        ``candidates`` are False.  The copies must be fresh (``refresh``).
         """
         floor, x = self.floor, self.norms
         smin, smax = self.smin[ks, None], self.smax[ks, None]
@@ -455,7 +407,6 @@ class _Packing:
             upper = np.sqrt(ap2 * hp * hp + wn * wn)
             dependent = upper + slack <= 0.5 * floor
             independent = lower > 2.0 * floor
-            margin = np.where(independent, lower / floor, floor / (upper + slack))
         rows, cols = np.nonzero(candidates & ~(dependent | independent))
         for s in set(self.size[ks[rows]].tolist()):
             pick = self.size[ks[rows]] == s
@@ -465,8 +416,8 @@ class _Packing:
                 members = np.concatenate((members, c[:, None]), axis=1)
             else:
                 members[np.arange(len(r)), ps[r]] = c
-            independent[r, c], margin[r, c] = self._rule(members)
-        return independent & candidates, np.where(candidates, margin, np.inf)
+            independent[r, c] = self._rule(members)
+        return independent & candidates
 
     def warm_start(self):
         """Plan all omega bases at once and keep the ones of full rank.
@@ -497,7 +448,7 @@ class _Packing:
             for s in set(self.size[failing].tolist()):
                 ks = failing[self.size[failing] == s]
                 members = np.concatenate((self.basis[ks, :s], planned[ks, t, None]), axis=1)
-                grow = ks[self._rule(members)[0]]
+                grow = ks[self._rule(members)]
                 self.basis[grow, s] = planned[grow, t]
                 self.size[grow] += 1
         rows = np.arange(d) < self.size[:, None]
@@ -527,7 +478,7 @@ class _Packing:
         deficient = np.flatnonzero(self.size < self.d)
         for lo in range(0, len(deficient), step):
             ks = deficient[lo : lo + step]
-            grows, _ = self.decide(ks, None, ~self.chosen[ks])
+            grows = self.decide(ks, None, ~self.chosen[ks])
             for k, row in zip(ks, grows):
                 free = np.flatnonzero(row)
                 blocks, first = np.unique(self.owner[free], return_index=True)
@@ -548,7 +499,7 @@ class _Packing:
             for lo in range(0, len(ks), step):
                 k, p = ks[lo : lo + step], ps[lo : lo + step]
                 candidates = ~self.chosen[k] & ~reached[self.owner]
-                arcs, _ = self.decide(k, p, candidates)
+                arcs = self.decide(k, p, candidates)
                 rows, cols = np.nonzero(arcs)
                 blocks, first = np.unique(self.owner[cols], return_index=True)
                 reached[blocks] = True
@@ -580,29 +531,26 @@ class _Packing:
             self.stale[k] = True
         self.used[end] += 1
 
-    def exchange_digraph(self) -> tuple:
-        """(adjacency, margin) of the block exchange digraph of full bases.
+    def exchange_digraph(self) -> np.ndarray:
+        """Adjacency of the block exchange digraph of full bases.
 
         adjacency[j, i] holds when some copy's basis stays a basis after
-        one of its block-i columns is swapped for a block-j column.  The
-        margin is the smallest factor by which a swap's bound clears the floor.
+        one of its block-i columns is swapped for a block-j column.
         """
         self.refresh()
         omega, d = self.basis.shape
         n = len(self.budget)
         swaps = np.zeros((n, n), dtype=bool)
-        margin = math.inf
         step = max(1, _ARC_CHUNK // (d * len(self.owner)))
         for lo in range(0, omega, step):
             ks = np.repeat(np.arange(lo, min(lo + step, omega)), d)
             ps = np.tile(np.arange(d), len(ks) // d)
-            arcs, margins = self.decide(ks, ps, ~self.chosen[ks])
-            margin = min(margin, float(np.min(margins)))
+            arcs = self.decide(ks, ps, ~self.chosen[ks])
             # hits[r, j]: row r can be swapped for a block-j column.
             hits = np.logical_or.reduceat(arcs, self.starts, axis=1)
             # Row i of swaps: the blocks whose columns a block-i row can give way to.
             np.logical_or.at(swaps, self.owner[self.basis[ks, ps]], hits)
-        return swaps.T, margin
+        return swaps.T
 
 
 def _closed_set(adjacency: np.ndarray) -> Optional[tuple]:
@@ -627,18 +575,20 @@ def _closed_set(adjacency: np.ndarray) -> Optional[tuple]:
     return None
 
 
-def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> MembershipCertificate:
-    """Exact polynomial membership certificate by matroid intersection.
+def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeReport:
+    """Exact polynomial membership report by matroid intersection.
 
     With omega the weights' common denominator and a_i = omega c_i, the
     weights are a member exactly when omega bases of R^d can be packed
     from the pooled columns with block i supplying a_i of their columns
-    (see the module docstring).  Its arrays hold omega N and omega d^2
-    floats, so it refuses with EnumerationSizeError, before anything is
-    allocated, when omega max(N, d^2) exceeds DEFAULT_SIZE_GUARD.  Raises
-    CertificateError (a ValueError) when a basis or set it found fails
-    its recheck, which takes a frame on which the rank rule does not act
-    as a matroid.
+    (see the module docstring).  A member's report carries the bases and,
+    off the relative interior, one tight set; a non-member's whose weights
+    sum to d carries one violating set.  Its arrays hold omega N and
+    omega d^2 floats, so it refuses with EnumerationSizeError, before
+    anything is allocated, when omega max(N, d^2) exceeds
+    DEFAULT_SIZE_GUARD.  Raises CertificateError (a ValueError) when a
+    basis or set it found fails its recheck, which takes a frame on which
+    the rank rule does not act as a matroid.
     """
     frame, weights = datum.frame, datum.weights
     omega = weights.omega
@@ -649,14 +599,14 @@ def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> Membershi
         )
     omega, scaled = _scaled_weights(weights)
     if sum(scaled) != frame.d * omega:
-        return MembershipCertificate(False, False, None, None, None, math.inf)
+        return PolytopeReport(False, False, (), (), False)
     budget = np.array(scaled, dtype=np.int64)
     over = np.flatnonzero(budget > omega * np.asarray(frame.block_cols))
     if over.size:
         # a_i > omega d_i >= omega r({i}): no packing can use block i enough.
         subset = (int(over[0]),)
-        margin = _check_subset(datum, subset, tol, operator.gt)
-        return MembershipCertificate(False, False, None, subset, None, margin)
+        _check_subset(datum, subset, tol, operator.gt)
+        return PolytopeReport(False, True, (), (subset,), False)
 
     packing = _Packing(frame, budget, omega, tol)
     packing.warm_start()
@@ -664,52 +614,41 @@ def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> Membershi
         reached = packing.augment()
         if reached is not None:
             subset = tuple(np.flatnonzero(~reached).tolist())
-            margin = _check_subset(datum, subset, tol, operator.gt)
-            return MembershipCertificate(False, False, None, subset, None, margin)
+            _check_subset(datum, subset, tol, operator.gt)
+            return PolytopeReport(False, True, (), (subset,), False)
 
     packing.refresh()
-    margin = float(np.min(packing.smin)) / packing.floor
     tight = None
     if frame.n > 1:
-        adjacency, arc_margin = packing.exchange_digraph()
-        margin = min(margin, arc_margin)
-        tight = _closed_set(adjacency)
+        tight = _closed_set(packing.exchange_digraph())
         if tight is not None:
-            margin = min(margin, _check_subset(datum, tight, tol, operator.eq))
-    return MembershipCertificate(
+            _check_subset(datum, tight, tol, operator.eq)
+    return PolytopeReport(
         member=True,
+        sum_check=True,
+        tight_subsets=() if tight is None else (tight,),
+        violating_subsets=(),
         relative_interior=tight is None,
         bases=tuple(tuple(row) for row in np.sort(packing.basis, axis=1).tolist()),
-        violating=None,
-        tight=tight,
-        rank_margin=margin,
     )
 
 
 def orbit_polytope_report(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeReport:
     """The membership report of ``solver.minimize`` and ``cli check``.
 
-    Membership and the relative-interior verdict come from
-    ``certify_membership``, and the subset lists hold its one violating
-    or tight set.  A member in the relative interior lists nothing, and
-    that is exact: a proper tight set would put the weights on a face,
-    and positive weights leave no proper set of weight d, the only
-    weight a rank-d tight set can have.  Where the certificate cannot
-    answer, on a frame on which it fails its recheck (CertificateError)
-    or on weights whose common denominator exceeds its size guard
-    (EnumerationSizeError), the report is ``in_orbit_polytope``'s while
-    2^n - 1 is within DEFAULT_SIZE_GUARD; above it the error is raised.
+    It is ``certify_membership``'s report.  A member in the relative
+    interior lists nothing, and that is exact: a proper tight set would
+    put the weights on a face, and positive weights leave no proper set
+    of weight d, the only weight a rank-d tight set can have.  Where the
+    certificate cannot answer, on a frame on which it fails its recheck
+    (CertificateError) or on weights whose common denominator exceeds its
+    size guard (EnumerationSizeError), the report is
+    ``in_orbit_polytope``'s while 2^n - 1 is within DEFAULT_SIZE_GUARD;
+    above it the error is raised.
     """
     try:
-        certificate = certify_membership(datum, tol)
+        return certify_membership(datum, tol)
     except (CertificateError, EnumerationSizeError):
         if 2**datum.frame.n - 1 > DEFAULT_SIZE_GUARD:
             raise
         return in_orbit_polytope(datum, tol)
-    return PolytopeReport(
-        member=certificate.member,
-        sum_check=datum.weights.total() == datum.frame.d,
-        tight_subsets=tuple(filter(None, [certificate.tight])),
-        violating_subsets=tuple(filter(None, [certificate.violating])),
-        relative_interior=certificate.relative_interior,
-    )

@@ -152,12 +152,6 @@ class BipartiteQuiverRep:
     def num_sinks(self) -> int:
         return len(self.sink_dims)
 
-    def arrows(self):
-        """Deterministic iteration: (source, sink, matrix) sorted by keys."""
-        for (j, i) in sorted(self.arrow_maps):
-            for mat in self.arrow_maps[(j, i)]:
-                yield j, i, mat
-
 
 def frame_to_rep(frame: MatrixFrame) -> BipartiteQuiverRep:
     """Embed a frame: one d-dimensional source, 1-dimensional sinks, one

@@ -199,6 +199,13 @@ def test_check_malformed_file(tmp_path, capsys):
     code, _, err = run_cli(["check", str(path)], capsys)
     assert code == 2
     assert err.startswith(f"error: cannot read {path}: ")
+    # An integer past the interpreter's digit limit fails inside json.load.
+    path.write_text(
+        '{"schema_version": 1, "d": 1, "blocks": [{"cols": 1, "data": [%s]}]}' % ("9" * 5000)
+    )
+    code, _, err = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 def test_solve_rif_command(tmp_path, capsys):

@@ -271,17 +271,17 @@ def test_witness_is_violating_subset(datum):
         assert witness in oracle.violating_subsets
 
 
-def _recheck_bases(datum, certificate):
+def _recheck_bases(datum, report):
     """Each basis is full rank by the rank rule; block i is used omega c_i times."""
     frame, weights = datum.frame, datum.weights
     omega = weights.omega
-    assert len(certificate.bases) == omega
-    for basis in certificate.bases:
+    assert len(report.bases) == omega
+    for basis in report.bases:
         assert len(set(basis)) == frame.d
         svals = np.linalg.svd(frame.pooled()[:, list(basis)], compute_uv=False)
         assert _numerical_rank(svals, 1e-9) == frame.d
     owner = np.repeat(np.arange(frame.n), frame.block_cols)
-    uses = np.bincount(owner[np.ravel(certificate.bases)], minlength=frame.n)
+    uses = np.bincount(owner[np.ravel(report.bases)], minlength=frame.n)
     assert uses.tolist() == [int(w * omega) for w in weights.weights]
 
 
@@ -307,19 +307,26 @@ def test_certificate_matches_enumeration(datum, factor):
     datum = FrameDatum(datum.frame, weights)
     report = in_orbit_polytope(datum)
     certificate = certify_membership(datum)
-    _same_verdict(orbit_polytope_report(datum), report)
+    shared = orbit_polytope_report(datum)
+    _same_verdict(shared, report)
+    assert report.bases is None
+    if report.relative_interior:
+        # Neither lists a set, and the certificate's bases stay out of ==.
+        assert shared == report
     assert certificate.member == report.member
     assert certificate.relative_interior == report.relative_interior
-    assert certificate.rank_margin > 1.0
     if certificate.member:
         _recheck_bases(datum, certificate)
-        assert certificate.violating is None
+        _recheck_bases(datum, shared)
+        assert certificate.violating_subsets == ()
         if not certificate.relative_interior:
-            assert certificate.tight in report.tight_subsets
+            (tight,) = certificate.tight_subsets
+            assert tight in report.tight_subsets
     else:
         assert certificate.bases is None
         if report.sum_check:
-            assert certificate.violating in report.violating_subsets
+            (violating,) = certificate.violating_subsets
+            assert violating in report.violating_subsets
 
 
 def test_certificate_boundary_member():
@@ -329,7 +336,7 @@ def test_certificate_boundary_member():
     certificate = certify_membership(datum)
     assert certificate.member
     assert not certificate.relative_interior
-    assert certificate.tight == (0,)
+    assert certificate.tight_subsets == ((0,),)
     _recheck_bases(datum, certificate)
 
 
@@ -342,7 +349,7 @@ def test_certificate_tight_rank_two_set():
     certificate = certify_membership(datum)
     assert certificate.member
     assert not certificate.relative_interior
-    assert certificate.tight == (0, 1, 2)
+    assert certificate.tight_subsets == ((0, 1, 2),)
     assert in_orbit_polytope(datum).tight_subsets == ((0, 1, 2),)
     _recheck_bases(datum, certificate)
 
@@ -350,7 +357,7 @@ def test_certificate_tight_rank_two_set():
 def test_certificate_collinear_non_member(collinear_frame, thirds):
     certificate = certify_membership(FrameDatum(collinear_frame, thirds))
     assert not certificate.member
-    assert certificate.violating == (0, 1)  # 4/3 > rank 1
+    assert certificate.violating_subsets == ((0, 1),)  # 4/3 > rank 1
 
 
 def test_certificate_guard_on_denominators(wide_denominators):
@@ -386,7 +393,7 @@ def test_certificate_widely_scaled_columns():
     datum = FrameDatum(MatrixFrame(2, ([1.0, 0.0], [0.0, 1e-12])), WeightVector((1, 1)))
     certificate = certify_membership(datum)
     assert not certificate.member
-    assert certificate.violating == (0, 1)
+    assert certificate.violating_subsets == ((0, 1),)
     _same_verdict(orbit_polytope_report(datum), in_orbit_polytope(datum))
 
 
@@ -425,7 +432,8 @@ def test_certificate_on_widely_scaled_blocks(datum, exponents):
     if certificate.member:
         _recheck_bases(datum, certificate)
     elif report.sum_check:
-        assert certificate.violating in report.violating_subsets
+        (violating,) = certificate.violating_subsets
+        assert violating in report.violating_subsets
 
 
 def test_certificate_is_polynomial():
@@ -446,7 +454,7 @@ def test_certificate_non_member_above_subset_guard():
     weights = WeightVector.uniform(8, 40)
     certificate = certify_membership(FrameDatum(frame, weights))
     assert not certificate.member
-    violating = certificate.violating
+    (violating,) = certificate.violating_subsets
     weight = sum(weights.weights[i] for i in violating)
     assert weight > column_span_dim(frame, violating)
 
