@@ -15,9 +15,11 @@ locally semi-simple, the hypothesis of the radial-isotropy
 equivalences, and it puts the uniform weights d/n in the relative
 interior of the orbit polytope: every proper block subset S has
 r(S) >= min(d, |S|) > |S| d/n.  The solve therefore runs without the
-membership pre-check.  The one exponential step left is the C(N, d)
-minor test behind genericity, which refuses with EnumerationSizeError
-above DEFAULT_SIZE_GUARD.
+membership pre-check.  The one exponential step left is the count of
+C(N, d) minors behind genericity.  They come from one expansion over the
+rows (``frames._exterior_minors``), about d multiply-adds per minor and
+no determinant per column selection, and the test still refuses with
+EnumerationSizeError above DEFAULT_SIZE_GUARD.
 
 Every step after the solve works on the pooled d x N matrices of the
 frames, never block by block: each rotation is one d x d by d x N

@@ -79,6 +79,7 @@ from .frames import (
     EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
+    _freeze,
     _numerical_rank,
 )
 
@@ -107,11 +108,12 @@ class PolytopeReport:
     from its lists may still be tight or violating.
 
     ``bases`` is a member's evidence in a report of ``certify_membership``:
-    omega = the weights' common denominator bases of R^d, each a sorted
-    tuple of pooled column indices, in which block i supplies exactly
-    omega c_i columns.  It is None in every other report.  It is left out
-    of ``==``, so two reports compare equal when they give the same
-    verdicts and list the same sets, whichever path built them.
+    omega = the weights' common denominator bases of R^d, in which block i
+    supplies exactly omega c_i columns, as one read-only (omega, d) array
+    of pooled column indices, each row sorted, in the smallest unsigned
+    integer type that holds N - 1.  It is None in every other report.  It
+    is left out of ``==``, so two reports compare equal when they give the
+    same verdicts and list the same sets, whichever path built them.
     """
 
     member: bool
@@ -119,7 +121,7 @@ class PolytopeReport:
     tight_subsets: tuple
     violating_subsets: tuple
     relative_interior: bool
-    bases: Optional[tuple] = field(default=None, compare=False)
+    bases: Optional[np.ndarray] = field(default=None, compare=False)
 
 
 def _subset_sums(values) -> np.ndarray:
@@ -629,7 +631,9 @@ def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeR
         tight_subsets=() if tight is None else (tight,),
         violating_subsets=(),
         relative_interior=tight is None,
-        bases=tuple(tuple(row) for row in np.sort(packing.basis, axis=1).tolist()),
+        bases=_freeze(
+            np.sort(packing.basis, axis=1).astype(np.min_scalar_type(frame.total_cols - 1))
+        ),
     )
 
 
