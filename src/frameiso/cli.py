@@ -79,10 +79,25 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     )
 
 
+def _nonnegative(kind):
+    """An argparse ``type`` that parses with ``kind`` and accepts only
+    finite values >= 0; anything else exits 2 with argparse's message."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= 0):
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+        return value
+
+    # argparse names the type in its "invalid float value" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_solver_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--grad-tol", type=float, default=None,
+    parser.add_argument("--grad-tol", type=_nonnegative(float), default=None,
                         help="gradient norm tolerance (default 1e-9 * d)")
-    parser.add_argument("--max-iters", type=int, default=100_000)
+    parser.add_argument("--max-iters", type=_nonnegative(int), default=100_000)
 
 
 def cmd_check(args) -> int:
@@ -196,11 +211,7 @@ def cmd_paulsen(args) -> int:
 
 def cmd_minors(args) -> int:
     frame, _ = read_frame_file(args.path)
-    try:
-        terms = enumerate_minors(frame, tol=args.tol, size_guard=args.size_guard)
-    except (ValueError, EnumerationSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    terms = enumerate_minors(frame, tol=args.tol, size_guard=args.size_guard)
     report = _header("minors", args)
     report["count"] = len(terms)
     report["total"] = float(sum(t.value for t in terms))
@@ -263,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run every predicate on a frame file")
     p_check.add_argument("path")
-    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_check.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
     p_check.add_argument("--human", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
     p_solve = sub.add_parser("solve-rif", help="minimise and report the transformer")
     p_solve.add_argument("path")
-    p_solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_solve.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
     p_solve.add_argument("--out", default=None, help="write the transformed frame here")
     p_solve.add_argument("--human", action="store_true")
     _add_solver_flags(p_solve)
@@ -278,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_paulsen = sub.add_parser("paulsen", help="round to an equal-norm Parseval frame")
     p_paulsen.add_argument("path")
     p_paulsen.add_argument("--seed", type=int, default=0)
-    p_paulsen.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_paulsen.add_argument("--epsilon-floor", type=float, default=1e-9)
+    p_paulsen.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
+    p_paulsen.add_argument("--epsilon-floor", type=_nonnegative(float), default=1e-9)
     p_paulsen.add_argument("--out", default=None, help="write the output frame here")
     p_paulsen.add_argument("--human", action="store_true")
     _add_solver_flags(p_paulsen)
@@ -287,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_minors = sub.add_parser("minors", help="dump the determinant-expansion terms")
     p_minors.add_argument("path")
-    p_minors.add_argument("--tol", type=float, default=0.0)
+    p_minors.add_argument("--tol", type=_nonnegative(float), default=0.0)
     p_minors.add_argument("--size-guard", type=int, default=DEFAULT_SIZE_GUARD)
     p_minors.add_argument("--human", action="store_true")
     p_minors.set_defaults(func=cmd_minors)

@@ -162,12 +162,16 @@ class WeightVector:
         """Least common denominator of the weights (in lowest terms)."""
         return math.lcm(*(w.denominator for w in self.weights))
 
+    def scaled(self) -> tuple:
+        """(omega, [omega c_i]): the weights as Python ints over their common
+        denominator omega, so weight sums compare exactly with integers."""
+        omega = self.omega
+        return omega, [w.numerator * (omega // w.denominator) for w in self.weights]
+
     def total(self) -> Fraction:
         """The exact sum, as integer numerators over the common denominator."""
-        omega = self.omega
-        return Fraction(
-            sum(w.numerator * (omega // w.denominator) for w in self.weights), omega
-        )
+        omega, scaled = self.scaled()
+        return Fraction(sum(scaled), omega)
 
     def as_floats(self) -> np.ndarray:
         return np.array([float(w) for w in self.weights])
@@ -398,7 +402,7 @@ def _expand(lower: np.ndarray, row: np.ndarray, cols: np.ndarray, drops: np.ndar
     return terms @ _ALTERNATING[cols.shape[1] - 1 :: -1]
 
 
-def _exterior_minors(mat: np.ndarray, size_guard: int = DEFAULT_SIZE_GUARD):
+def _exterior_minors(mat: np.ndarray):
     """Yield the absolute d x d minors of a d x N matrix, chunk by chunk.
 
     The minors come from one recursion over the rows: level k holds the
@@ -410,11 +414,11 @@ def _exterior_minors(mat: np.ndarray, size_guard: int = DEFAULT_SIZE_GUARD):
     no level has more than C(N, d) sets.  The top level comes in chunks
     of at most _MINOR_CHUNK, in colex order of the column sets S, or of
     their complements S^c when 2d > N.  Raises ValueError when N < d and
-    EnumerationSizeError when C(N, d) exceeds the guard, before anything
-    is allocated.
+    EnumerationSizeError when C(N, d) exceeds DEFAULT_SIZE_GUARD, before
+    anything is allocated.
     """
     d, n_cols = mat.shape
-    _guard_minor_count(d, n_cols, size_guard)
+    _guard_minor_count(d, n_cols, DEFAULT_SIZE_GUARD)
     factor = 1.0
     if 2 * d > n_cols:
         q, r = np.linalg.qr(mat.T, mode="complete")

@@ -124,9 +124,7 @@ def _rotate_to_target(pooled, col_a, col_b, mass_a, target) -> float:
     clipped = min(max(offset / amplitude, -1.0), 1.0)
     phase = math.atan2((a - b) / 2.0, cross)
     two_theta = math.asin(clipped) - phase
-    c, s = math.cos(two_theta / 2.0), math.sin(two_theta / 2.0)
-    pooled[:, col_a] = c * u + s * v
-    pooled[:, col_b] = -s * u + c * v
+    _mix_columns(pooled, col_a, col_b, two_theta / 2.0)
     return abs(float(np.dot(pooled[:, col_a], pooled[:, col_a])) - a)
 
 

@@ -14,7 +14,11 @@ frame's representation stable for the uniform integer weight, hence
 locally semi-simple, the hypothesis of the radial-isotropy
 equivalences, and it puts the uniform weights d/n in the relative
 interior of the orbit polytope: every proper block subset S has
-r(S) >= min(d, |S|) > |S| d/n.  The solve therefore runs without the
+r(S) >= min(d, |S|) > |S| d/n.  The relative interior is the stability
+step: it means c(S) < r(S) for every proper S with r(S) < d, which is
+theta-stability of ``quiver.frame_to_rep(frame)`` for the induced
+integer weight (``quiver.induced_sigma``), so the representation is
+locally semi-simple.  The solve therefore runs without the
 membership pre-check.  The one exponential step left is the count of
 C(N, d) minors behind genericity.  They come from one expansion over the
 rows (``frames._exterior_minors``), about d multiply-adds per minor and
@@ -194,9 +198,10 @@ class PaulsenReport:
     dist^2(input, output) <= 26 * epsilon_used * d^2 and
     ``output_equal_norm_pmf``, the output passing the equal-norm Parseval
     test at the pipeline tolerance (10x the solver gradient tolerance).
-    ``gamma`` is the perturbation norm slack; the row-mass vectors record
-    the majorization data of the distance argument (helper masses
-    majorize rotated-perturbed masses).
+    ``gamma`` is the perturbation norm slack; ``majorization_ok`` records
+    the majorization step of the distance argument: the row masses of
+    each ``helper`` block majorize those of the ``rotated_perturbed``
+    block.
     """
 
     input_epsilon: float
@@ -209,8 +214,6 @@ class PaulsenReport:
     helper: MatrixFrame
     rounded_rotated: MatrixFrame
     output: MatrixFrame
-    helper_row_masses: tuple
-    perturbed_row_masses: tuple
     majorization_ok: bool
     distances: dict
     dist_input_output: float
@@ -219,7 +222,6 @@ class PaulsenReport:
     certified: bool
     pipeline_tol: float
     solver: SolveResult
-    rng_seed: int
 
 
 def paulsen_round(
@@ -243,8 +245,6 @@ def paulsen_round(
     measured = nearness(frame).epsilon
     if measured >= 0.3:
         raise ValueError(f"input is {measured:.3g}-nearly; the pipeline needs < 0.3")
-    if n <= d:
-        raise ValueError(f"need n > d, got n={n}, d={d}")
     eps = max(measured, epsilon_floor)
 
     # eps >= measured, so the budget check of perturb_to_generic would pass.
@@ -304,8 +304,6 @@ def paulsen_round(
         helper=helper,
         rounded_rotated=rounded,
         output=output,
-        helper_row_masses=tuple(helper_masses.T),
-        perturbed_row_masses=tuple(perturbed_masses.T),
         majorization_ok=majorization_ok,
         distances=distances,
         dist_input_output=distances["input_output"],
@@ -314,5 +312,4 @@ def paulsen_round(
         certified=distances["input_output"] <= bound and output_equal_norm_pmf,
         pipeline_tol=pipeline_tol,
         solver=result,
-        rng_seed=rng_seed,
     )

@@ -42,9 +42,12 @@ are rechecked against the pass's rule with exact integer weight sums.
 Where the pass's rule does not act as a matroid, as on frames whose
 column norms differ so widely that it ranks a block subset below one of
 its parts, a recheck can fail, or an augmenting path can leave a
-dependent set: the certificate then raises CertificateError.  Its cost
-is linear in omega, so it refuses with EnumerationSizeError when
-omega max(N, d^2) exceeds DEFAULT_SIZE_GUARD.
+dependent set: the certificate then raises CertificateError.  Its
+arrays grow linearly in omega, and it refuses with EnumerationSizeError
+when omega max(N, d^2) exceeds DEFAULT_SIZE_GUARD.  Its time does not:
+on a non-member the packing can take up to about omega augmenting
+paths, each of which starts by testing every copy still short of a
+basis, so the time grows with omega^2.
 
 ``orbit_polytope_report``, the report the solver and the CLI use, is the
 certificate's report at every n: its verdicts, and its one violating or
@@ -81,6 +84,7 @@ from .frames import (
     MatrixFrame,
     _freeze,
     _numerical_rank,
+    column_span_dim,
 )
 
 # Subsets per chunk of the pass: 2^_CHUNK_BITS masks, so every temporary
@@ -160,15 +164,6 @@ def _subset_ranks(frame: MatrixFrame, masks: np.ndarray, tol: float) -> np.ndarr
     return ranks
 
 
-def _scaled_weights(weights) -> tuple:
-    """(omega, [omega c_i]): the weights as Python ints over their common denominator.
-
-    c(S) <= r(S) is then the exact integer test omega c(S) <= omega r(S).
-    """
-    omega = weights.omega
-    return omega, [w.numerator * (omega // w.denominator) for w in weights.weights]
-
-
 def _subset(mask: int, n: int) -> tuple:
     return tuple(i for i in range(n) if mask >> i & 1)
 
@@ -187,7 +182,7 @@ def in_orbit_polytope(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeRe
             f"2^{n} - 1 = {count} block subsets exceed the size guard"
             f" {DEFAULT_SIZE_GUARD}"
         )
-    omega, scaled = _scaled_weights(weights)
+    omega, scaled = weights.scaled()
     # Bit i of a mask selects block i.  A chunk fixes the bits from
     # low_bits up and runs through all the bits below.
     low_bits = min(n, _CHUNK_BITS)
@@ -255,11 +250,8 @@ def _check_subset(datum: FrameDatum, subset, tol: float, relation) -> None:
             "the certificate found no block subset: the rank rule does not"
             " act as a matroid here"
         )
-    frame = datum.frame
-    omega, scaled = _scaled_weights(datum.weights)
-    columns = np.flatnonzero(np.isin(frame._owner, subset))
-    svals = np.linalg.svd(frame.pooled()[:, columns], compute_uv=False)
-    rank = int(_numerical_rank(svals, tol))
+    omega, scaled = datum.weights.scaled()
+    rank = column_span_dim(datum.frame, subset, tol)
     if not relation(sum(scaled[i] for i in subset), rank * omega):
         raise CertificateError(
             f"block subset {subset} does not recheck at tol={tol}: the rank"
@@ -592,14 +584,13 @@ def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeR
     basis or set it found fails its recheck, which takes a frame on which
     the rank rule does not act as a matroid.
     """
-    frame, weights = datum.frame, datum.weights
-    omega = weights.omega
+    frame = datum.frame
+    omega, scaled = datum.weights.scaled()
     if omega * max(frame.total_cols, frame.d**2) > DEFAULT_SIZE_GUARD:
         raise EnumerationSizeError(
             f"{omega} copies of {frame.total_cols} pooled columns in R^{frame.d}"
             f" exceed the size guard {DEFAULT_SIZE_GUARD}"
         )
-    omega, scaled = _scaled_weights(weights)
     if sum(scaled) != frame.d * omega:
         return PolytopeReport(False, False, (), (), False)
     budget = np.array(scaled, dtype=np.int64)

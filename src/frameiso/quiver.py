@@ -166,15 +166,14 @@ def frame_to_rep(frame: MatrixFrame) -> BipartiteQuiverRep:
     )
 
 
-def induced_sigma(weights: WeightVector, num_sources: int = 1) -> tuple:
+def induced_sigma(weights: WeightVector) -> tuple:
     """Integer vertex weight induced by rational sink weights.
 
-    Every source gets the least common denominator omega, sink i gets
+    The one source gets the least common denominator omega, sink i gets
     -omega * c_i (an integer by construction).
     """
-    om = weights.omega
-    sinks = tuple(int(-om * w) for w in weights.weights)
-    return (om,) * num_sources, sinks
+    omega, scaled = weights.scaled()
+    return (omega,), tuple(-a for a in scaled)
 
 
 def is_geometric_bl_datum(

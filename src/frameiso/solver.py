@@ -117,9 +117,7 @@ class SolveResult:
     root of the scaled frame operator at ``t_star``; applying it to the
     frame yields a radial isotropic frame when ``status`` is converged.
     ``extremisers`` are the positive scalars 1 / |transformer @ X_i|_F^2;
-    at a true minimiser e^{t*_i} / Y_i = c_i.  ``objective_history``
-    records the accepted objective values for descent diagnostics.
-    ``grad_norm`` is |grad potential - c| at ``t_star``, from the same
+    at a true minimiser e^{t*_i} / Y_i = c_i.  ``grad_norm`` is |grad potential - c| at ``t_star``, from the same
     kernel evaluation as ``objective_value``.  ``status`` is
     ``unbounded_below`` only when a run without the pre-check met the
     eigenvalue floor on a full step and the certificate then found the
@@ -143,7 +141,6 @@ class SolveResult:
     status: str
     iterations: int
     grad_tol: float
-    objective_history: np.ndarray
     polytope: Optional[PolytopeReport]
 
 
@@ -183,13 +180,11 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
                 status=STATUS_NOT_SEMISTABLE,
                 iterations=0,
                 grad_tol=grad_tol,
-                objective_history=np.empty(0),
                 polytope=polytope_report,
             )
 
     c_floats = weights.as_floats()
     value, grad, hess, eig = _potential(frame, t, order=2, eig=eig)
-    history = [value]
     status = STATUS_MAX_ITERS
     stalled = False
     refusal = None
@@ -223,7 +218,6 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         if point is None:
             break  # no step resolves a decrease of the objective
         new_t, value, grad, hess, eig = point
-        history.append(value)
         # A step below the float resolution of t cannot make progress;
         # the run ends as max_iters once the new gradient is tested.
         stalled = float(np.max(np.abs(new_t - t))) <= _resolution(
@@ -253,7 +247,6 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         status=status,
         iterations=iterations,
         grad_tol=grad_tol,
-        objective_history=np.array(history),
         polytope=polytope_report,
     )
 
@@ -318,14 +311,14 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
     return None, full_step_floored
 
 
-def stationarity_residual(datum: FrameDatum, t, minors=None) -> np.ndarray:
+def stationarity_residual(datum: FrameDatum, t) -> np.ndarray:
     """Residual of the minimiser characterisation in the exponentiated scalings.
 
     Component i is the minor-sum share of block i minus c_i (the minor
     sums normalised by their total); all components vanish exactly at a
     minimiser of the scaling objective.
     """
-    grad = grad_via_minors(datum.frame, t, minors)
+    grad = grad_via_minors(datum.frame, t)
     return grad - datum.weights.as_floats()
 
 

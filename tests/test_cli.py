@@ -332,6 +332,55 @@ def test_minors_command(tmp_path, capsys):
     )
 
 
+def test_minors_over_size_guard(tmp_path, capsys):
+    path, _ = write_mixed(tmp_path)
+    code, _, err = run_cli(["minors", str(path), "--size-guard", "3"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "size guard 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-rif", "--max-iters", "-5"],
+        ["solve-rif", "--grad-tol", "-1"],
+        ["solve-rif", "--tol", "-1e-9"],
+        ["check", "--tol", "nan"],
+        ["check", "--tol", "inf"],
+        ["paulsen", "--tol", "nan"],
+        ["paulsen", "--grad-tol", "inf"],
+        ["paulsen", "--max-iters", "-1"],
+        ["paulsen", "--epsilon-floor", "-1e-9"],
+        ["paulsen", "--epsilon-floor", "nan"],
+        ["minors", "--tol", "-1"],
+    ],
+)
+def test_numeric_flags_out_of_range(tmp_path, capsys, argv):
+    # A random member: d = 2, three single-column blocks, uniform weights.
+    path = tmp_path / "member.json"
+    frame = random_frame(2, [1, 1, 1], np.random.default_rng(0))
+    write_frame_file(path, frame, WeightVector.uniform(2, 3))
+    command, flag, value = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path), f"{flag}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be finite and >= 0, got '{value}'" in captured.err
+
+
+def test_numeric_flags_at_zero(tmp_path, capsys):
+    path, _ = write_mixed(tmp_path)
+    code, out, _ = run_cli(
+        ["solve-rif", str(path), "--grad-tol", "0", "--max-iters", "0", "--tol", "0"],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "max_iters"
+    assert report["iterations"] == 0
+
+
 def test_gen_command(tmp_path, capsys):
     out_path = tmp_path / "gen.json"
     code, _, _ = run_cli(

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -289,9 +290,16 @@ def test_weight_vector_rationals():
 def test_weight_sigma_is_integral(fracs):
     w = WeightVector(tuple(fracs))
     om = w.omega
+    assert om == math.lcm(*(Fraction(c).denominator for c in fracs))
     for c, s in zip(w.weights, induced_sigma(w)[1]):
         assert om * c == -s
         assert isinstance(s, int)
+    omega, scaled = w.scaled()
+    assert omega == om and len(scaled) == w.n
+    for c, a in zip(w.weights, scaled):
+        assert type(a) is int
+        assert Fraction(a, omega) == c
+    assert Fraction(sum(scaled), omega) == w.total()
 
 
 def test_uniform_weights():

@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under scripts/ run against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +36,16 @@ def test_code_lines_script():
     assert proc.returncode == 0, proc.stderr
     assert "solver.py" in proc.stdout
     assert proc.stdout.splitlines()[-1].split()[0] == "total"
+
+
+def test_readme_quick_start():
+    # The README's one python block runs as written against the package.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    proc = run_script("-c", blocks[0])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "True"
+    assert float(lines[1]) <= 1e-7
+    assert lines[2].startswith("True ")

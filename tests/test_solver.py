@@ -166,9 +166,21 @@ def test_transformer_is_inverse_sqrt_at_t_star(mixed_frame, thirds, monkeypatch)
     assert cols[0] == 1 and no_step[-1]
 
 
-def test_monotone_descent(mixed_frame, thirds):
+def test_monotone_descent(mixed_frame, thirds, monkeypatch):
+    # The objective at each line search's start and at the step it accepts.
+    values = []
+    line_search = frameiso.solver._line_search
+
+    def recording(frame, t, value, *rest):
+        point, floored = line_search(frame, t, value, *rest)
+        values.extend([value] if point is None else [value, point[1]])
+        return point, floored
+
+    monkeypatch.setattr(frameiso.solver, "_line_search", recording)
     result = minimize(FrameDatum(mixed_frame, thirds))
-    drops = np.diff(result.objective_history)
+    assert result.status == "converged"
+    assert len(values) >= 2 and values[-1] == result.objective_value
+    drops = np.diff(values)
     # non-increasing up to the float resolution of the objective
     assert float(np.max(drops, initial=0.0)) <= 1e-12
 
