@@ -30,13 +30,19 @@ def main():
     parser.add_argument("--eps-max", type=float, default=0.29)
     parser.add_argument("--out", default=None, help="write per-run records as JSON")
     args = parser.parse_args()
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    if not 1 <= args.d_min <= args.d_max:
+        parser.error("need 1 <= --d-min <= --d-max")
+    if not 0.0 < args.eps_min <= args.eps_max < 0.3:
+        parser.error("need 0 < --eps-min <= --eps-max < 0.3")
 
     rng = np.random.default_rng(args.seed)
     records = []
     start = time.perf_counter()
     for run in range(args.runs):
         d = int(rng.integers(args.d_min, args.d_max + 1))
-        n = int(rng.integers(d + 2, 9))
+        n = int(rng.integers(d + 2, max(9, d + 3)))
         cols = [int(rng.integers(1, 3)) for _ in range(n)]
         eps = float(np.exp(rng.uniform(math.log(args.eps_min), math.log(args.eps_max))))
         frame = random_nearly_parseval(d, cols, eps, rng)

@@ -229,10 +229,11 @@ def cmd_minors(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cols = [int(c) for c in args.cols.split(",") if c]
-    if not cols or any(c < 1 for c in cols):
+    items = args.cols.split(",")
+    if not all(item.isdecimal() and int(item) >= 1 for item in items):
         print("error: --cols must be a comma list of positive integers", file=sys.stderr)
         return EXIT_INPUT
+    cols = [int(item) for item in items]
     rng = np.random.default_rng(args.seed)
     try:
         if args.kind == "gaussian":

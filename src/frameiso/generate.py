@@ -1,4 +1,15 @@
-"""Seeded frame generators for the CLI, tests and experiment scripts."""
+"""Seeded frame generators for the CLI, tests and experiment scripts.
+
+Exact equal-norm Parseval frames come from the package's own
+radial-isotropy solve, as the paper's Barthe-type theorem constructs
+them: a generic frame has a radial-isotropic position at the uniform
+weights d/n, and scaling each block of that position to squared norm
+d/n gives a Parseval frame with equal block norms.  The solve has three
+outcomes: converged (the frame), unbounded below (no equal-norm Parseval
+frame of the shape exists: ValueError), or a stall, which is met either
+by a direct sum along a tight block subset or by a fresh draw.  Nearly
+equal-norm Parseval frames perturb an exact one to a measured nearness.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +17,17 @@ import math
 
 import numpy as np
 
-from .frames import MatrixFrame
+from .frames import FrameDatum, MatrixFrame, WeightVector, _block_norms_sq, _with_columns
+from .polytope import orbit_polytope_report
 from .quiver import nearness
+from .solver import STATUS_CONVERGED, STATUS_UNBOUNDED, SolverConfig, minimize
 
-# Rotation sweeps the norm balancing of random_equal_norm_parseval takes
-# before it restarts from a fresh partial isometry.
-_MAX_SWEEPS = 200
+# Gradient tolerance of the radial-isotropy solve behind
+# random_equal_norm_parseval; its frames are Parseval to about this level.
+_PARSEVAL_GRAD_TOL = 1e-13
+# Partial isometries random_equal_norm_parseval draws before it gives up
+# on solves that stall above that tolerance.
+_MAX_DRAWS = 5
 # Rescalings of the noise random_nearly_parseval tries to land its
 # measured nearness in [epsilon / 2, 0.98 epsilon].
 _NEARNESS_ROUNDS = 4
@@ -28,112 +44,81 @@ def random_frame(d: int, block_cols, rng) -> MatrixFrame:
 def random_equal_norm_parseval(d: int, block_cols, rng) -> MatrixFrame:
     """Exact equal-norm Parseval frame of the requested block shape.
 
-    Starts from a random partial isometry (pooled columns of an
-    orthonormal-column matrix, so the frame operator is exactly the
-    identity) and equalises the block Frobenius norms with plane
-    rotations acting on pairs of pooled columns.  Right rotations
-    preserve the frame operator, so only the norms move.
+    The Barthe-type theorem as a generator.  Draw a random partial
+    isometry (the transposed Q of an N x d Gaussian's QR, cut into the
+    blocks), whose frame operator is the identity and whose columns are
+    generic, so that for n > d the uniform weights d/n lie in the
+    relative interior of its orbit polytope.  Scale every block to
+    squared norm d/n, which moves the minimiser by an exact shift and
+    saves about a quarter of the Newton iterations.  Solve for radial
+    isotropy at those weights, without the membership pre-check, apply
+    the transformer, and scale every block to squared norm d/n again:
+    the result is Parseval, with equal block norms, to the solve's
+    tolerance.
+
+    The solve's status decides the outcome:
+
+    - ``converged``: the frame is returned;
+    - ``unbounded_below``: ValueError naming the violating block subsets.
+      Every frame of this shape has its orbit polytope inside a generic
+      one's, so no equal-norm Parseval frame of the shape exists;
+    - ``max_iters`` (a stall above the tolerance): where a proper block
+      subset S is tight, c(S) = r(S) = N_S, the weights lie on the
+      polytope's boundary, no minimiser exists, and every equal-norm
+      Parseval frame of the shape is a direct sum.  That needs n <= d,
+      and the certificate names S: the frame is built as the direct sum
+      of one for the blocks of S in the first N_S coordinates and one
+      for the other blocks in the last d - N_S (both keep the norm d/n).
+      Otherwise a fresh isometry is drawn, and after five draws
+      RuntimeError is raised.
     """
     block_cols = tuple(int(c) for c in block_cols)
-    n = len(block_cols)
-    total = sum(block_cols)
+    n, total = len(block_cols), sum(block_cols)
     if total < d:
         raise ValueError(f"need at least d={d} pooled columns, got {total}")
-    owners = np.repeat(np.arange(n), block_cols)
-    target = d / n
-
-    for _ in range(5):
-        gauss = rng.standard_normal((total, d))
-        q, _ = np.linalg.qr(gauss)
-        pooled = q.T.copy()
-        if _balance_block_masses(pooled, owners, n, target, d, rng):
-            blocks = []
-            start = 0
-            for cols in block_cols:
-                blocks.append(pooled[:, start : start + cols].copy())
-                start += cols
-            return MatrixFrame(d, tuple(blocks))
-    raise RuntimeError("norm balancing did not converge")
-
-
-def _balance_block_masses(pooled, owners, n, target, d, rng) -> bool:
-    total_cols = pooled.shape[1]
-    for _ in range(_MAX_SWEEPS):
-        masses = np.array(
-            [float(np.sum(pooled[:, owners == i] ** 2)) for i in range(n)]
-        )
-        spread = masses - target
-        deviation = float(np.max(np.abs(spread)))
-        if deviation < 1e-14 * d:
-            return True
-        hi = int(np.argmax(spread))
-        lo = int(np.argmin(spread))
-
-        # Try every column pair between the two extreme blocks and apply
-        # the rotation whose orbit gets closest to the target mass.
-        want_delta = target - masses[hi]
-        best = None
-        for col_hi in np.flatnonzero(owners == hi):
-            for col_lo in np.flatnonzero(owners == lo):
-                predicted = _predicted_move(pooled, col_hi, col_lo, want_delta)
-                if best is None or predicted > best[0]:
-                    best = (predicted, col_hi, col_lo)
-        _, col_hi, col_lo = best
-        moved = _rotate_to_target(pooled, col_hi, col_lo, masses[hi], target)
-        if moved < 1e-3 * deviation:
-            # The pair's orbit cannot shed mass in the needed direction;
-            # mixing in a third column changes the reachable set.
-            others = [c for c in range(total_cols) if c not in (col_hi, col_lo)]
-            third = int(rng.choice(others))
-            _mix_columns(pooled, col_lo, third, rng.uniform(0.3, 1.2))
-    return False
+    weights = WeightVector.uniform(d, n)
+    config = SolverConfig(grad_tol=_PARSEVAL_GRAD_TOL, check_polytope=False)
+    for _ in range(_MAX_DRAWS):
+        q, _ = np.linalg.qr(rng.standard_normal((total, d)))
+        blocks = np.split(q.T, np.cumsum(block_cols[:-1]), axis=1)
+        isometry = MatrixFrame(d, tuple(blocks))
+        start = _equal_norms(isometry, isometry.pooled())
+        datum = FrameDatum(start, weights)
+        result = minimize(datum, config)
+        if result.status == STATUS_CONVERGED:
+            return _equal_norms(start, result.transformer @ start.pooled())
+        if result.status == STATUS_UNBOUNDED:
+            raise ValueError(
+                f"no equal-norm Parseval frame with block columns {list(block_cols)}"
+                f" in dimension {d}: the weights d/n of block subsets"
+                f" {result.polytope.violating_subsets} sum past their rank"
+            )
+        # For n > d every proper S has c(S) < min(d, N_S): no set is tight.
+        if n <= d and (tight := orbit_polytope_report(datum).tight_subsets):
+            return _direct_sum(start, tight[0], rng)
+    raise RuntimeError(
+        f"radial-isotropy solve stalled above grad_tol={_PARSEVAL_GRAD_TOL:g}"
+        f" on {_MAX_DRAWS} draws"
+    )
 
 
-def _predicted_move(pooled, col_a, col_b, want_delta) -> float:
-    """How much |col_a|^2 can move toward ``want_delta`` under the pair's
-    rotation orbit (a sinusoid with the given centre and amplitude)."""
-    u = pooled[:, col_a]
-    v = pooled[:, col_b]
-    a = float(np.dot(u, u))
-    b = float(np.dot(v, v))
-    cross = float(np.dot(u, v))
-    amplitude = math.hypot((a - b) / 2.0, cross)
-    want = a + want_delta
-    reachable = min(max(want, (a + b) / 2.0 - amplitude), (a + b) / 2.0 + amplitude)
-    return abs(reachable - a)
+def _equal_norms(layout: MatrixFrame, cols: np.ndarray) -> MatrixFrame:
+    """``cols`` in ``layout``'s blocks, each block scaled to squared norm d/n."""
+    norms = np.sqrt(_block_norms_sq(layout, cols))
+    return _with_columns(layout, math.sqrt(layout.d / layout.n) * cols / norms[layout._owner])
 
 
-def _rotate_to_target(pooled, col_a, col_b, mass_a, target) -> float:
-    """Rotate columns a and b so the block owning a moves toward ``target``.
-
-    The new squared norm of column a is a sinusoid in twice the angle;
-    hit the target exactly when reachable, otherwise move to the extreme.
-    Returns how much mass actually moved.
-    """
-    u = pooled[:, col_a].copy()
-    v = pooled[:, col_b].copy()
-    a = float(np.dot(u, u))
-    b = float(np.dot(v, v))
-    cross = float(np.dot(u, v))
-    # new |u|^2 = (a + b)/2 + (a - b)/2 cos 2th + cross sin 2th
-    amplitude = math.hypot((a - b) / 2.0, cross)
-    want = (target - mass_a) + a  # desired new |u|^2
-    offset = want - (a + b) / 2.0
-    if amplitude == 0.0:
-        return 0.0
-    clipped = min(max(offset / amplitude, -1.0), 1.0)
-    phase = math.atan2((a - b) / 2.0, cross)
-    two_theta = math.asin(clipped) - phase
-    _mix_columns(pooled, col_a, col_b, two_theta / 2.0)
-    return abs(float(np.dot(pooled[:, col_a], pooled[:, col_a])) - a)
-
-
-def _mix_columns(pooled, col_a, col_b, theta):
-    u = pooled[:, col_a].copy()
-    v = pooled[:, col_b].copy()
-    c, s = math.cos(theta), math.sin(theta)
-    pooled[:, col_a] = c * u + s * v
-    pooled[:, col_b] = -s * u + c * v
+def _direct_sum(layout: MatrixFrame, subset: tuple, rng) -> MatrixFrame:
+    """Equal-norm Parseval frame in ``layout``'s blocks: the blocks of
+    ``subset``, N_S columns, span the first N_S coordinates, and the
+    other blocks the last d - N_S."""
+    inside = np.isin(layout._owner, subset)
+    rank = int(inside.sum())
+    cols = np.zeros(layout.pooled().shape)
+    for rows, mask in ((slice(0, rank), inside), (slice(rank, layout.d), ~inside)):
+        part = np.array(layout.block_cols)[np.unique(layout._owner[mask])]
+        cols[rows, mask] = random_equal_norm_parseval(rows.stop - rows.start, part, rng).pooled()
+    return _with_columns(layout, cols)
 
 
 def random_nearly_parseval(d: int, block_cols, epsilon: float, rng) -> MatrixFrame:

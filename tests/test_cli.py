@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from frameiso import MatrixFrame, WeightVector, dist_squared
+from frameiso import MatrixFrame, WeightVector, dist_squared, nearness
 from frameiso.cli import main
 from frameiso.generate import random_frame
 from frameiso.io import (
@@ -395,6 +395,38 @@ def test_gen_command(tmp_path, capsys):
     from frameiso import is_equal_norm_parseval
 
     assert is_equal_norm_parseval(frame, 1e-12)
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_gen_nearly_pmf_many_blocks(tmp_path, capsys, d):
+    out_path = tmp_path / "near.json"
+    code, _, err = run_cli(
+        ["gen", "--d", str(d), "--cols", ",".join(["1"] * 256), "--kind", "nearly-pmf",
+         "--seed", "1", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 0, err
+    frame, _ = read_frame_file(out_path)
+    assert frame.block_cols == (1,) * 256
+    assert 0.0 < nearness(frame).epsilon < 0.05
+
+
+def test_gen_infeasible_shape(capsys):
+    code, out, err = run_cli(
+        ["gen", "--d", "4", "--cols", "1,3", "--kind", "equal-norm-pmf"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "no equal-norm Parseval frame" in err
+    assert "block subsets ((0,),)" in err
+
+
+@pytest.mark.parametrize("cols", [",1,,1,2,", "1,,2", "1,x", "", "1,0", "-1", "1, 2"])
+def test_gen_malformed_cols(capsys, cols):
+    code, out, err = run_cli(["gen", "--d", "2", f"--cols={cols}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --cols must be a comma list of positive integers\n"
 
 
 def test_gen_deterministic(tmp_path, capsys):

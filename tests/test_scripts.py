@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -49,3 +51,32 @@ def test_readme_quick_start():
     assert lines[0] == "True"
     assert float(lines[1]) <= 1e-7
     assert lines[2].startswith("True ")
+
+
+def test_paulsen_sweep_above_d_six():
+    # n is drawn below max(9, d + 3), so d >= 7 leaves room for n >= d + 2.
+    proc = run_script(
+        "scripts/paulsen_sweep.py", "--runs", "2", "--seed", "1", "--d-min", "7",
+        "--d-max", "7",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "certified:       2/2" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--runs", "0"],
+        ["--d-min", "4", "--d-max", "3"],
+        ["--d-min", "0"],
+        ["--eps-min", "0"],
+        ["--eps-max", "0.3"],
+        ["--eps-min", "0.2", "--eps-max", "0.1"],
+        ["--eps-min", "nan"],
+    ],
+)
+def test_paulsen_sweep_rejects_flags(flags):
+    proc = run_script("scripts/paulsen_sweep.py", "--runs", "1", *flags)
+    assert proc.returncode == 2
+    assert "paulsen_sweep.py: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
