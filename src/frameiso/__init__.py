@@ -41,7 +41,6 @@ from .paulsen import (
     majorization_transport,
     majorizes,
     paulsen_round,
-    perturb_to_generic,
 )
 from .polytope import (
     CertificateError,
@@ -112,7 +111,6 @@ __all__ = [
     "minimize",
     "nearness",
     "paulsen_round",
-    "perturb_to_generic",
     "radial_isotropy_residual",
     "scale_to_critical",
     "scaled_frame_operator",

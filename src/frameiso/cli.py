@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .frames import (
-    DEFAULT_SIZE_GUARD,
     DEFAULT_TOL,
     EnumerationSizeError,
     FrameDatum,
@@ -211,7 +210,7 @@ def cmd_paulsen(args) -> int:
 
 def cmd_minors(args) -> int:
     frame, _ = read_frame_file(args.path)
-    terms = enumerate_minors(frame, tol=args.tol, size_guard=args.size_guard)
+    terms = enumerate_minors(frame, tol=args.tol)
     report = _header("minors", args)
     report["count"] = len(terms)
     report["total"] = float(sum(t.value for t in terms))
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_paulsen = sub.add_parser("paulsen", help="round to an equal-norm Parseval frame")
     p_paulsen.add_argument("path")
-    p_paulsen.add_argument("--seed", type=int, default=0)
+    p_paulsen.add_argument("--seed", type=_nonnegative(int), default=0)
     p_paulsen.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
     p_paulsen.add_argument("--epsilon-floor", type=_nonnegative(float), default=1e-9)
     p_paulsen.add_argument("--out", default=None, help="write the output frame here")
@@ -300,12 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_minors = sub.add_parser("minors", help="dump the determinant-expansion terms")
     p_minors.add_argument("path")
     p_minors.add_argument("--tol", type=_nonnegative(float), default=0.0)
-    p_minors.add_argument("--size-guard", type=int, default=DEFAULT_SIZE_GUARD)
     p_minors.add_argument("--human", action="store_true")
     p_minors.set_defaults(func=cmd_minors)
 
     p_gen = sub.add_parser("gen", help="write a seeded random frame file")
-    p_gen.add_argument("--d", type=int, required=True)
+    p_gen.add_argument("--d", type=_nonnegative(int), required=True)
     p_gen.add_argument("--cols", required=True, help="comma list of block column counts")
     p_gen.add_argument(
         "--kind",
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument("--eps", type=float, default=0.05, help="nearness for nearly-pmf")
     p_gen.add_argument("--weights", choices=["none", "uniform"], default="none")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_nonnegative(int), default=0)
     p_gen.add_argument("--out", default=None)
     p_gen.add_argument("--human", action="store_true")
     p_gen.set_defaults(func=cmd_gen)

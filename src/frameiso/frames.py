@@ -275,19 +275,19 @@ def dist_squared(frame_a: MatrixFrame, frame_b: MatrixFrame) -> float:
 _MINOR_CHUNK = 4096
 
 
-def _guard_minor_count(d: int, n_cols: int, size_guard: int):
+def _guard_minor_count(d: int, n_cols: int):
     """Refuse a d x N matrix's C(N, d) minors: ValueError when N < d,
-    EnumerationSizeError when C(N, d) exceeds ``size_guard``."""
+    EnumerationSizeError when C(N, d) exceeds DEFAULT_SIZE_GUARD."""
     if n_cols < d:
         raise ValueError(f"undersized frame: N={n_cols} < d={d}")
     count = math.comb(n_cols, d)
-    if count > size_guard:
+    if count > DEFAULT_SIZE_GUARD:
         raise EnumerationSizeError(
-            f"C({n_cols},{d}) = {count} exceeds the size guard {size_guard}"
+            f"C({n_cols},{d}) = {count} exceeds the size guard {DEFAULT_SIZE_GUARD}"
         )
 
 
-def _column_minors(mat: np.ndarray, size_guard: int = DEFAULT_SIZE_GUARD):
+def _column_minors(mat: np.ndarray):
     """Yield (selections, determinants) of the d-column selections of a d x N matrix.
 
     The C(N, d) selections come in lexicographic order, in chunks of at
@@ -297,10 +297,10 @@ def _column_minors(mat: np.ndarray, size_guard: int = DEFAULT_SIZE_GUARD):
     ``objective.enumerate_minors``; ``is_generic`` takes its minors from
     ``_exterior_minors`` instead, and the tests hold the two against each
     other.  Raises ValueError when N < d and EnumerationSizeError when
-    C(N, d) exceeds the guard, before anything is allocated.
+    C(N, d) exceeds DEFAULT_SIZE_GUARD, before anything is allocated.
     """
     d, n_cols = mat.shape
-    _guard_minor_count(d, n_cols, size_guard)
+    _guard_minor_count(d, n_cols)
     combos = itertools.combinations(range(n_cols), d)
     while True:
         flat = itertools.chain.from_iterable(itertools.islice(combos, _MINOR_CHUNK))
@@ -315,8 +315,10 @@ def _column_minors(mat: np.ndarray, size_guard: int = DEFAULT_SIZE_GUARD):
 # keep their index tables in ``_level_tables``' cache of _CACHED_LEVELS
 # entries.  The recursion visits levels k <= N / 2, so such a level has
 # k <= 7 and at most C(16, 6) * 6 = 48,048 columns and as many drop
-# ranks: 769 KB as int64.  The cache retains at most 32 of them, 24.6 MB;
-# the Paulsen shapes up to C(15, 6) fill 30 entries with 1.4 MB.
+# ranks: 769 KB as int64.  The cache retains at most 32 of them, 24.6 MB.
+# Only ``is_generic`` walks these levels, and in the library only the
+# ``check`` command calls it, so the cache serves repeated in-process
+# ``cli.main(["check", ...])`` calls and nothing else.
 _CACHED_LEVEL = 2 * _MINOR_CHUNK
 _CACHED_LEVELS = 32
 
@@ -418,7 +420,7 @@ def _exterior_minors(mat: np.ndarray):
     anything is allocated.
     """
     d, n_cols = mat.shape
-    _guard_minor_count(d, n_cols, DEFAULT_SIZE_GUARD)
+    _guard_minor_count(d, n_cols)
     factor = 1.0
     if 2 * d > n_cols:
         q, r = np.linalg.qr(mat.T, mode="complete")

@@ -122,11 +122,15 @@ def write_frame_file(path, frame: MatrixFrame, weights: WeightVector = None, hum
     """Write ``frame`` (and ``weights``) as a frame file.
 
     The document is encoded whole before the file is opened, so a failed
-    encode leaves an existing file at ``path`` as it was.
+    encode leaves an existing file at ``path`` as it was.  Raises
+    FrameFileError when the file cannot be written.
     """
     text = json.dumps(frame_to_payload(frame, weights, human), indent=2) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise FrameFileError(f"cannot write {path}: {exc}") from None
 
 
 def payload_to_frame(payload) -> tuple:

@@ -36,7 +36,6 @@ import numpy as np
 
 # EnumerationSizeError is re-exported for callers of enumerate_minors.
 from .frames import (
-    DEFAULT_SIZE_GUARD,
     EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
@@ -183,21 +182,18 @@ class MinorTerm:
     negligible: bool
 
 
-def enumerate_minors(
-    frame: MatrixFrame,
-    tol: float = 0.0,
-    size_guard: int = DEFAULT_SIZE_GUARD,
-) -> tuple:
+def enumerate_minors(frame: MatrixFrame, tol: float = 0.0) -> tuple:
     """All d-column selections of the pooled matrix with their squared minors.
 
     Selections are returned in lexicographic order of the pooled column
-    indices.  Raises EnumerationSizeError when C(N, d) exceeds the guard.
+    indices.  Raises EnumerationSizeError when C(N, d) exceeds
+    DEFAULT_SIZE_GUARD, before anything is allocated.
     """
     owners = frame._owner.tolist()
     starts = frame.block_starts.tolist()
 
     terms = []
-    for selections, dets in _column_minors(frame.pooled(), size_guard):
+    for selections, dets in _column_minors(frame.pooled()):
         for subset, det in zip(selections.tolist(), dets.tolist()):
             per_block: dict = {}
             for col in subset:

@@ -1,29 +1,36 @@
 """Rounding nearly equal-norm Parseval frames to exactly equal-norm ones.
 
-Pipeline: normalise and perturb the input to a generic frame, solve for
-radial isotropy at uniform weights d/n, split the transformer by SVD,
-rotate into the diagonal gauge, snap block norms to sqrt(d/n) along the
-diagonally scaled directions, and rotate back.  The output is an exact
-equal-norm Parseval frame (up to the solver tail) whose squared distance
-from the input is certified against the bound 26 * epsilon * d^2.
+Pipeline: normalise block norms to sqrt(d/n), solve for radial isotropy
+at uniform weights d/n, split the transformer by SVD, rotate into the
+diagonal gauge, snap block norms to sqrt(d/n) along the diagonally
+scaled directions, and rotate back.  The output is an exact equal-norm
+Parseval frame (up to the solver tail) whose squared distance from the
+input is certified against the bound 26 * epsilon * d^2.
 
-The perturbed frame is accepted only when it is generic
-(``frames.is_generic``: every d pooled columns form a basis, checked for
-n > d, which ``perturb_to_generic`` requires).  Genericity makes the
-frame's representation stable for the uniform integer weight, hence
-locally semi-simple, the hypothesis of the radial-isotropy
-equivalences, and it puts the uniform weights d/n in the relative
-interior of the orbit polytope: every proper block subset S has
-r(S) >= min(d, |S|) > |S| d/n.  The relative interior is the stability
-step: it means c(S) < r(S) for every proper S with r(S) < d, which is
-theta-stability of ``quiver.frame_to_rep(frame)`` for the induced
-integer weight (``quiver.induced_sigma``), so the representation is
-locally semi-simple.  The solve therefore runs without the
-membership pre-check.  The one exponential step left is the count of
-C(N, d) minors behind genericity.  They come from one expansion over the
-rows (``frames._exterior_minors``), about d multiply-adds per minor and
-no determinant per column selection, and the test still refuses with
-EnumerationSizeError above DEFAULT_SIZE_GUARD.
+The frame that is solved is the first of a short list of candidates that
+rounds with a certificate.  The first candidate is the normalised input
+itself; the others are seeded random perturbations of it, each drawn at
+half the magnitude of the one before and kept within the budgets of the
+distance argument: every block perturbation has Frobenius norm
+h_i <= epsilon / (2n), the norm slack is gamma <= min(1, epsilon),
+dist^2 <= epsilon d and the candidate is 4 epsilon-nearly equal-norm
+Parseval.  Each candidate is solved at d/n without the membership
+pre-check, and the first whose solve converges and whose rounding is
+``certified`` (the distance bound and the equal-norm Parseval test of the
+output) is returned.  No property of a candidate is enumerated: the
+output's own certificate is the acceptance test.
+
+The normalised input converges whenever a minimiser exists at d/n: in
+the relative interior of its orbit polytope, and on the boundary where
+the frame is polystable, as repeated orthonormal bases are.  Where it
+does not (d/n outside, or a boundary without a minimiser) a noise draw
+does.  A draw puts the pooled columns in general position with
+probability one, and then every proper block subset S has
+r(S) >= min(d, |S|) > |S| d/n, because d/n < 1 and |S| < n.  So
+c(S) < r(S) for every proper S with r(S) < d, which is theta-stability
+of ``quiver.frame_to_rep(frame)`` for the induced integer weight
+(``quiver.induced_sigma``): the representation is locally semi-simple,
+d/n lies in the relative interior and the minimiser exists.
 
 Every step after the solve works on the pooled d x N matrices of the
 frames, never block by block: each rotation is one d x d by d x N
@@ -51,20 +58,18 @@ from typing import Optional
 import numpy as np
 
 from .frames import (
-    DEFAULT_TOL,
     FrameDatum,
     MatrixFrame,
     WeightVector,
     _block_norms_sq,
     _with_columns,
     dist_squared,
-    is_generic,
 )
 from .quiver import is_equal_norm_parseval, nearness
 from .solver import STATUS_CONVERGED, SolverConfig, SolveResult, minimize
 
 # Perturbation draws tried, each at half the previous magnitude, before
-# perturb_to_generic gives up.
+# paulsen_round gives up.
 _MAX_RETRIES = 60
 
 
@@ -102,36 +107,20 @@ def majorization_transport(v, u, tol: float = 1e-9) -> float:
     return float(np.dot(positions, u - v))
 
 
-def perturb_to_generic(
-    frame: MatrixFrame,
-    epsilon: float,
-    rng_seed: int,
-    tol: float = DEFAULT_TOL,
-) -> tuple:
-    """Normalise block norms to sqrt(d/n) and perturb until generic.
+def _candidates(frame: MatrixFrame, epsilon: float, rng_seed: int):
+    """Yield (candidate, gamma): the frame with its block norms set to
+    sqrt(d/n), then seeded perturbations of it within the budgets of
+    ``epsilon``, which is at least the frame's nearness.
 
-    Returns (perturbed frame, gamma) where gamma bounds the norm slack
-    the perturbation introduced: gamma = max_i (n/d)(h_i^2 + 2 h_i) with
-    h_i the Frobenius norm of the i-th perturbation.  Each perturbation
-    is kept below epsilon / (2n), which forces gamma <= min(1, epsilon)
-    and the distance guarantee dist^2(input, output) <= epsilon * d; both
-    are re-verified numerically before returning.
-
-    The zero perturbation is used whenever the normalised frame is
-    already generic.  Otherwise entries are drawn i.i.d. uniform from a
-    seeded generator, with the magnitude halved on every retry.
+    gamma = max_i (n/d)(h_i^2 + 2 h_i) bounds the norm slack of a
+    perturbation whose i-th block has Frobenius norm h_i.  A draw is
+    yielded only when h_i <= epsilon / (2n), gamma <= min(1, epsilon),
+    dist^2(frame, candidate) <= epsilon d and the candidate is
+    4 epsilon-nearly equal-norm Parseval; the normalised frame only when
+    it meets the last two.  Entries are i.i.d. uniform from one seeded
+    generator, the magnitude halved on every draw, at most _MAX_RETRIES
+    draws.
     """
-    measured = nearness(frame).epsilon
-    if measured > epsilon * (1.0 + 1e-12) + 1e-15:
-        raise ValueError(
-            f"frame is {measured:.3g}-nearly equal-norm, beyond budget {epsilon:.3g}"
-        )
-    return _perturb_to_generic(frame, epsilon, rng_seed, tol, measured)
-
-
-def _perturb_to_generic(frame, epsilon, rng_seed, tol, measured) -> tuple:
-    """``perturb_to_generic`` for an input whose nearness ``measured`` is
-    already known to be within the budget ``epsilon``."""
     d, n = frame.d, frame.n
     if epsilon >= 0.3:
         raise ValueError(f"epsilon must be below 0.3, got {epsilon}")
@@ -139,18 +128,20 @@ def _perturb_to_generic(frame, epsilon, rng_seed, tol, measured) -> tuple:
         raise ValueError(f"need n > d, got n={n}, d={d}")
 
     target = math.sqrt(d / n)
+    # No block is zero: a zero block makes the frame 1-nearly, past 0.3.
     norms = np.sqrt(_block_norms_sq(frame))
-    if np.min(norms) == 0.0:
-        raise ValueError("zero block cannot be normalised")
     base = _with_columns(frame, target * frame.pooled() / norms[frame._owner])
 
-    # Zero perturbation wins whenever the normalised frame is already generic.
-    if _perturbation_ok(frame, base, epsilon, tol):
-        return base, 0.0
+    def within_budget(candidate):
+        if dist_squared(frame, candidate) > epsilon * d * (1.0 + 1e-9):
+            return False
+        return nearness(candidate).epsilon <= 4.0 * epsilon * (1.0 + 1e-9)
+
+    if within_budget(base):
+        yield base, 0.0
 
     budget = epsilon / (2.0 * n)
-    max_cols = max(frame.block_cols)
-    delta = budget / math.sqrt(d * max_cols)
+    delta = budget / math.sqrt(d * max(frame.block_cols))
     rng = np.random.default_rng(rng_seed)
     for _ in range(_MAX_RETRIES):
         # One draw per block, in block order, keeps the seeded stream.
@@ -161,21 +152,9 @@ def _perturb_to_generic(frame, epsilon, rng_seed, tol, measured) -> tuple:
         gamma = float(np.max((n / d) * (h_norms * h_norms + 2.0 * h_norms)))
         if np.max(h_norms) <= budget and gamma <= min(1.0, epsilon):
             candidate = _with_columns(frame, base.pooled() + noise)
-            if _perturbation_ok(frame, candidate, epsilon, tol):
-                return candidate, gamma
+            if within_budget(candidate):
+                yield candidate, gamma
         delta /= 2.0
-    raise RuntimeError(
-        "could not produce a generic perturbation within the retry budget; "
-        f"epsilon={epsilon:.3g}, n={n}, d={d}, nearness={measured:.3g}"
-    )
-
-
-def _perturbation_ok(original, candidate, epsilon, tol) -> bool:
-    if not is_generic(candidate, tol):
-        return False
-    if dist_squared(original, candidate) > epsilon * original.d * (1.0 + 1e-9):
-        return False
-    return nearness(candidate).epsilon <= 4.0 * epsilon * (1.0 + 1e-9)
 
 
 def _signed_svd(mat: np.ndarray):
@@ -235,32 +214,44 @@ def paulsen_round(
     The nearness epsilon is measured from the input rather than trusted
     from the caller; ``epsilon_floor`` keeps the perturbation budget and
     the certificate meaningful for inputs that are already exact.
-    The genericity test of the perturbation uses ``config.rank_tol``.
-    Raises on measured epsilon >= 0.3, on n <= d, and on solver
-    non-convergence (with the solver result in the message).
+    Returns the rounding of the first candidate (``_candidates``) whose
+    solve converges and whose rounding is certified; failing that, the
+    first converged rounding, uncertified.  Raises ValueError on
+    epsilon >= 0.3, on n <= d and on a zero block, and RuntimeError when
+    no candidate's solve converges (with the last solver result in the
+    message).
     """
     if config is None:
         config = SolverConfig()
-    d, n = frame.d, frame.n
     measured = nearness(frame).epsilon
     if measured >= 0.3:
         raise ValueError(f"input is {measured:.3g}-nearly; the pipeline needs < 0.3")
     eps = max(measured, epsilon_floor)
 
-    # eps >= measured, so the budget check of perturb_to_generic would pass.
-    perturbed, gamma = _perturb_to_generic(frame, eps, rng_seed, config.rank_tol, measured)
-    datum = FrameDatum(perturbed, WeightVector.uniform(d, n))
-    # The perturbed frame is generic, so the uniform weights need no
-    # membership pre-check: for every proper block subset S,
-    # r(S) >= min(d, |S|) > |S| d/n, because d/n < 1 and |S| < n.
-    # The weights therefore lie in the relative interior.
-    result = minimize(datum, replace(config, check_polytope=False))
-    if result.status != STATUS_CONVERGED:
-        raise RuntimeError(
-            f"isotropy solve failed (status={result.status}, "
-            f"grad_norm={result.grad_norm:.3e}, iters={result.iterations})"
-        )
+    weights = WeightVector.uniform(frame.d, frame.n)
+    free = replace(config, check_polytope=False)
+    uncertified = result = None
+    for perturbed, gamma in _candidates(frame, eps, rng_seed):
+        result = minimize(FrameDatum(perturbed, weights), free)
+        if result.status != STATUS_CONVERGED:
+            continue
+        report = _rounding(frame, perturbed, gamma, result, measured, eps)
+        if report.certified:
+            return report
+        if uncertified is None:
+            uncertified = report
+    if uncertified is not None:
+        return uncertified
+    last = "no candidate met the budgets" if result is None else (
+        f"last status={result.status}, grad_norm={result.grad_norm:.3e}, "
+        f"iters={result.iterations}"
+    )
+    raise RuntimeError(f"no candidate's isotropy solve converged ({last})")
 
+
+def _rounding(frame, perturbed, gamma, result, measured, eps) -> PaulsenReport:
+    """The rounding of ``perturbed`` from its converged solve ``result``."""
+    d, n = frame.d, frame.n
     _, sigma, rot_right_t = _signed_svd(result.transformer)
     rot_right = rot_right_t.T
 

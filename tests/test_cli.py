@@ -333,10 +333,14 @@ def test_minors_command(tmp_path, capsys):
 
 
 def test_minors_over_size_guard(tmp_path, capsys):
-    path, _ = write_mixed(tmp_path)
-    code, _, err = run_cli(["minors", str(path), "--size-guard", "3"], capsys)
-    assert code == 2
-    assert err.startswith("error: ") and "size guard 3" in err
+    # d = 8 and 40 single-column blocks: C(40, 8) terms, past the guard.
+    rng = np.random.default_rng(0)
+    frame = MatrixFrame(8, tuple(rng.standard_normal((8, 1)) for _ in range(40)))
+    path = tmp_path / "wide.json"
+    write_frame_file(path, frame)
+    code, out, err = run_cli(["minors", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds the size guard 1000000" in err
 
 
 @pytest.mark.parametrize(
@@ -353,6 +357,7 @@ def test_minors_over_size_guard(tmp_path, capsys):
         ["paulsen", "--epsilon-floor", "-1e-9"],
         ["paulsen", "--epsilon-floor", "nan"],
         ["minors", "--tol", "-1"],
+        ["paulsen", "--seed", "-3"],
     ],
 )
 def test_numeric_flags_out_of_range(tmp_path, capsys, argv):
@@ -367,6 +372,34 @@ def test_numeric_flags_out_of_range(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: must be finite and >= 0, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--d", "-2")])
+def test_gen_flags_out_of_range(capsys, flag, value):
+    argv = {"--d": "2", "--cols": "1,1,1", "--seed": "0", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["gen"] + [f"{k}={v}" for k, v in argv.items()])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be finite and >= 0, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["gen", "solve-rif", "paulsen"])
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_out_write_error(tmp_path, capsys, command, target):
+    # A missing directory, or a directory, as --out exits 2 with a message.
+    # The input is an equal-norm Parseval frame with uniform weights.
+    path = tmp_path / "tight.json"
+    r = 2.0**-0.5
+    frame = MatrixFrame(2, ([r, 0.0], [0.0, r], [0.5, 0.5], [0.5, -0.5]))
+    write_frame_file(path, frame, WeightVector.uniform(2, 4))
+    argv = ["gen", "--d", "2", "--cols", "1,1,1"] if command == "gen" else [command, str(path)]
+    out = tmp_path / target
+    code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
 
 
 def test_numeric_flags_at_zero(tmp_path, capsys):

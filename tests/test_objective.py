@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -122,9 +123,19 @@ def test_minor_enumeration_single_basis():
     assert terms[0].support == (0, 1)
 
 
-def test_minor_size_guard(mixed_frame):
-    with pytest.raises(EnumerationSizeError):
-        enumerate_minors(mixed_frame, size_guard=3)
+def test_minor_size_guard():
+    # d = 8 and 40 single columns: C(40, 8) = 76,904,685 terms, refused
+    # by DEFAULT_SIZE_GUARD before the first chunk is gathered.
+    rng = np.random.default_rng(0)
+    frame = MatrixFrame(8, tuple(rng.standard_normal((8, 1)) for _ in range(40)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationSizeError, match=r"C\(40,8\) = 76904685"):
+            enumerate_minors(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_det_via_minors(mixed_frame, orthonormal_frame):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,19 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameiso import (
+    FrameDatum,
     MatrixFrame,
     SolverConfig,
-    dist_squared,
+    WeightVector,
     is_equal_norm_parseval,
-    is_generic,
     majorization_transport,
     majorizes,
+    minimize,
     nearness,
     paulsen_round,
-    perturb_to_generic,
 )
+import frameiso.frames
 import frameiso.paulsen
+from frameiso import cli
 from frameiso.generate import random_nearly_parseval
+from frameiso.io import write_frame_file
 
 
 def test_majorizes_examples():
@@ -89,53 +93,69 @@ def test_l1_bound_property(size, seed):
     assert l1 <= 2.0 * majorization_transport(v, u) + 1e-9
 
 
-def test_perturb_exact_input(tight_four_frame):
-    frame, gamma = perturb_to_generic(tight_four_frame, 1e-3, rng_seed=5)
-    assert is_generic(frame)
-    assert dist_squared(tight_four_frame, frame) <= 1e-3 * 2
-    assert nearness(frame).epsilon <= 4e-3
-    assert 0.0 <= gamma <= 1e-3
+# d = 3: two copies of sqrt(0.6) e1 and three vectors of span(e2, e3) at
+# 120 degrees, 0.2-nearly equal-norm Parseval.  The blocks (0, 1) weigh
+# 2 * 3/5 > 1 = r({0, 1}), so the normalised frame's solve ends
+# unbounded_below and the rounding takes a noise draw.
+_ROOT = math.sqrt(0.6)
+NOISE_PATH_FRAME = MatrixFrame(
+    3,
+    ([_ROOT, 0.0, 0.0], [_ROOT, 0.0, 0.0])
+    + tuple(
+        [0.0, _ROOT * math.cos(a), _ROOT * math.sin(a)]
+        for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
+    ),
+)
 
 
-def test_perturb_zero_branch(tight_four_frame):
-    # the normalised frame is already generic, so no noise is added
-    frame, gamma = perturb_to_generic(tight_four_frame, 1e-3, rng_seed=5)
-    assert gamma == 0.0
-    assert dist_squared(tight_four_frame, frame) <= 1e-28
+def test_round_takes_zero_perturbation(tight_four_frame):
+    # The normalised frame rounds with a certificate, so no noise is added.
+    report = paulsen_round(tight_four_frame, rng_seed=5)
+    assert report.certified
+    assert report.gamma == 0.0
+    assert report.distances["input_perturbed"] <= 1e-28
 
 
-def test_perturb_needs_noise_for_degenerate_input():
-    # an equal-norm Parseval frame with two collinear blocks
-    r = 2.0**-0.5
-    frame = MatrixFrame(2, ([r, 0.0], [r, 0.0], [0.0, r], [0.0, r]))
-    assert nearness(frame).epsilon <= 1e-15
-    assert not is_generic(frame)
-    perturbed, gamma = perturb_to_generic(frame, 0.01, rng_seed=9)
-    assert is_generic(perturbed)
-    assert gamma > 0.0
-    assert dist_squared(frame, perturbed) <= 0.01 * 2
-
-
-def test_perturb_deterministic(tight_four_frame):
-    noisy = MatrixFrame(
-        2, tuple(b + 0.01 * i for i, b in enumerate(tight_four_frame.blocks))
+def test_round_noise_within_budgets():
+    frame = NOISE_PATH_FRAME
+    d, n = frame.d, frame.n
+    assert nearness(frame).epsilon == pytest.approx(0.2)
+    normalised = frame  # every block already has norm sqrt(d/n)
+    assert np.allclose([np.sum(b**2) for b in frame.blocks], d / n)
+    free = SolverConfig(check_polytope=False)
+    assert minimize(FrameDatum(normalised, WeightVector.uniform(d, n)), free).status == (
+        "unbounded_below"
     )
-    eps = nearness(noisy).epsilon
-    first, g1 = perturb_to_generic(noisy, eps, rng_seed=77)
-    second, g2 = perturb_to_generic(noisy, eps, rng_seed=77)
-    assert first == second
-    assert g1 == g2
+
+    report = paulsen_round(frame, rng_seed=9)
+    eps = report.epsilon_used
+    assert report.certified and report.majorization_ok
+    h = np.array([
+        np.linalg.norm(p - b) for p, b in zip(report.perturbed.blocks, normalised.blocks)
+    ])
+    assert 0.0 < np.max(h) <= eps / (2 * n)
+    assert report.gamma == pytest.approx(np.max((n / d) * (h * h + 2 * h)), rel=1e-12)
+    assert 0.0 < report.gamma <= min(1.0, eps)
+    assert report.distances["input_perturbed"] <= eps * d
+    assert nearness(report.perturbed).epsilon <= 4 * eps
 
 
-def test_perturb_preconditions(tight_four_frame, orthonormal_frame):
+def test_round_noise_deterministic():
+    first = paulsen_round(NOISE_PATH_FRAME, rng_seed=77)
+    second = paulsen_round(NOISE_PATH_FRAME, rng_seed=77)
+    other = paulsen_round(NOISE_PATH_FRAME, rng_seed=78)
+    assert first.perturbed == second.perturbed and first.gamma == second.gamma
+    assert first.output == second.output
+    assert first.perturbed != other.perturbed
+
+
+def test_round_candidate_preconditions(tight_four_frame, orthonormal_frame):
+    with pytest.raises(ValueError, match="below 0.3"):
+        paulsen_round(tight_four_frame, epsilon_floor=0.5)
+    with pytest.raises(ValueError, match="n > d"):
+        paulsen_round(orthonormal_frame)
     with pytest.raises(ValueError):
-        perturb_to_generic(tight_four_frame, 0.5, rng_seed=0)
-    with pytest.raises(ValueError):
-        perturb_to_generic(orthonormal_frame, 0.1, rng_seed=0)  # n = d
-    noisy = MatrixFrame(2, tuple(1.2 * b for b in tight_four_frame.blocks))
-    with pytest.raises(ValueError):
-        # the frame is farther from equal-norm Parseval than the budget
-        perturb_to_generic(noisy, 1e-6, rng_seed=0)
+        paulsen_round(MatrixFrame(2, ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])))
 
 
 def test_round_exact_input(tight_four_frame):
@@ -146,19 +166,19 @@ def test_round_exact_input(tight_four_frame):
     assert report.dist_input_output <= 1e-20
 
 
-def test_round_uses_config_rank_tol(tight_four_frame, monkeypatch):
-    # The genericity test of the perturbation runs at config.rank_tol.
+def test_round_passes_config_to_minimize(tight_four_frame, monkeypatch):
+    # config.rank_tol reaches every solve; the pre-check is always off.
     seen = []
-    generic = frameiso.paulsen.is_generic
+    solve = frameiso.paulsen.minimize
 
-    def recording(frame, tol):
-        seen.append(tol)
-        return generic(frame, tol)
+    def recording(datum, config):
+        seen.append(config)
+        return solve(datum, config)
 
-    monkeypatch.setattr(frameiso.paulsen, "is_generic", recording)
+    monkeypatch.setattr(frameiso.paulsen, "minimize", recording)
     report = paulsen_round(tight_four_frame, SolverConfig(rank_tol=1e-7), rng_seed=3)
     assert report.certified
-    assert seen and set(seen) == {1e-7}
+    assert seen and {(c.rank_tol, c.check_polytope) for c in seen} == {(1e-7, False)}
 
 
 def test_round_measures_input_nearness_once(tight_four_frame, monkeypatch):
@@ -298,3 +318,67 @@ def test_pooled_report_matches_blockwise_definitions(shape, eps, seed):
     assert frameiso.paulsen._majorizes_columns(
         np.column_stack(perturbed_masses), np.column_stack(helper_masses), mass_tol
     ) == all(majorizes(b, a, mass_tol) for a, b in zip(helper_masses, perturbed_masses))
+
+
+def repeated_basis(d, copies, eps):
+    """``copies`` copies of a random orthonormal basis of R^d, one column
+    per block scaled to sqrt(d/n), moved by Gaussian noise to nearness
+    about ``eps`` (exactly equal-norm Parseval at eps = 0)."""
+    rng = np.random.default_rng([d, copies])
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    cols = np.hstack([q] * copies) / math.sqrt(copies)
+
+    def frame(scale):
+        moved = cols + scale * noise
+        return MatrixFrame(d, tuple(moved[:, [k]] for k in range(moved.shape[1])))
+
+    noise = rng.standard_normal(cols.shape)
+    if eps == 0:
+        return frame(0.0)
+    return frame(1e-3 * eps / nearness(frame(1e-3)).epsilon)
+
+
+@pytest.mark.parametrize("eps", [0, 1e-6, 1e-4, 1e-2])
+@pytest.mark.parametrize("copies", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+def test_round_repeated_bases(d, copies, eps):
+    # Every d-subset holding a repeated column has a minor of order eps^m,
+    # and the weights d/n sit on the boundary of the orbit polytope; the
+    # normalised frame still rounds with a certificate.
+    frame = repeated_basis(d, copies, eps)
+    assert nearness(frame).epsilon == pytest.approx(eps, rel=0.05, abs=1e-14)
+    report = paulsen_round(frame, rng_seed=d)
+    assert report.certified and report.majorization_ok
+    assert report.gamma == 0.0
+
+
+@pytest.mark.parametrize("d, n", [(8, 40), (16, 64), (8, 256)])
+def test_round_past_the_minor_guard(d, n):
+    # C(40, 8) = 76,904,685 pooled minors, far past DEFAULT_SIZE_GUARD.
+    frame = random_nearly_parseval(d, [1] * n, 0.05, np.random.default_rng(d * n))
+    report = paulsen_round(frame, rng_seed=1)
+    assert report.certified and report.majorization_ok
+    assert report.dist_input_output <= 1e-2 * report.epsilon_used * d * d
+
+
+def test_rounding_enumerates_nothing(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the minor enumeration ran")
+
+    monkeypatch.setattr(frameiso.frames, "_exterior_minors", refuse)
+    big = random_nearly_parseval(8, [1] * 40, 0.05, np.random.default_rng(320))
+    for frame in (NOISE_PATH_FRAME, repeated_basis(4, 2, 0), big):
+        assert paulsen_round(frame).certified
+    path = tmp_path / "big.json"
+    write_frame_file(path, big)
+    assert cli.main(["paulsen", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True
+
+
+@pytest.mark.parametrize("d, copies", [(2, 2), (4, 3), (8, 2)])
+def test_cli_paulsen_repeated_basis(tmp_path, capsys, d, copies):
+    path = tmp_path / "repeated.json"
+    write_frame_file(path, repeated_basis(d, copies, 0))
+    assert cli.main(["paulsen", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["certified"] is True and report["majorization_ok"] is True

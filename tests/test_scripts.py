@@ -54,7 +54,7 @@ def test_readme_quick_start():
 
 
 def test_paulsen_sweep_above_d_six():
-    # n is drawn below max(9, d + 3), so d >= 7 leaves room for n >= d + 2.
+    # n is drawn up to 4d for d >= 7, so d >= 7 leaves room for n >= d + 2.
     proc = run_script(
         "scripts/paulsen_sweep.py", "--runs", "2", "--seed", "1", "--d-min", "7",
         "--d-max", "7",
