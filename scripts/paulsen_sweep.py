@@ -44,7 +44,6 @@ def main():
     start = time.perf_counter()
     for run in range(args.runs):
         d = int(rng.integers(args.d_min, args.d_max + 1))
-        # Up to 8 blocks for d <= 6, up to 4d above.
         n = int(rng.integers(d + 2, 9 if d <= 6 else 4 * d + 1))
         cols = [int(rng.integers(1, 3)) for _ in range(n)]
         eps = float(np.exp(rng.uniform(math.log(args.eps_min), math.log(args.eps_max))))

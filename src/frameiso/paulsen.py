@@ -20,11 +20,11 @@ pre-check, and the first whose solve converges and whose rounding is
 output) is returned.  No property of a candidate is enumerated: the
 output's own certificate is the acceptance test.
 
-The normalised input converges whenever a minimiser exists at d/n: in
-the relative interior of its orbit polytope, and on the boundary where
-the frame is polystable, as repeated orthonormal bases are.  Where it
-does not (d/n outside, or a boundary without a minimiser) a noise draw
-does.  A draw puts the pooled columns in general position with
+The normalised input's solve converges whenever a minimiser exists at
+d/n: in the relative interior of its orbit polytope, and on the boundary
+where the frame is polystable, as repeated orthonormal bases are.  Where
+it does not (d/n outside, or a boundary without a minimiser) a noise
+draw does.  A draw puts the pooled columns in general position with
 probability one, and then every proper block subset S has
 r(S) >= min(d, |S|) > |S| d/n, because d/n < 1 and |S| < n.  So
 c(S) < r(S) for every proper S with r(S) < d, which is theta-stability
