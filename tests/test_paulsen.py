@@ -108,7 +108,17 @@ NOISE_PATH_FRAME = MatrixFrame(
 )
 
 
-def test_round_takes_zero_perturbation(tight_four_frame):
+def test_perturb_exact_input(tight_four_frame):
+    # The candidate taken for an exact frame stays within the budgets.
+    report = paulsen_round(tight_four_frame, rng_seed=5)
+    eps = report.epsilon_used
+    assert report.certified
+    assert report.distances["input_perturbed"] <= eps * 2
+    assert nearness(report.perturbed).epsilon <= 4 * eps
+    assert 0.0 <= report.gamma <= min(1.0, eps)
+
+
+def test_perturb_zero_branch(tight_four_frame):
     # The normalised frame rounds with a certificate, so no noise is added.
     report = paulsen_round(tight_four_frame, rng_seed=5)
     assert report.certified
