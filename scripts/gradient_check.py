@@ -21,7 +21,7 @@ from frameiso import (
     log_det_potential_grad,
 )
 from frameiso.generate import random_frame
-from frameiso.objective import _potential
+from frameiso.objective import _hessian, _potential
 
 
 def finite_difference(frame, t, step=1e-5):
@@ -81,7 +81,8 @@ def main():
                 worst_fd,
                 float(np.max(np.abs(analytic - finite_difference(frame, t)) / scale)),
             )
-            hess = _potential(frame, t, order=2)[2]
+            _, grad, rotated, _ = _potential(frame, t)
+            hess = _hessian(frame, grad, rotated)
             worst_hess = max(
                 worst_hess,
                 float(np.max(np.abs(hess - hessian_difference(frame, t)))),

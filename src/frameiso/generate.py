@@ -19,14 +19,14 @@ import numpy as np
 
 from .frames import FrameDatum, MatrixFrame, WeightVector, _block_norms_sq, _with_columns
 from .polytope import orbit_polytope_report
-from .quiver import nearness
+from .quiver import is_equal_norm_parseval, nearness
 from .solver import STATUS_CONVERGED, STATUS_UNBOUNDED, SolverConfig, minimize
 
 # Gradient tolerance of the radial-isotropy solve behind
-# random_equal_norm_parseval; its frames are Parseval to about this level.
+# random_equal_norm_parseval, and the tolerance its frames are Parseval to.
 _PARSEVAL_GRAD_TOL = 1e-13
 # Partial isometries random_equal_norm_parseval draws before it gives up
-# on solves that stall above that tolerance.
+# on solves that stall above that tolerance or outputs that miss it.
 _MAX_DRAWS = 5
 # Rescalings of the noise random_nearly_parseval tries to land its
 # measured nearness in [epsilon / 2, 0.98 epsilon].
@@ -48,17 +48,19 @@ def random_equal_norm_parseval(d: int, block_cols, rng) -> MatrixFrame:
     isometry (the transposed Q of an N x d Gaussian's QR, cut into the
     blocks), whose frame operator is the identity and whose columns are
     generic, so that for n > d the uniform weights d/n lie in the
-    relative interior of its orbit polytope.  Scale every block to
-    squared norm d/n, which moves the minimiser by an exact shift and
-    saves about a quarter of the Newton iterations.  Solve for radial
-    isotropy at those weights, without the membership pre-check, apply
-    the transformer, and scale every block to squared norm d/n again:
-    the result is Parseval, with equal block norms, to the solve's
-    tolerance.
+    relative interior of its orbit polytope.  Solve for radial isotropy
+    at those weights, without the membership pre-check (the solve starts
+    at the norm-balanced point, so the isometry's unequal block norms
+    cost no Newton steps), apply the transformer, and scale every block
+    to squared norm d/n: the result is Parseval, with equal block norms,
+    to the solve's tolerance.
 
     The solve's status decides the outcome:
 
-    - ``converged``: the frame is returned;
+    - ``converged``: the frame is returned when it passes
+      ``is_equal_norm_parseval`` at 1e-13, the solve's gradient
+      tolerance; a converged solve whose output misses it in the last
+      bits is redrawn like a stall;
     - ``unbounded_below``: ValueError naming the violating block subsets.
       Every frame of this shape has its orbit polytope inside a generic
       one's, so no equal-norm Parseval frame of the shape exists;
@@ -82,11 +84,13 @@ def random_equal_norm_parseval(d: int, block_cols, rng) -> MatrixFrame:
         q, _ = np.linalg.qr(rng.standard_normal((total, d)))
         blocks = np.split(q.T, np.cumsum(block_cols[:-1]), axis=1)
         isometry = MatrixFrame(d, tuple(blocks))
-        start = _equal_norms(isometry, isometry.pooled())
-        datum = FrameDatum(start, weights)
+        datum = FrameDatum(isometry, weights)
         result = minimize(datum, config)
         if result.status == STATUS_CONVERGED:
-            return _equal_norms(start, result.transformer @ start.pooled())
+            frame = _equal_norms(isometry, result.transformer @ isometry.pooled())
+            if is_equal_norm_parseval(frame, _PARSEVAL_GRAD_TOL):
+                return frame
+            continue
         if result.status == STATUS_UNBOUNDED:
             raise ValueError(
                 f"no equal-norm Parseval frame with block columns {list(block_cols)}"
@@ -95,10 +99,10 @@ def random_equal_norm_parseval(d: int, block_cols, rng) -> MatrixFrame:
             )
         # For n > d every proper S has c(S) < min(d, N_S): no set is tight.
         if n <= d and (tight := orbit_polytope_report(datum).tight_subsets):
-            return _direct_sum(start, tight[0], rng)
+            return _direct_sum(isometry, tight[0], rng)
     raise RuntimeError(
-        f"radial-isotropy solve stalled above grad_tol={_PARSEVAL_GRAD_TOL:g}"
-        f" on {_MAX_DRAWS} draws"
+        f"no equal-norm Parseval frame to {_PARSEVAL_GRAD_TOL:g} from the"
+        f" radial-isotropy solve on {_MAX_DRAWS} draws"
     )
 
 

@@ -10,12 +10,13 @@ Two independent evaluation routes are provided:
 
 * the production path: one kernel builds Q(t) from the pooled d x N
   matrix and, from a single symmetric eigendecomposition, returns the
-  potential, the gradient components e^{t_i} |Q^{-1/2}(t) X_i|_F^2, on
-  request the Hessian, and the eigendecomposition itself, so a caller
-  forms Q^{-1/2}(t) at that point without a second ``eigh``.  The
-  Hessian's block coupling is one indicator product E^T (G o G) E over
-  the N x N Gram matrix G of the rotated columns, E the N x n 0/1 matrix
-  of column owners, built per call;
+  potential, the gradient components e^{t_i} |Q^{-1/2}(t) X_i|_F^2, the
+  rotated columns, and the eigendecomposition itself, so a caller forms
+  Q^{-1/2}(t) at that point without a second ``eigh``.  The Hessian is
+  formed from those rotated columns only where a caller needs it: its
+  block coupling is one indicator product E^T (G o G) E over the N x N
+  Gram matrix G of the rotated columns, E the N x n 0/1 matrix of column
+  owners;
 * a combinatorial oracle that expands det Q(t) over all d-column
   selections from the pooled matrix (each selection contributes the
   squared d x d determinant of the chosen columns, scaled by
@@ -79,18 +80,17 @@ def _exp_scalings(frame: MatrixFrame, t) -> np.ndarray:
     return scale
 
 
-def _operator_eigh(frame: MatrixFrame, t):
-    """(eigenvalues ascending, eigenvectors) of Q(t) from one ``eigh``.
+def _operator(frame: MatrixFrame, t) -> np.ndarray:
+    """Q(t) as ``scaled_frame_operator`` builds it, checked to be finite.
 
-    No floor is applied.  Raises OverflowError when e^{t_i} or Q(t) is
-    non-finite.
+    Raises OverflowError when e^{t_i} or Q(t) is non-finite.
     """
     scale = _exp_scalings(frame, t)
     with np.errstate(over="ignore", invalid="ignore"):
         op = _weighted_operator(frame, scale)
     if not np.all(np.isfinite(op)):
         raise OverflowError("Q(t) overflowed; recentre the scalings")
-    return np.linalg.eigh(op)
+    return op
 
 
 def _check_floor(eigvals: np.ndarray) -> None:
@@ -102,42 +102,42 @@ def _check_floor(eigvals: np.ndarray) -> None:
         )
 
 
-def _potential(frame: MatrixFrame, t, order: int = 1, eig=None) -> tuple:
-    """(log det Q(t), gradient, Hessian, (eigvals, eigvecs)) from one
-    eigendecomposition of Q(t).
+def _potential(frame: MatrixFrame, t) -> tuple:
+    """(log det Q(t), gradient, rotated columns, (eigvals, eigvecs)) from
+    one eigendecomposition of Q(t).
 
-    ``eig`` is ``_operator_eigh(frame, t)`` when the caller already has
-    it, and is taken here otherwise; either way it passes the
-    eigenvalue floor first and is returned as the last entry, so the
-    caller can form Q^{-1/2}(t) from it.  Derivatives above ``order``
-    are returned as None.  With P the pooled d x N matrix, each column
-    scaled by e^{t_i/2} of its block i, and Q = U diag(lam) U^T, let
-    R = diag(lam)^{-1/2} U^T P.  Gradient component i sums R o R over
-    block i's columns, and the Hessian is diag(g) - E^T (G o G) E, with
-    G = R^T R and E the N x n 0/1 matrix whose column i marks block i's
-    columns: one indicator product sums G o G over the columns of every
-    pair of blocks.  Scaling the columns by e^{t/2} before the rotation
-    keeps every entry of R bounded when some e^{t_i} is huge, where the
-    product e^{t_i} e^{t_j} would overflow.  The Hessian rows sum to
-    zero: the potential is linear along the all-ones direction.
+    The eigendecomposition passes the eigenvalue floor first and is
+    returned as the last entry, so the caller can form Q^{-1/2}(t) from
+    it.  With P the pooled d x N matrix, each column scaled by e^{t_i/2}
+    of its block i, and Q = U diag(lam) U^T, the rotated columns are
+    R = diag(lam)^{-1/2} U^T P, and gradient component i sums R o R over
+    block i's columns.  Scaling the columns by e^{t/2} before the
+    rotation keeps every entry of R bounded when some e^{t_i} is huge,
+    where the product e^{t_i} e^{t_j} would overflow.  ``_hessian``
+    forms the Hessian at the same point from the gradient and R.
     """
-    if eig is None:
-        eig = _operator_eigh(frame, t)
-    eigvals, eigvecs = eig
+    eigvals, eigvecs = eig = np.linalg.eigh(_operator(frame, t))
     _check_floor(eigvals)
     value = float(np.sum(np.log(eigvals)))
-    if order < 1:
-        return value, None, None, eig
     half = np.exp(0.5 * np.asarray(t, dtype=float))[frame._owner]
     rotated = (eigvecs.T @ (frame.pooled() * half)) / np.sqrt(eigvals)[:, None]
     grad = np.add.reduceat(np.sum(rotated**2, axis=0), frame.block_starts)
-    if order < 2:
-        return value, grad, None, eig
+    return value, grad, rotated, eig
+
+
+def _hessian(frame: MatrixFrame, grad: np.ndarray, rotated: np.ndarray) -> np.ndarray:
+    """Hessian of the potential from ``_potential``'s gradient and rotated
+    columns R at one point: diag(g) - E^T (G o G) E, with G = R^T R and E
+    the N x n 0/1 matrix whose column i marks block i's columns, so one
+    indicator product sums G o G over the columns of every pair of
+    blocks.  Its rows sum to zero: the potential is linear along the
+    all-ones direction.
+    """
     inner = rotated.T @ rotated
     owners = np.zeros((frame.total_cols, frame.n))
     owners[np.arange(frame.total_cols), frame._owner] = 1.0
     hess = np.diag(grad) - owners.T @ (inner * inner) @ owners
-    return value, grad, (hess + hess.T) / 2.0, eig
+    return (hess + hess.T) / 2.0
 
 
 def _inverse_sqrt(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
@@ -154,7 +154,7 @@ def sym_inverse_sqrt(op: np.ndarray) -> np.ndarray:
 
 def log_det_potential(frame: MatrixFrame, t) -> float:
     """log det Q(t), computed from the eigenvalues of the symmetrised Q."""
-    return _potential(frame, t, order=0)[0]
+    return _potential(frame, t)[0]
 
 
 def log_det_potential_grad(frame: MatrixFrame, t) -> np.ndarray:

@@ -8,19 +8,25 @@ direction is not a clear descent direction.
 Convergence is declared on the gradient (grad potential - c), which up to
 scaling is exactly the radial-isotropy residual users care about.  Each
 trial point of the line search is recentred so <t, c> = 0 and evaluated
-once, value, gradient and Hessian together; the accepted trial is the
-next iterate, with that evaluation.  The objective is invariant under the
-gauge when the weights sum to d, and recentring keeps the iterates
-bounded whenever a minimiser exists.
+once, value and gradient together; the accepted trial is the next
+iterate, with that evaluation.  The Hessian is formed only at an iterate
+whose gradient is above the tolerance, for the Newton step taken from
+it, so line-search trials and the final point get none.  The objective
+is invariant under the gauge when the weights sum to d, and recentring
+keeps the iterates bounded whenever a minimiser exists.
 
-Every evaluated point costs one ``eigh`` of Q(t) and there is none after
-the loop: the kernel returns its eigendecomposition with the point, and
-the transformer Q^{-1/2}(t*) and the extremisers are formed from the
-accepted point's.  The first point is t = 0, and its ``eigh`` of the
-frame operator Q(0) is taken before anything else: the matrix-frame test
-reads it with ``is_matrix_frame``'s rule, then the pre-check runs, and
-then the first point's value and derivatives come from the same
-decomposition.
+The matrix-frame test comes first: ``is_matrix_frame``'s rule on the
+eigenvalues of the frame operator Q(0).  Then the pre-check runs, and
+the loop starts at the norm-balanced point t0 = log c_i - log |X_i|_F^2,
+recentred, where Q(t0) is, up to a positive factor, the operator
+sum_i c_i X_i X_i^T / |X_i|_F^2 of the block-normalised frame.  Scaling
+X_i by s_i shifts the objective by an exact translation of t, so this
+start removes the block scales before the first step instead of having
+Newton steps undo them (a block of zero norm is left unscaled).  Every
+evaluated point costs one ``eigh`` of Q(t) and there is none after the
+loop: the kernel returns its eigendecomposition with the point, and the
+transformer Q^{-1/2}(t*) and the extremisers are formed from the
+accepted point's.
 
 When the weights fail the orbit-polytope test the infimum is -inf and the
 solver reports ``not_semistable`` without iterating; the test is the
@@ -55,13 +61,15 @@ from .frames import (
     EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
+    _block_norms_sq,
     _positive_definite,
     apply_transform,
 )
 from .objective import (
     NotPositiveDefiniteError,
+    _hessian,
     _inverse_sqrt,
-    _operator_eigh,
+    _operator,
     _potential,
     grad_via_minors,
 )
@@ -78,6 +86,8 @@ _INIT_STEP = 1.0
 # A Newton direction whose descent slope is below this fraction of |g|^2
 # is numerically tangent to the gradient's level set; use -g instead.
 _DESCENT_FRACTION = 1e-8
+# Bound on the components of the balanced start: e^700 is about 1e304.
+_MAX_START = 700.0
 
 
 @dataclass(frozen=True)
@@ -157,13 +167,12 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     d = frame.d
     if weights.total() != Fraction(d):
         raise ValueError(f"weights sum to {weights.total()}, need exactly {d}")
-    # One eigh of Q(0) serves the matrix-frame test and the first point.
-    t = np.zeros(frame.n)
+    # Only the eigenvalues of Q(0) are read: the loop starts at t0, not 0.
     try:
-        eig = _operator_eigh(frame, t)
+        eigvals = np.linalg.eigvalsh(_operator(frame, np.zeros(frame.n)))
     except OverflowError:
-        eig = None  # a frame operator past the float range is no matrix frame
-    if eig is None or not _positive_definite(eig[0], config.rank_tol):
+        eigvals = None  # a frame operator past the float range is no matrix frame
+    if eigvals is None or not _positive_definite(eigvals, config.rank_tol):
         raise ValueError("not a matrix frame: frame operator is not positive definite")
 
     grad_tol = config.effective_grad_tol(d)
@@ -184,7 +193,9 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
             )
 
     c_floats = weights.as_floats()
-    value, grad, hess, eig = _potential(frame, t, order=2, eig=eig)
+    t = _balanced_start(frame, c_floats)
+    value, grad, rotated, eig = _potential(frame, t)
+    value -= float(np.dot(t, c_floats))
     status = STATUS_MAX_ITERS
     stalled = False
     refusal = None
@@ -198,7 +209,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
             iterations -= 1
             break
 
-        direction = _newton_direction(hess, gradient)
+        direction = _newton_direction(_hessian(frame, grad, rotated), gradient)
         point, full_step_floored = _line_search(
             frame, t, value, gradient, direction, c_floats
         )
@@ -217,7 +228,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
                 break
         if point is None:
             break  # no step resolves a decrease of the objective
-        new_t, value, grad, hess, eig = point
+        new_t, value, grad, rotated, eig = point
         # A step below the float resolution of t cannot make progress;
         # the run ends as max_iters once the new gradient is tested.
         stalled = float(np.max(np.abs(new_t - t))) <= _resolution(
@@ -251,6 +262,21 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     )
 
 
+def _balanced_start(frame: MatrixFrame, c_floats: np.ndarray) -> np.ndarray:
+    """t0 = log c_i - log |X_i|_F^2, recentred: Q(t0) is a positive multiple
+    of sum_i c_i X_i X_i^T / |X_i|_F^2.
+
+    A block whose squared norm is 0 (or underflows to it) keeps the
+    scaling of a unit-norm block.  Where the block norms span more than
+    the float range of e^t, t0 is clipped to +-700, where e^t and Q(t0)
+    stay finite.
+    """
+    norms_sq = _block_norms_sq(frame)
+    log_norms = np.log(norms_sq, out=np.zeros(frame.n), where=norms_sq > 0.0)
+    t = recenter(np.log(c_floats) - log_norms, c_floats, frame.d)
+    return np.clip(t, -_MAX_START, _MAX_START)
+
+
 def _resolution(magnitude: float) -> float:
     """Float resolution of a quantity of the given magnitude."""
     return 256.0 * np.finfo(float).eps * max(1.0, magnitude)
@@ -280,10 +306,11 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
 
     Each trial is recentred before it is evaluated.  Returns (point,
     full_step_floored): ``point`` is (t, objective, gradient of the
-    potential, Hessian, eigendecomposition of Q(t)) at the accepted
-    trial, or None when no step succeeds; the flag records whether the
-    initial (largest) trial was rejected by the positive-definiteness
-    floor, the signature of sliding along the edge of the cone.
+    potential, rotated columns, eigendecomposition of Q(t)) at the
+    accepted trial, or None when no step succeeds; the flag records
+    whether the initial (largest) trial was rejected by the
+    positive-definiteness floor, the signature of sliding along the edge
+    of the cone.
     """
     slope = float(np.dot(gradient, direction))
     step = _INIT_STEP
@@ -295,7 +322,7 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
     while step > 1e-20:
         trial = recenter(t + step * direction, c_floats, frame.d)
         try:
-            potential, grad, hess, eig = _potential(frame, trial, order=2)
+            potential, grad, rotated, eig = _potential(frame, trial)
         except (NotPositiveDefiniteError, OverflowError):
             full_step_floored = full_step_floored or step == _INIT_STEP
             step *= _BACKTRACK
@@ -306,7 +333,7 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
             _ARMIJO_C1 * step * abs(slope) < resolution
             and trial_value <= value + resolution
         ):
-            return (trial, trial_value, grad, hess, eig), full_step_floored
+            return (trial, trial_value, grad, rotated, eig), full_step_floored
         step *= _BACKTRACK
     return None, full_step_floored
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frameiso.generate
 from frameiso import is_equal_norm_parseval
 from frameiso.generate import random_equal_norm_parseval
 
@@ -32,6 +33,31 @@ def test_equal_norm_parseval_many_single_columns():
     # stopped converging.
     frame = random_equal_norm_parseval(8, [1] * 256, np.random.default_rng(0))
     assert frame.block_cols == (1,) * 256
+    assert is_equal_norm_parseval(frame, 1e-13)
+
+
+@pytest.mark.parametrize(
+    "d, cols, seed, statuses",
+    [
+        # The first solve converges to grad 8e-14 and its output passes.
+        (5, [1] * 6, 0, ["converged"]),
+        # A converged solve whose output's operator residual is above
+        # 1e-13 is redrawn, as a stall is.
+        (5, [1] * 6, 18, ["converged", "converged"]),
+        (7, [1] * 8, 3, ["converged", "max_iters", "converged", "converged"]),
+    ],
+)
+def test_equal_norm_parseval_output_decides_each_draw(d, cols, seed, statuses, monkeypatch):
+    results = []
+    solve = frameiso.generate.minimize
+
+    def recording(datum, config):
+        results.append(solve(datum, config))
+        return results[-1]
+
+    monkeypatch.setattr(frameiso.generate, "minimize", recording)
+    frame = random_equal_norm_parseval(d, cols, np.random.default_rng(seed))
+    assert [result.status for result in results] == statuses
     assert is_equal_norm_parseval(frame, 1e-13)
 
 

@@ -24,7 +24,7 @@ from frameiso import (
     sym_inverse_sqrt,
 )
 from frameiso.generate import random_frame
-from frameiso.objective import _potential
+from frameiso.objective import _hessian, _potential
 
 from conftest import assert_close, random_shape
 
@@ -255,7 +255,8 @@ def test_hessian_matches_gradient_differences():
         frame = random_frame(d, cols, rng)
         for _ in range(3):
             t = rng.uniform(-1.5, 1.5, frame.n)
-            _, _, hess, _ = _potential(frame, t, order=2)
+            _, grad, rotated, _ = _potential(frame, t)
+            hess = _hessian(frame, grad, rotated)
             numeric = np.empty((frame.n, frame.n))
             for j in range(frame.n):
                 up, down = t.copy(), t.copy()
@@ -333,7 +334,8 @@ def test_hessian_blockwise_named_cases(mixed_frame):
 def _assert_blockwise_hessian(frame, t):
     # Relative to the largest term of the difference diag(g) - coupling:
     # at n = 1 the two cancel and the Hessian is rounding noise around 0.
-    _, grad, hess, eig = _potential(frame, t, order=2)
+    _, grad, rotated, eig = _potential(frame, t)
+    hess = _hessian(frame, grad, rotated)
     expected = _blockwise_hessian(frame, t, eig)
     assert np.allclose(hess, expected, rtol=0.0, atol=1e-12 * float(np.max(grad)))
 
@@ -342,7 +344,8 @@ def test_hessian_survives_huge_scalings(mixed_frame):
     # e^{400} e^{400} overflows; the kernel scales the columns by e^{t/2}
     # before rotating, so the Hessian stays finite.
     t = np.array([400.0, 400.0, -800.0])
-    value, grad, hess, _ = _potential(mixed_frame, t, order=2)
+    value, grad, rotated, _ = _potential(mixed_frame, t)
+    hess = _hessian(mixed_frame, grad, rotated)
     assert math.isfinite(value) and np.all(np.isfinite(grad))
     assert np.all(np.isfinite(hess))
     assert np.array_equal(hess, hess.T)

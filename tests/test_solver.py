@@ -32,7 +32,7 @@ import frameiso.solver
 from frameiso import cli
 from frameiso.generate import random_degenerate_frame, random_frame
 from frameiso.io import write_frame_file
-from frameiso.objective import _potential
+from frameiso.objective import _hessian, _potential
 from frameiso.solver import _newton_direction
 
 from conftest import assert_close, traced_peak
@@ -106,12 +106,14 @@ def test_matrix_frame_test_precedes_certificate(thirds, monkeypatch):
 
 
 def test_matrix_frame_below_eigenvalue_floor(thirds):
-    # lambda(Q(0)) = 1.35e-13 and 2.0: a matrix frame at rank_tol 1e-14,
-    # which the kernel's floor of 1e-12 then rejects at t = 0.
-    frame = MatrixFrame(2, ([1.0, 0.0], [0.0, 3e-7], [1.0, 3e-7]))
+    # Three columns within 5e-7 rad of one line: lambda(Q(0)) = 1.27e-13 and
+    # 3.0, a matrix frame at rank_tol 1e-14.  Their norms are 1 to within
+    # 3e-13, so the balanced start is t = 0 up to that, and the kernel's
+    # floor of 1e-12 rejects the first point.
+    frame = MatrixFrame(2, ([1.0, 0.0], [1.0, 2e-7], [1.0, 5e-7]))
     assert is_matrix_frame(frame, 1e-14)
     message = (
-        "operator not positive definite (eigenvalues 1.350e-13 .. 2.000e+00);"
+        "operator not positive definite (eigenvalues 1.267e-13 .. 3.000e+00);"
         " the frame is degenerate along this direction"
     )
     for check in (True, False):
@@ -119,6 +121,27 @@ def test_matrix_frame_below_eigenvalue_floor(thirds):
         with pytest.raises(NotPositiveDefiniteError) as info:
             minimize(FrameDatum(frame, thirds), config)
         assert str(info.value) == message
+
+
+def test_start_where_block_norms_span_the_float_range(thirds):
+    # Squared block norms 1e300, 1e300 and 2e-300: the balanced start would
+    # need e^{t_2} = e^{920}, so it is clipped to t_2 = 700, and the run
+    # starts from a finite Q(t0) instead of overflowing.  Its status comes
+    # from the certificate, whose rank rule mis-ranks such blocks.
+    frame = MatrixFrame(2, ([1e150, 0.0], [0.0, 1e150], [1e-150, 1e-150]))
+    start = frameiso.solver._balanced_start(frame, thirds.as_floats())
+    assert start[2] == 700.0 and np.all(np.isfinite(np.exp(start)))
+    assert np.all(np.isfinite(scaled_frame_operator(frame, start)))
+    result = minimize(FrameDatum(frame, thirds), SolverConfig(check_polytope=False))
+    assert result.iterations >= 1
+    # A zero block has no norm to balance: it keeps a unit block's scaling.
+    zero = MatrixFrame(2, ([1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]))
+    datum = FrameDatum(zero, WeightVector(("1/2",) * 4))
+    start = frameiso.solver._balanced_start(zero, datum.weights.as_floats())
+    assert start[2] == start[0] and np.all(np.isfinite(start))
+    result = minimize(datum, SolverConfig(check_polytope=False))
+    assert result.status == "unbounded_below"
+    assert result.polytope.violating_subsets == ((2,),)
 
 
 def _assert_transformer_from_t_star(datum, result):
@@ -130,10 +153,13 @@ def test_transformer_is_inverse_sqrt_at_t_star(mixed_frame, thirds, monkeypatch)
     # The transformer comes from the accepted point's own eigendecomposition,
     # bit for bit what a fresh eigh of Q(t_star) gives.
     no_step = []
+    fail_search = None  # index of a line search made to find no step
     line_search = frameiso.solver._line_search
 
     def recording(*args):
         point, floored = line_search(*args)
+        if len(no_step) == fail_search:
+            point = None
         no_step.append(point is None)
         return point, floored
 
@@ -147,23 +173,32 @@ def test_transformer_is_inverse_sqrt_at_t_star(mixed_frame, thirds, monkeypatch)
         random_frame(4, [1] * 7, np.random.default_rng(0)), WeightVector.uniform(4, 7)
     )
     # Block 0 is one column with weight 1, its rank: a boundary member
-    # whose last line search finds no step, so t_star is the point before.
+    # where t drifts until the iteration cap.
     rng = np.random.default_rng(48)
     assert (int(rng.integers(2, 5)), int(rng.integers(3, 9))) == (2, 5)
     cols = [int(c) for c in rng.integers(1, 3, 5)]
+    assert cols[0] == 1
     boundary = FrameDatum(random_frame(2, cols, rng), WeightVector((1,) + ("1/4",) * 4))
+    drift = SolverConfig(grad_tol=0.0, check_polytope=False, max_iters=200)
     runs = [
         (FrameDatum(mixed_frame, thirds), SolverConfig(max_iters=1)),
         (FrameDatum(mixed_frame, thirds), SolverConfig(max_iters=2, check_polytope=False)),
         (stalled, SolverConfig(grad_tol=1e-16)),
-        (boundary, SolverConfig(grad_tol=0.0, check_polytope=False, max_iters=200)),
+        (boundary, drift),
     ]
     for datum, config in runs:
         no_step.clear()
         result = minimize(datum, config)
         assert result.status == "max_iters"
         _assert_transformer_from_t_star(datum, result)
-    assert cols[0] == 1 and no_step[-1]
+    # The same run, ended by a line search that finds no step: t_star is
+    # the point before it, with that point's transformer.
+    fail_search = 5
+    no_step.clear()
+    result = minimize(boundary, drift)
+    assert result.status == "max_iters" and result.iterations == 6
+    assert no_step == [False] * 5 + [True]
+    _assert_transformer_from_t_star(boundary, result)
 
 
 def test_monotone_descent(mixed_frame, thirds, monkeypatch):
@@ -411,12 +446,30 @@ def test_newton_direction_is_minimum_norm_solution():
     for datum in _generic_random_data():
         frame, c = datum.frame, datum.weights.as_floats()
         t = rng.uniform(-1.0, 1.0, frame.n)
-        _, grad, hess, _ = _potential(frame, t, order=2)
+        _, grad, rotated, _ = _potential(frame, t)
+        hess = _hessian(frame, grad, rotated)
         gradient = grad - c
         direction = _newton_direction(hess, gradient)
         reference = -np.linalg.lstsq(hess, gradient, rcond=1e-12)[0]
         assert_close(direction, reference, tol=1e-9)
         assert abs(float(np.sum(direction))) <= 1e-10
+
+
+def test_nearly_collinear_member_converges():
+    # Three nearly collinear columns in R^2, a relative-interior member.
+    # From t = 0 the Armijo test stalled as max_iters after 9 iterations at
+    # gradient 3.4e-7, with kappa(Q(t)) = 7.1e6; from the balanced start
+    # the run converges.
+    rng = np.random.default_rng(2951)
+    d = int(rng.integers(2, 7))
+    n = int(rng.integers(d + 1, 12))
+    cols = [int(rng.integers(1, 3)) for _ in range(n)]
+    assert (d, cols) == (2, [1, 1, 1])
+    datum = FrameDatum(random_frame(d, cols, rng), WeightVector.uniform(d, n))
+    assert in_orbit_polytope(datum).relative_interior
+    result = minimize(datum)
+    assert result.status == "converged"
+    assert result.grad_norm <= result.grad_tol == 2e-9
 
 
 def test_boundary_weights_terminate():
@@ -471,10 +524,10 @@ def test_each_point_evaluated_once(mixed_frame, thirds, monkeypatch):
     points = []
     kernel = frameiso.objective._potential
 
-    def counted(frame, t, order=1, eig=None):
+    def counted(frame, t):
         t = np.asarray(t, dtype=float)
         points.append(t - np.mean(t))
-        return kernel(frame, t, order, eig)
+        return kernel(frame, t)
 
     monkeypatch.setattr(frameiso.objective, "_potential", counted)
     monkeypatch.setattr(frameiso.solver, "_potential", counted)
@@ -486,10 +539,43 @@ def test_each_point_evaluated_once(mixed_frame, thirds, monkeypatch):
     assert min(gaps) > 1e-9
 
 
+def test_one_hessian_per_newton_step(mixed_frame, thirds, collinear_frame, monkeypatch):
+    # The Hessian is formed only for the Newton step taken from an iterate
+    # whose gradient is above the tolerance: line-search trials and the
+    # final point get none.
+    gradients = []
+    hessian = frameiso.solver._hessian
+
+    def counted(frame, grad, rotated):
+        gradients.append(grad)
+        return hessian(frame, grad, rotated)
+
+    monkeypatch.setattr(frameiso.solver, "_hessian", counted)
+    stalled = FrameDatum(
+        random_frame(4, [1] * 7, np.random.default_rng(0)), WeightVector.uniform(4, 7)
+    )
+    free = SolverConfig(check_polytope=False)
+    runs = [
+        (FrameDatum(mixed_frame, thirds), SolverConfig()),
+        (FrameDatum(collinear_frame, thirds), free),
+        (stalled, SolverConfig(grad_tol=1e-16)),
+        *((datum, SolverConfig()) for datum in _generic_random_data()),
+    ]
+    statuses = set()
+    for datum, config in runs:
+        gradients.clear()
+        result = minimize(datum, config)
+        statuses.add(result.status)
+        assert len(gradients) == result.iterations
+        c = datum.weights.as_floats()
+        assert all(np.linalg.norm(g - c) > result.grad_tol for g in gradients)
+    assert statuses == {"converged", "unbounded_below", "max_iters"}
+
+
 def test_widely_scaled_member_converges():
-    # Block norms 10^2 apart: generic, a member and in the relative interior,
-    # yet five of its nine full Newton steps meet the eigenvalue floor.  The
-    # certificate finds a member, so the solver must go on.
+    # Block norms 10^2 apart: generic, a member and in the relative interior.
+    # From the norm-balanced start no full Newton step meets the eigenvalue
+    # floor, so the run without the pre-check builds no report.
     frame = MatrixFrame(
         2, ([50.0, -150.0], [-100.0, 20.0], [0.12, -0.14], [0.3, -1.4])
     )
@@ -499,14 +585,15 @@ def test_widely_scaled_member_converges():
     for check in (True, False):
         result = minimize(datum, SolverConfig(check_polytope=check))
         assert result.status == "converged"
-        assert result.polytope.member
+        assert result.polytope.member if check else result.polytope is None
         transformed = to_radial_isotropic(datum, result)
         assert is_radial_isotropic(FrameDatum(transformed, datum.weights), 1e-6)
 
 
 @st.composite
-def _widely_scaled_data(draw):
-    """Uniform weights on a frame whose blocks are scaled by 10^U(-2, 2).
+def _scaled_pairs(draw, decades):
+    """Uniform weights on a frame, and on the same frame with its blocks
+    scaled by 10^U(-decades, decades), as (unscaled, scaled) data.
 
     Half the examples come from random_degenerate_frame (non-members).
     """
@@ -518,10 +605,38 @@ def _widely_scaled_data(draw):
     else:
         n = draw(st.integers(1, 10))
         frame = random_frame(d, [int(rng.integers(1, 3)) for _ in range(n)], rng)
-    scales = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    frame = MatrixFrame(d, tuple(s * b for s, b in zip(scales, frame.blocks)))
-    assume(is_matrix_frame(frame))
-    return FrameDatum(frame, WeightVector.uniform(d, n))
+    scales = 10.0 ** rng.uniform(-decades, decades, n)
+    scaled = MatrixFrame(d, tuple(s * b for s, b in zip(scales, frame.blocks)))
+    assume(is_matrix_frame(scaled))
+    weights = WeightVector.uniform(d, n)
+    return FrameDatum(frame, weights), FrameDatum(scaled, weights)
+
+
+def _widely_scaled_data():
+    """The scaled half of ``_scaled_pairs`` at 10^U(-2, 2)."""
+    return _scaled_pairs(2.0).map(lambda pair: pair[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_pairs(6.0))
+def test_status_does_not_depend_on_block_scales(pair):
+    # Scaling X_i by s_i shifts the objective by a translation of t, and
+    # the solve starts at the norm-balanced point, so the free run's status
+    # is the one the unscaled frame's membership gives.
+    unscaled, scaled = pair
+    report = in_orbit_polytope(unscaled)
+    result = minimize(scaled, SolverConfig(check_polytope=False))
+    if not report.member:
+        assert result.status == "unbounded_below"
+    elif report.relative_interior:
+        assert result.status == "converged"
+    else:
+        # On the boundary no minimiser exists; the gradient may still fall
+        # below the tolerance as t drifts.
+        assert result.status in ("converged", "max_iters")
+    if result.status == "converged":
+        transformed = to_radial_isotropic(scaled, result)
+        assert is_radial_isotropic(FrameDatum(transformed, scaled.weights), 1e-6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -584,11 +699,11 @@ def _assert_stops_at_first_floor(datum):
 
 
 def test_scaled_non_member_stops_at_first_floor():
-    # d = 4, n = 10: no upper level set of t violates the subset bound at
-    # the first floored step, yet the weights are outside the polytope.
+    # d = 4, n = 10: two full steps pass the floor and the third is the
+    # first it rejects; the one report then finds the weights outside.
     datum = _scaled_non_member(58)
     assert (datum.frame.d, datum.frame.n) == (4, 10)
-    assert _assert_stops_at_first_floor(datum).iterations == 2
+    assert _assert_stops_at_first_floor(datum).iterations == 3
 
 
 @settings(max_examples=40, deadline=None)
