@@ -33,8 +33,6 @@ from .objective import (
     log_det_potential,
     log_det_potential_grad,
     scaled_frame_operator,
-    scaling_objective,
-    sym_inverse_sqrt,
 )
 from .paulsen import (
     PaulsenReport,
@@ -114,8 +112,6 @@ __all__ = [
     "radial_isotropy_residual",
     "scale_to_critical",
     "scaled_frame_operator",
-    "scaling_objective",
     "stationarity_residual",
-    "sym_inverse_sqrt",
     "to_radial_isotropic",
 ]

@@ -7,13 +7,17 @@ elementary operations everything else builds on: transforms, squared
 distances, genericity of the pooled columns, and column-span ranks of
 block subsets.
 
+The package's one C(N, d) minor enumeration, ``_column_minors``, lives
+here too.  It is exponential in d and refuses inputs past a size guard;
+``is_generic`` and the minor-sum oracle in ``objective`` both read it,
+and no solver or rounding path does.
+
 All operations are pure functions of immutable values.  Blocks are
 copied on construction and on transform, so frames behave like values.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -293,11 +297,11 @@ def _column_minors(mat: np.ndarray):
     The C(N, d) selections come in lexicographic order, in chunks of at
     most _MINOR_CHUNK: ``selections`` is a (chunk, d) index array and
     ``determinants`` the matching minors, taken in one batched LU call on
-    the gathered stack.  This is the minor oracle behind
-    ``objective.enumerate_minors``; ``is_generic`` takes its minors from
-    ``_exterior_minors`` instead, and the tests hold the two against each
-    other.  Raises ValueError when N < d and EnumerationSizeError when
-    C(N, d) exceeds DEFAULT_SIZE_GUARD, before anything is allocated.
+    the gathered stack.  This is the package's one minor enumeration: it
+    is the oracle behind ``objective.enumerate_minors`` and gives
+    ``is_generic`` its minors.  Raises ValueError when N < d and
+    EnumerationSizeError when C(N, d) exceeds DEFAULT_SIZE_GUARD, before
+    anything is allocated.
     """
     d, n_cols = mat.shape
     _guard_minor_count(d, n_cols)
@@ -311,150 +315,22 @@ def _column_minors(mat: np.ndarray):
         yield selections, np.linalg.det(np.moveaxis(mat[:, selections], 1, 0))
 
 
-# Levels of the minor recursion with at most _CACHED_LEVEL column sets
-# keep their index tables in ``_level_tables``' cache of _CACHED_LEVELS
-# entries.  The recursion visits levels k <= N / 2, so such a level has
-# k <= 7 and at most C(16, 6) * 6 = 48,048 columns and as many drop
-# ranks: 769 KB as int64.  The cache retains at most 32 of them, 24.6 MB.
-# Only ``is_generic`` walks these levels, and in the library only the
-# ``check`` command calls it, so the cache serves repeated in-process
-# ``cli.main(["check", ...])`` calls and nothing else.
-_CACHED_LEVEL = 2 * _MINOR_CHUNK
-_CACHED_LEVELS = 32
-
-# (-1)^i for i < 64; a level's sign vector is a reversed slice of it.
-_ALTERNATING = _freeze(np.resize((1.0, -1.0), 64))
-
-
-def _binomials(n_cols: int, k: int) -> np.ndarray:
-    """(k + 1, n_cols) int64 table whose entry [i, t] is C(t, i)."""
-    table = np.zeros((k + 1, n_cols), dtype=np.int64)
-    table[0] = 1
-    for i in range(1, k + 1):
-        # C(t, i) is the sum of C(u, i - 1) over u < t.
-        np.cumsum(table[i - 1, :-1], out=table[i, 1:])
-    return table
-
-
-def _colex_tables(binom: np.ndarray, start: int, stop: int):
-    """Columns and drop ranks of the k-sets with colex ranks start .. stop - 1.
-
-    ``binom`` is ``_binomials(N, k)``.  The k-subsets of range(N) are
-    ranked in colex order: s_0 < ... < s_{k-1} has rank sum_i C(s_i, i+1),
-    so the sets with top column t follow all sets with a lower top.  Both
-    tables are (stop - start, k): row r of ``cols`` is the set of rank
-    start + r, increasing, and entry [r, j] of ``drops`` is the rank,
-    among the (k-1)-sets, of that set without s_j.
-    """
-    k = binom.shape[0] - 1
-    rank = np.arange(start, stop)
-    cols = np.empty((k, stop - start), dtype=np.intp)
-    for i in range(k, 0, -1):
-        # s_{i-1} is the largest t with C(t, i) <= the rank left over.
-        cols[i - 1] = np.searchsorted(binom[i], rank, side="right") - 1
-        rank -= binom[i][cols[i - 1]]
-    # Without s_j, each s_i above it moves down one place: its share of
-    # the rank drops from C(s_i, i+1) to C(s_i, i).
-    drops = np.empty_like(cols)
-    share = np.zeros(stop - start, dtype=np.int64)
-    for j in range(k - 1, -1, -1):
-        drops[j] = share
-        share += binom[j][cols[j]]
-    share[:] = 0
-    for j in range(k):
-        drops[j] += share
-        share += binom[j + 1][cols[j]]
-    return cols.T.copy(), drops.T.copy()
-
-
-@functools.lru_cache(maxsize=_CACHED_LEVELS)
-def _level_tables(n_cols: int, k: int):
-    """``_colex_tables`` of every k-subset of range(n_cols), read-only."""
-    cols, drops = _colex_tables(_binomials(n_cols, k), 0, math.comb(n_cols, k))
-    return _freeze(cols), _freeze(drops)
-
-
-def _table_chunks(n_cols: int, k: int):
-    """Yield the colex tables of the k-subsets of range(n_cols), _MINOR_CHUNK sets at a time.
-
-    Small levels are sliced from the cache; larger ones are built chunk
-    by chunk, so a chunk's tables bound the memory whatever C(N, k) is.
-    """
-    count = math.comb(n_cols, k)
-    if count <= _CACHED_LEVEL:
-        cols, drops = _level_tables(n_cols, k)
-        for start in range(0, count, _MINOR_CHUNK):
-            stop = start + _MINOR_CHUNK
-            yield cols[start:stop], drops[start:stop]
-        return
-    binom = _binomials(n_cols, k)
-    for start in range(0, count, _MINOR_CHUNK):
-        yield _colex_tables(binom, start, min(count, start + _MINOR_CHUNK))
-
-
-def _expand(lower: np.ndarray, row: np.ndarray, cols: np.ndarray, drops: np.ndarray):
-    """Minors of the first k rows on the sets of ``cols``, by Laplace expansion.
-
-    ``lower`` holds the minors of the first k-1 rows on every (k-1)-set in
-    colex order and ``row`` is row k-1:
-    D_k[S] = sum_j (-1)^(k-1-j) row[s_j] D_{k-1}[S without s_j].
-    """
-    terms = lower[drops]
-    terms *= row[cols]
-    return terms @ _ALTERNATING[cols.shape[1] - 1 :: -1]
-
-
-def _exterior_minors(mat: np.ndarray):
-    """Yield the absolute d x d minors of a d x N matrix, chunk by chunk.
-
-    The minors come from one recursion over the rows: level k holds the
-    minors of the first k rows on every k-set of columns, each a signed
-    sum of k entries of row k-1 times minors of level k-1 (``_expand``).
-    When 2d > N the recursion runs on K, the (N-d) x N orthonormal
-    complement of the row space from the complete QR of M^T = QR, since
-    |det M_S| = |det R| |det K_{S^c}| (Jacobi's complementary minors), so
-    no level has more than C(N, d) sets.  The top level comes in chunks
-    of at most _MINOR_CHUNK, in colex order of the column sets S, or of
-    their complements S^c when 2d > N.  Raises ValueError when N < d and
-    EnumerationSizeError when C(N, d) exceeds DEFAULT_SIZE_GUARD, before
-    anything is allocated.
-    """
-    d, n_cols = mat.shape
-    _guard_minor_count(d, n_cols)
-    factor = 1.0
-    if 2 * d > n_cols:
-        q, r = np.linalg.qr(mat.T, mode="complete")
-        factor = abs(float(np.prod(np.diag(r))))
-        mat = q[:, d:].T
-    rows = mat.shape[0]
-    if rows == 0:
-        yield np.array([factor])
-        return
-    lower = np.ones(1)
-    for k in range(1, rows):
-        lower = np.concatenate(
-            [_expand(lower, mat[k - 1], *tables) for tables in _table_chunks(n_cols, k)]
-        )
-    for tables in _table_chunks(n_cols, rows):
-        yield factor * np.abs(_expand(lower, mat[rows - 1], *tables))
-
-
 def is_generic(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
     """True when every d of the N pooled columns form a basis.
 
     Checks |det| > tol for all C(N, d) column subsets of the pooled
     matrix after rescaling it by its largest absolute entry, so the test
-    is scale-aware.  The minors come from ``_exterior_minors``' row
-    recursion, about d multiply-adds per minor and no LU; the count is
-    still exponential in d, refused with EnumerationSizeError when
-    C(N, d) exceeds DEFAULT_SIZE_GUARD.  The minors are taken chunk by
-    chunk, and the test stops at the first chunk holding a minor at or
-    below ``tol``.
+    is scale-aware.  Deciding this is NP-hard in general, so the test is
+    an exact enumeration for small inputs: the minors come from
+    ``_column_minors``' batched LU, chunk by chunk, and the test stops at
+    the first chunk holding a minor at or below ``tol``.  Raises
+    ValueError when N < d and EnumerationSizeError when C(N, d) exceeds
+    DEFAULT_SIZE_GUARD.
     """
     pooled = frame.pooled()
     scale = np.max(np.abs(pooled))
-    minors = _exterior_minors(pooled / scale if scale > 0.0 else pooled)
-    return all(np.all(chunk > tol) for chunk in minors)
+    minors = _column_minors(pooled / scale if scale > 0.0 else pooled)
+    return all(np.all(np.abs(dets) > tol) for _, dets in minors)
 
 
 def _numerical_rank(svals: np.ndarray, tol: float) -> np.ndarray:

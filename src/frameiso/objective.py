@@ -145,13 +145,6 @@ def _inverse_sqrt(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
     return (eigvecs * (eigvals**-0.5)) @ eigvecs.T
 
 
-def sym_inverse_sqrt(op: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix."""
-    eigvals, eigvecs = np.linalg.eigh(np.asarray(op, dtype=float))
-    _check_floor(eigvals)
-    return _inverse_sqrt(eigvals, eigvecs)
-
-
 def log_det_potential(frame: MatrixFrame, t) -> float:
     """log det Q(t), computed from the eigenvalues of the symmetrised Q."""
     return _potential(frame, t)[0]
@@ -272,15 +265,6 @@ def grad_via_minors(frame: MatrixFrame, t, minors=None) -> np.ndarray:
     return np.bincount(
         owners.ravel(), weights=np.repeat(shares, frame.d), minlength=frame.n
     )
-
-
-def scaling_objective(datum: FrameDatum, t) -> float:
-    """Potential minus <t, c>; the function the isotropy solver minimises.
-
-    Invariant under t -> t + s*1 whenever the weights sum to d.
-    """
-    value = log_det_potential(datum.frame, t)
-    return value - float(np.dot(np.asarray(t, dtype=float), datum.weights.as_floats()))
 
 
 def log_capacity(datum: FrameDatum, f_value: float) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 import frameiso
 from frameiso import FrameDatum, MatrixFrame, WeightVector
+from frameiso.objective import _check_floor, _inverse_sqrt
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -84,3 +85,11 @@ def traced_peak(func, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def sym_inverse_sqrt(op):
+    """Inverse square root of a symmetric positive definite matrix, from a
+    fresh ``eigh`` under the solver's eigenvalue floor."""
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(op, dtype=float))
+    _check_floor(eigvals)
+    return _inverse_sqrt(eigvals, eigvecs)

@@ -109,6 +109,24 @@ def test_check_command(tmp_path, capsys):
     assert report["rif"] is False
 
 
+def test_check_generic_false_and_undersized(tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    # The repeated column zeroes every minor that takes both copies.
+    write_frame_file(path, MatrixFrame(2, ([1.0, 2.0], [1.0, 2.0], [0.0, 1.0])))
+    code, out, _ = run_cli(["check", str(path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["generic"] is False
+    assert "generic_note" not in report
+    # N = 2 columns in d = 3: no d-column selection exists.
+    write_frame_file(path, MatrixFrame(3, ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])))
+    code, out, _ = run_cli(["check", str(path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["generic"] is None
+    assert report["generic_note"] == "undersized frame: N=2 < d=3"
+
+
 def test_check_without_weights(tmp_path, capsys):
     path, _ = write_mixed(tmp_path, with_weights=False)
     code, out, _ = run_cli(["check", str(path)], capsys)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameiso import (
@@ -20,7 +20,7 @@ from frameiso import (
     is_matrix_frame,
 )
 from frameiso import frames
-from frameiso.frames import _column_minors, _exterior_minors
+from frameiso.frames import _column_minors
 
 from conftest import assert_close, traced_peak
 
@@ -168,34 +168,30 @@ def test_is_generic_memory_is_bounded():
 
 
 def test_is_generic_stops_at_first_failing_chunk(monkeypatch):
-    # The repeated first column zeroes minors of the first chunk, so the
-    # rest of the C(24, 6) selections are never taken.
+    # The repeated first column zeroes the first C(22, 4) = 7,315 minors,
+    # which fill the first chunk, so the rest of the C(24, 6) selections
+    # are never taken.
     cols = np.random.default_rng(7).standard_normal((6, 24))
     cols[:, 1] = cols[:, 0]
     taken = []
 
-    def counted(mat, *args):
-        for minors in _exterior_minors(mat, *args):
-            taken.append(len(minors))
-            yield minors
+    def counted(mat):
+        for selections, dets in _column_minors(mat):
+            taken.append(len(dets))
+            yield selections, dets
 
-    monkeypatch.setattr(frames, "_exterior_minors", counted)
+    monkeypatch.setattr(frames, "_column_minors", counted)
     assert not is_generic(MatrixFrame(6, (cols,)))
-    assert len(taken) == 1
+    assert taken == [frames._MINOR_CHUNK]
 
 
 def test_is_generic_vector_frame_one_column_past_d():
-    # C(25, 24) = 25 minors.  Expanded over its 24 rows, the recursion
-    # would visit C(25, k) sets at level k (2^25 in all); on the one-row
-    # complement it visits 25.
+    # C(25, 24) = 25 minors in one chunk: the gathered stack of 25 24 x 24
+    # selections is 25 * 24**2 * 8 B = 115 KB, and it bounds the peak.
     frame = MatrixFrame(24, tuple(np.random.default_rng(9).standard_normal((25, 24))))
     generic, peak = traced_peak(is_generic, frame)
     assert generic
-    assert peak < 2**16
-
-
-def _colex_sets(n_cols, k):
-    return sorted(itertools.combinations(range(n_cols), k), key=lambda s: s[::-1])
+    assert peak < 2 * 25 * 24**2 * 8
 
 
 def _degenerate_matrix(d, n_cols, kind, seed):
@@ -221,36 +217,18 @@ def _degenerate_matrix(d, n_cols, kind, seed):
         )
     )
 )
-@example((3, 7, "generic", 0))  # 2d <= N
-@example((5, 7, "repeated", 1))  # 2d > N
-@example((4, 4, "generic", 2))  # N = d
+@example((3, 7, "generic", 0))
+@example((5, 7, "repeated", 1))
+@example((4, 4, "generic", 2))  # N = d: one minor
 @example((4, 4, "rank_deficient", 3))
-def test_exterior_minors_match_lu_oracle(case):
+def test_is_generic_matches_single_determinants(case):
     d, n_cols, kind, seed = case
     mat = _degenerate_matrix(d, n_cols, kind, seed)
     scale = np.max(np.abs(mat))
-    # Scaled as is_generic scales it, so both predicates see these minors.
+    # Scaled as is_generic scales it, so both sides see the same minors.
     mat = mat / scale if scale > 0.0 else mat
-    minors = np.concatenate(list(_exterior_minors(mat)))
-    if 2 * d > n_cols:
-        complements = _colex_sets(n_cols, n_cols - d)
-        sets = [tuple(sorted(set(range(n_cols)) - set(s))) for s in complements]
-    else:
-        sets = _colex_sets(n_cols, d)
-    oracle = {
-        tuple(selection): det
-        for selections, dets in _column_minors(mat)
-        for selection, det in zip(selections.tolist(), dets.tolist())
-    }
-    assert len(minors) == len(oracle) == len(sets)
-    lu = np.abs([oracle[s] for s in sets])
-    # Both routes err by a small multiple of d eps times |M|_2^d, the
-    # bound that Hadamard's prod_j |M e_j| puts on every minor.
-    bound = 8 * d * np.finfo(float).eps * np.linalg.norm(mat, 2) ** d
-    assert np.all(np.abs(minors - lu) <= bound)
-    # The verdicts can only part where a minor sits within rounding of tol.
-    assume(np.all(np.abs(lu - 1e-9) > bound))
-    assert is_generic(MatrixFrame(d, (mat,))) == bool(np.all(lu > 1e-9))
+    dets = [np.linalg.det(mat[:, list(s)]) for s in itertools.combinations(range(n_cols), d)]
+    assert is_generic(MatrixFrame(d, (mat,))) == all(abs(det) > 1e-9 for det in dets)
 
 
 def test_column_span_dim(mixed_frame, collinear_frame):

@@ -20,13 +20,11 @@ from frameiso import (
     log_det_potential,
     log_det_potential_grad,
     scaled_frame_operator,
-    scaling_objective,
-    sym_inverse_sqrt,
 )
 from frameiso.generate import random_frame
 from frameiso.objective import _hessian, _potential
 
-from conftest import assert_close, random_shape
+from conftest import assert_close, random_shape, sym_inverse_sqrt
 
 
 def central_difference_grad(frame, t, step=1e-5):
@@ -198,6 +196,12 @@ def test_grad_minors_survives_large_scalings(orthonormal_frame):
     # log-space accumulation keeps the ratio finite where naive sums overflow
     grad = grad_via_minors(orthonormal_frame, [600.0, -600.0])
     assert_close(grad, [1.0, 1.0])
+
+
+def scaling_objective(datum, t):
+    """Potential minus <t, c>: the function the isotropy solver minimises."""
+    t = np.asarray(t, dtype=float)
+    return log_det_potential(datum.frame, t) - float(np.dot(t, datum.weights.as_floats()))
 
 
 def test_objective_values(mixed_frame, thirds, orthonormal_frame):

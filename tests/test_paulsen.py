@@ -19,6 +19,7 @@ from frameiso import (
     paulsen_round,
 )
 import frameiso.frames
+import frameiso.objective
 import frameiso.paulsen
 from frameiso import cli
 from frameiso.generate import random_nearly_parseval
@@ -375,7 +376,9 @@ def test_rounding_enumerates_nothing(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the minor enumeration ran")
 
-    monkeypatch.setattr(frameiso.frames, "_exterior_minors", refuse)
+    # objective imports the name, so both modules' bindings are replaced.
+    monkeypatch.setattr(frameiso.frames, "_column_minors", refuse)
+    monkeypatch.setattr(frameiso.objective, "_column_minors", refuse)
     big = random_nearly_parseval(8, [1] * 40, 0.05, np.random.default_rng(320))
     for frame in (NOISE_PATH_FRAME, repeated_basis(4, 2, 0), big):
         assert paulsen_round(frame).certified

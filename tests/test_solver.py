@@ -23,7 +23,6 @@ from frameiso import (
     radial_isotropy_residual,
     scaled_frame_operator,
     stationarity_residual,
-    sym_inverse_sqrt,
     to_radial_isotropic,
 )
 import frameiso.objective
@@ -35,7 +34,7 @@ from frameiso.io import write_frame_file
 from frameiso.objective import _hessian, _potential
 from frameiso.solver import _newton_direction
 
-from conftest import assert_close, traced_peak
+from conftest import assert_close, sym_inverse_sqrt, traced_peak
 
 
 def test_orthonormal_already_isotropic(orthonormal_frame):
