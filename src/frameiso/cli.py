@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -31,7 +30,7 @@ from .frames import (
     is_matrix_frame,
 )
 from .generate import random_equal_norm_parseval, random_frame, random_nearly_parseval
-from .io import encode_report, read_frame_datum, read_frame_file, write_frame_file
+from .io import encode_report, json_text, read_frame_datum, read_frame_file, write_frame_file
 from .objective import enumerate_minors, log_capacity, log_det_potential_grad
 from .paulsen import paulsen_round
 from .polytope import orbit_polytope_report
@@ -63,7 +62,7 @@ def _header(command: str, args: argparse.Namespace) -> dict:
 
 def _write_json(obj):
     """One JSON document on stdout, encoded whole and written at once."""
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(json_text(obj))
 
 
 def _emit(report: dict, human: bool):

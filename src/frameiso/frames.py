@@ -212,13 +212,14 @@ def is_matrix_frame(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
 
     The smallest eigenvalue must exceed ``tol`` times the largest
     eigenvalue (floored at 1 so that tiny frames are not passed by
-    scale alone).
+    scale alone).  A frame operator that overflows the float range is
+    no matrix frame.
     """
-    return _positive_definite(np.linalg.eigvalsh(frame_operator(frame)), tol)
-
-
-def _positive_definite(eigvals: np.ndarray, tol: float) -> bool:
-    """``is_matrix_frame``'s rule on the ascending eigenvalues of the frame operator."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = frame_operator(frame)
+    if not np.all(np.isfinite(op)):
+        return False
+    eigvals = np.linalg.eigvalsh(op)
     return bool(eigvals[0] > tol * max(eigvals[-1], 1.0))
 
 
@@ -247,6 +248,12 @@ def _block_norms_sq(frame: MatrixFrame, cols=None) -> np.ndarray:
     """
     cols = frame.pooled() if cols is None else cols
     return np.add.reduceat(np.sum(cols * cols, axis=0), frame.block_starts)
+
+
+def _equal_norms(layout: MatrixFrame, cols: np.ndarray) -> MatrixFrame:
+    """``cols`` in ``layout``'s blocks, each block scaled to squared norm d/n."""
+    norms = np.sqrt(_block_norms_sq(layout, cols))
+    return _with_columns(layout, math.sqrt(layout.d / layout.n) * cols / norms[layout._owner])
 
 
 def apply_transform(transform, frame: MatrixFrame) -> MatrixFrame:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .frames import FrameDatum, MatrixFrame, WeightVector, _block_norms_sq, _with_columns
+from .frames import FrameDatum, MatrixFrame, WeightVector, _equal_norms, _with_columns
 from .polytope import orbit_polytope_report
 from .quiver import is_equal_norm_parseval, nearness
 from .solver import STATUS_CONVERGED, STATUS_UNBOUNDED, SolverConfig, minimize
@@ -104,12 +104,6 @@ def random_equal_norm_parseval(d: int, block_cols, rng) -> MatrixFrame:
         f"no equal-norm Parseval frame to {_PARSEVAL_GRAD_TOL:g} from the"
         f" radial-isotropy solve on {_MAX_DRAWS} draws"
     )
-
-
-def _equal_norms(layout: MatrixFrame, cols: np.ndarray) -> MatrixFrame:
-    """``cols`` in ``layout``'s blocks, each block scaled to squared norm d/n."""
-    norms = np.sqrt(_block_norms_sq(layout, cols))
-    return _with_columns(layout, math.sqrt(layout.d / layout.n) * cols / norms[layout._owner])
 
 
 def _direct_sum(layout: MatrixFrame, subset: tuple, rng) -> MatrixFrame:

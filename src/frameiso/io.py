@@ -99,6 +99,12 @@ def encode_report(obj, human: bool = False):
     raise TypeError(f"cannot encode {type(obj).__name__} in a report")
 
 
+def json_text(obj) -> str:
+    """``obj`` as one JSON document, indented by 2 and ended by a newline:
+    the text of every frame file and report the package writes."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def frame_to_payload(frame: MatrixFrame, weights: WeightVector = None, human: bool = False) -> dict:
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -125,7 +131,7 @@ def write_frame_file(path, frame: MatrixFrame, weights: WeightVector = None, hum
     encode leaves an existing file at ``path`` as it was.  Raises
     FrameFileError when the file cannot be written.
     """
-    text = json.dumps(frame_to_payload(frame, weights, human), indent=2) + "\n"
+    text = json_text(frame_to_payload(frame, weights, human))
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -8,15 +8,17 @@ yields the radial-isotropy transformer Q^{-1/2}(t*).
 
 Two independent evaluation routes are provided:
 
-* the production path: one kernel builds Q(t) from the pooled d x N
-  matrix and, from a single symmetric eigendecomposition, returns the
-  potential, the gradient components e^{t_i} |Q^{-1/2}(t) X_i|_F^2, the
-  rotated columns, and the eigendecomposition itself, so a caller forms
-  Q^{-1/2}(t) at that point without a second ``eigh``.  The Hessian is
-  formed from those rotated columns only where a caller needs it: its
-  block coupling is one indicator product E^T (G o G) E over the N x N
-  Gram matrix G of the rotated columns, E the N x n 0/1 matrix of column
-  owners;
+* the production path: ``scaled_frame_operator`` is the package's one
+  builder of Q(t) from the pooled d x N matrix, and refuses a non-finite
+  e^{t_i} or a Q(t) past the float range with OverflowError.  One kernel
+  decomposes the Q(t) it returns and, from that single symmetric
+  eigendecomposition, returns the potential, the gradient components
+  e^{t_i} |Q^{-1/2}(t) X_i|_F^2, the rotated columns, and the
+  eigendecomposition itself, so a caller forms Q^{-1/2}(t) at that point
+  without a second ``eigh``.  The Hessian is formed from those rotated
+  columns only where a caller needs it: its block coupling is one
+  indicator product E^T (G o G) E over the N x N Gram matrix G of the
+  rotated columns, E the N x n 0/1 matrix of column owners;
 * a combinatorial oracle that expands det Q(t) over all d-column
   selections from the pooled matrix (each selection contributes the
   squared d x d determinant of the chosen columns, scaled by
@@ -40,6 +42,7 @@ from .frames import (
     EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
+    _block_norms_sq,
     _column_minors,
     _weighted_operator,
 )
@@ -57,10 +60,18 @@ def scaled_frame_operator(frame: MatrixFrame, t) -> np.ndarray:
     """Q(t) = sum_i e^{t_i} X_i X_i^T, symmetrised.
 
     At t = 0 this is the frame operator.  Raises OverflowError when any
-    e^{t_i} is non-finite; recentre t (the objective is invariant under
-    adding a multiple of the all-ones vector when the weights sum to d).
+    e^{t_i} or any entry of Q(t) is non-finite; recentre t (the objective
+    is invariant under adding a multiple of the all-ones vector when the
+    weights sum to d).
     """
-    return _weighted_operator(frame, _exp_scalings(frame, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(_check_scalings(frame, t))
+        if not np.all(np.isfinite(scale)):
+            raise OverflowError("e^{t_i} overflowed; recentre the scalings")
+        op = _weighted_operator(frame, scale)
+    if not np.all(np.isfinite(op)):
+        raise OverflowError("Q(t) overflowed; recentre the scalings")
+    return op
 
 
 def _check_scalings(frame: MatrixFrame, t) -> np.ndarray:
@@ -70,27 +81,6 @@ def _check_scalings(frame: MatrixFrame, t) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ValueError("scalings must be finite")
     return t
-
-
-def _exp_scalings(frame: MatrixFrame, t) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        scale = np.exp(_check_scalings(frame, t))
-    if not np.all(np.isfinite(scale)):
-        raise OverflowError("e^{t_i} overflowed; recentre the scalings")
-    return scale
-
-
-def _operator(frame: MatrixFrame, t) -> np.ndarray:
-    """Q(t) as ``scaled_frame_operator`` builds it, checked to be finite.
-
-    Raises OverflowError when e^{t_i} or Q(t) is non-finite.
-    """
-    scale = _exp_scalings(frame, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        op = _weighted_operator(frame, scale)
-    if not np.all(np.isfinite(op)):
-        raise OverflowError("Q(t) overflowed; recentre the scalings")
-    return op
 
 
 def _check_floor(eigvals: np.ndarray) -> None:
@@ -116,12 +106,12 @@ def _potential(frame: MatrixFrame, t) -> tuple:
     where the product e^{t_i} e^{t_j} would overflow.  ``_hessian``
     forms the Hessian at the same point from the gradient and R.
     """
-    eigvals, eigvecs = eig = np.linalg.eigh(_operator(frame, t))
+    eigvals, eigvecs = eig = np.linalg.eigh(scaled_frame_operator(frame, t))
     _check_floor(eigvals)
     value = float(np.sum(np.log(eigvals)))
     half = np.exp(0.5 * np.asarray(t, dtype=float))[frame._owner]
     rotated = (eigvecs.T @ (frame.pooled() * half)) / np.sqrt(eigvals)[:, None]
-    grad = np.add.reduceat(np.sum(rotated**2, axis=0), frame.block_starts)
+    grad = _block_norms_sq(frame, rotated)
     return value, grad, rotated, eig
 
 

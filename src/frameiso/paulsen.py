@@ -37,9 +37,14 @@ frames, never block by block: each rotation is one d x d by d x N
 product, the block norms behind the snapping come from one ``reduceat``
 over the block starts, the row masses of all blocks form one (d, n)
 array, and the six reported distances are sums over pooled differences.
+The first candidate and the rounded frame get their block norms of
+sqrt(d/n) from ``frames._equal_norms``, the scaling the generators use.
 Every check is array-wise too: the majorization of all blocks is one
-cumsum down the rows of the row-mass arrays, and the nearness and
-equal-norm tests take their block norms from the same pooled helper.
+cumsum down the rows of the row-mass arrays (``majorizes`` is the same
+test on one pair of vectors), and the nearness and equal-norm tests take
+their block norms from the same pooled helper.  An input whose frame
+operator overflows measures inf-nearly and is refused like any input
+at or past 0.3.
 
 The distance argument runs through a majorization step: with the
 singular values sorted weakly decreasing, the row masses of the helper
@@ -62,6 +67,7 @@ from .frames import (
     MatrixFrame,
     WeightVector,
     _block_norms_sq,
+    _equal_norms,
     _with_columns,
     dist_squared,
 )
@@ -80,10 +86,7 @@ def majorizes(v, u, tol: float = 1e-9) -> bool:
     u = np.asarray(u, dtype=float)
     if v.shape != u.shape or v.ndim != 1:
         raise ValueError("majorization needs two equal-length vectors")
-    prefix = np.cumsum(v - u)
-    if abs(prefix[-1]) > tol:
-        return False
-    return bool(np.all(prefix >= -tol))
+    return _majorizes_columns(v, u, tol)
 
 
 def _majorizes_columns(v: np.ndarray, u: np.ndarray, tol: float) -> bool:
@@ -127,10 +130,8 @@ def _candidates(frame: MatrixFrame, epsilon: float, rng_seed: int):
     if n <= d:
         raise ValueError(f"need n > d, got n={n}, d={d}")
 
-    target = math.sqrt(d / n)
     # No block is zero: a zero block makes the frame 1-nearly, past 0.3.
-    norms = np.sqrt(_block_norms_sq(frame))
-    base = _with_columns(frame, target * frame.pooled() / norms[frame._owner])
+    base = _equal_norms(frame, frame.pooled())
 
     def within_budget(candidate):
         if dist_squared(frame, candidate) > epsilon * d * (1.0 + 1e-9):
@@ -263,7 +264,7 @@ def _rounding(frame, perturbed, gamma, result, measured, eps) -> PaulsenReport:
     scaled_norms = np.sqrt(_block_norms_sq(frame, scaled))[owner]
     block_norms = np.sqrt(_block_norms_sq(frame, cols))[owner]
     helper = _with_columns(frame, block_norms * scaled / scaled_norms)
-    rounded = _with_columns(frame, math.sqrt(d / n) * scaled / scaled_norms)
+    rounded = _equal_norms(frame, scaled)
     output = _with_columns(frame, rot_right @ rounded.pooled())
 
     # Row masses as (d, n) arrays, one column per block.

@@ -9,6 +9,13 @@ block, one arrow per column carrying the transposed column.
 
 All matrix-equation predicates measure the deviation in spectral norm,
 matching the operator-sandwich semantics of the nearness definition.
+Those that compare an operator with I read the deviation from one helper
+with one overflow policy: an operator with a non-finite entry, as a
+frame operator past the float range has, deviates from I by inf.  So
+``nearness`` reports such a frame inf-nearly and the Parseval and
+equal-norm tests fail it.  The Brascamp-Lieb and critical checks build
+their per-vertex Gram and outer-product sums in one shared pass over the
+arrows.
 """
 
 from __future__ import annotations
@@ -30,11 +37,15 @@ from .frames import (
 
 
 def _spectral_deviation_from_identity(mat: np.ndarray) -> float:
-    """Largest |eigenvalue - 1| of a symmetric matrix, i.e. |S - I| in
-    spectral norm."""
+    """Largest |eigenvalue - 1| of the symmetric part S of ``mat``, i.e.
+    |S - I| in spectral norm; inf when S has a non-finite entry, as it
+    has when an operator overflows the float range."""
     sym = (mat + mat.T) / 2.0
+    if not np.isfinite(sym).all():
+        return math.inf
     eigvals = np.linalg.eigvalsh(sym)
-    return float(np.max(np.abs(eigvals - 1.0))) if eigvals.size else 0.0
+    # The eigenvalues ascend, so one of the two extremes deviates most.
+    return max(1.0 - float(eigvals[0]), float(eigvals[-1]) - 1.0)
 
 
 def parseval_residual(datum: FrameDatum) -> tuple:
@@ -81,9 +92,11 @@ class NearnessReport:
 
 
 def nearness(frame: MatrixFrame) -> NearnessReport:
-    """Measure how far the frame is from an exact equal-norm Parseval frame."""
-    eigvals = np.linalg.eigvalsh(frame_operator(frame))
-    eps_op = max(1.0 - float(eigvals[0]), float(eigvals[-1]) - 1.0, 0.0)
+    """Measure how far the frame is from an exact equal-norm Parseval frame.
+
+    A frame operator or block norm past the float range measures inf.
+    """
+    eps_op = _spectral_deviation_from_identity(frame_operator(frame))
     target = frame.d / frame.n
     eps_norms = float(np.max(np.abs(_block_norms_sq(frame) / target - 1.0)))
     return NearnessReport(
@@ -176,6 +189,23 @@ def induced_sigma(weights: WeightVector) -> tuple:
     return (omega,), tuple(-a for a in scaled)
 
 
+def _vertex_sums(rep: BipartiteQuiverRep, sink_weights) -> tuple:
+    """(source sums, sink sums) of the representation's arrows.
+
+    Source j gets sum_i w_i sum_a V(a)^T V(a) over the arrows a from j to
+    sink i, and sink i gets sum_j sum_a V(a) V(a)^T over the arrows into
+    it, with w the ``sink_weights``.  The arrow groups are visited in
+    (source, sink) order, so both sums add their terms in index order.
+    """
+    sources = [np.zeros((k, k)) for k in rep.source_dims]
+    sinks = [np.zeros((k, k)) for k in rep.sink_dims]
+    for j, i in sorted(rep.arrow_maps):
+        for mat in rep.arrow_maps[(j, i)]:
+            sources[j] += sink_weights[i] * (mat.T @ mat)
+            sinks[i] += mat @ mat.T
+    return sources, sinks
+
+
 def is_geometric_bl_datum(
     rep: BipartiteQuiverRep, weights: WeightVector, tol: float = DEFAULT_TOL
 ) -> bool:
@@ -186,22 +216,9 @@ def is_geometric_bl_datum(
     """
     if weights.n != rep.num_sinks:
         raise ValueError(f"{weights.n} weights for {rep.num_sinks} sinks")
-    c = weights.as_floats()
-    for j in range(rep.num_sources):
-        acc = np.zeros((rep.source_dims[j], rep.source_dims[j]))
-        for i in range(rep.num_sinks):
-            for mat in rep.arrow_maps.get((j, i), ()):
-                acc += c[i] * (mat.T @ mat)
-        if _spectral_deviation_from_identity(acc) > tol:
-            return False
-    for i in range(rep.num_sinks):
-        acc = np.zeros((rep.sink_dims[i], rep.sink_dims[i]))
-        for j in range(rep.num_sources):
-            for mat in rep.arrow_maps.get((j, i), ()):
-                acc += mat @ mat.T
-        if _spectral_deviation_from_identity(acc) > tol:
-            return False
-    return True
+    sources, sinks = _vertex_sums(rep, weights.as_floats())
+    deviations = map(_spectral_deviation_from_identity, sources + sinks)
+    return not any(dev > tol for dev in deviations)
 
 
 def is_sigma_critical(
@@ -220,20 +237,10 @@ def is_sigma_critical(
         raise ValueError("sigma must cover every vertex")
     if any(not isinstance(v, int) for v in tuple(sigma_source) + tuple(sigma_sink)):
         raise TypeError("sigma entries must be integers")
-    for j in range(rep.num_sources):
-        acc = np.zeros((rep.source_dims[j], rep.source_dims[j]))
-        for i in range(rep.num_sinks):
-            for mat in rep.arrow_maps.get((j, i), ()):
-                acc += mat.T @ mat
-        residual = acc - sigma_source[j] * np.eye(rep.source_dims[j])
-        if float(np.max(np.abs(np.linalg.eigvalsh((residual + residual.T) / 2)))) > tol:
-            return False
-    for i in range(rep.num_sinks):
-        acc = np.zeros((rep.sink_dims[i], rep.sink_dims[i]))
-        for j in range(rep.num_sources):
-            for mat in rep.arrow_maps.get((j, i), ()):
-                acc -= mat @ mat.T
-        residual = acc - sigma_sink[i] * np.eye(rep.sink_dims[i])
+    sources, sinks = _vertex_sums(rep, np.ones(rep.num_sinks))
+    residuals = [acc - s * np.eye(len(acc)) for acc, s in zip(sources, sigma_source)]
+    residuals += [-acc - s * np.eye(len(acc)) for acc, s in zip(sinks, sigma_sink)]
+    for residual in residuals:
         if float(np.max(np.abs(np.linalg.eigvalsh((residual + residual.T) / 2)))) > tol:
             return False
     return True

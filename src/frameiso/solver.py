@@ -15,14 +15,16 @@ it, so line-search trials and the final point get none.  The objective
 is invariant under the gauge when the weights sum to d, and recentring
 keeps the iterates bounded whenever a minimiser exists.
 
-The matrix-frame test comes first: ``is_matrix_frame``'s rule on the
-eigenvalues of the frame operator Q(0).  Then the pre-check runs, and
-the loop starts at the norm-balanced point t0 = log c_i - log |X_i|_F^2,
-recentred, where Q(t0) is, up to a positive factor, the operator
-sum_i c_i X_i X_i^T / |X_i|_F^2 of the block-normalised frame.  Scaling
-X_i by s_i shifts the objective by an exact translation of t, so this
-start removes the block scales before the first step instead of having
-Newton steps undo them (a block of zero norm is left unscaled).  Every
+The matrix-frame test comes first, and it is ``frames.is_matrix_frame``
+itself: its eigenvalue rule on the frame operator Q(0), which also calls
+a frame operator past the float range no matrix frame.  Then the
+pre-check runs, and the loop starts at the norm-balanced point
+t0 = log c_i - log |X_i|_F^2, recentred, where Q(t0) is, up to a
+positive factor, the operator sum_i c_i X_i X_i^T / |X_i|_F^2 of the
+block-normalised frame.  Scaling X_i by s_i shifts the objective by an
+exact translation of t, so this start removes the block scales before
+the first step instead of having Newton steps undo them (a block of
+zero norm is left unscaled).  Every
 evaluated point costs one ``eigh`` of Q(t) and there is none after the
 loop: the kernel returns its eigendecomposition with the point, and the
 transformer Q^{-1/2}(t*) and the extremisers are formed from the
@@ -62,14 +64,13 @@ from .frames import (
     FrameDatum,
     MatrixFrame,
     _block_norms_sq,
-    _positive_definite,
     apply_transform,
+    is_matrix_frame,
 )
 from .objective import (
     NotPositiveDefiniteError,
     _hessian,
     _inverse_sqrt,
-    _operator,
     _potential,
     grad_via_minors,
 )
@@ -167,12 +168,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     d = frame.d
     if weights.total() != Fraction(d):
         raise ValueError(f"weights sum to {weights.total()}, need exactly {d}")
-    # Only the eigenvalues of Q(0) are read: the loop starts at t0, not 0.
-    try:
-        eigvals = np.linalg.eigvalsh(_operator(frame, np.zeros(frame.n)))
-    except OverflowError:
-        eigvals = None  # a frame operator past the float range is no matrix frame
-    if eigvals is None or not _positive_definite(eigvals, config.rank_tol):
+    if not is_matrix_frame(frame, config.rank_tol):
         raise ValueError("not a matrix frame: frame operator is not positive definite")
 
     grad_tol = config.effective_grad_tol(d)
@@ -246,9 +242,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         # t is a point the kernel accepted: its eigendecomposition of Q(t)
         # passed the floor and gives the transformer without another eigh.
         transformer = _inverse_sqrt(*eig)
-        extremisers = 1.0 / np.add.reduceat(
-            np.sum((transformer @ frame.pooled()) ** 2, axis=0), frame.block_starts
-        )
+        extremisers = 1.0 / _block_norms_sq(frame, transformer @ frame.pooled())
     return SolveResult(
         t_star=t,
         transformer=transformer,

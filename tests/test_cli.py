@@ -338,6 +338,27 @@ def test_paulsen_guard(tmp_path, capsys):
     assert "0.3" in err
 
 
+# nearness and the equal-norm test warn as the frame operator and the
+# block norms overflow; that overflow is what the test is about.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_frame_operator_overflow(tmp_path, capsys):
+    # The frame operator of (1e200 e1, e2, e1 + e2) overflows: the frame
+    # measures inf-nearly and is no matrix frame, so paulsen refuses it
+    # with a message, not a traceback.
+    frame = MatrixFrame(2, ([1e200, 0.0], [0.0, 1.0], [1.0, 1.0]))
+    path = tmp_path / "overflow.json"
+    write_frame_file(path, frame)
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["mf"] is False
+    for key in ("epsilon", "epsilon_operator", "epsilon_norms"):
+        assert report[key] == "inf"
+    code, out, err = run_cli(["paulsen", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: input is inf-nearly; the pipeline needs < 0.3\n"
+
+
 def test_minors_command(tmp_path, capsys):
     path, _ = write_mixed(tmp_path)
     code, out, _ = run_cli(["minors", str(path), "--human"], capsys)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,16 @@ def test_scaled_operator(mixed_frame, orthonormal_frame):
     )
     with pytest.raises(OverflowError):
         scaled_frame_operator(orthonormal_frame, [1e4, 0.0])
+
+
+def test_scaled_operator_refuses_overflowing_q():
+    # e^t is finite at t = 0, but a 1e200 entry squares past the float
+    # range: Q(t) overflows, and the builder raises instead of returning inf.
+    frame = MatrixFrame(2, ([1e200, 0.0], [0.0, 1.0], [1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"Q\(t\) overflowed"):
+            scaled_frame_operator(frame, np.zeros(3))
 
 
 def test_potential_values(mixed_frame):

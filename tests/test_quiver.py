@@ -17,6 +17,7 @@ from frameiso import (
     is_parseval,
     is_radial_isotropic,
     is_sigma_critical,
+    minimize,
     nearness,
     radial_isotropy_residual,
     scale_to_critical,
@@ -167,6 +168,33 @@ def test_bl_critical_equivalence_corpus():
         )
         assert bl == critical
         assert bl == (trial % 2 == 0)
+
+
+def test_bl_critical_equivalence_two_sources():
+    # Each column x_i = (u_i, w_i) of a frame in R^3 is split between a
+    # 1-dimensional source and a 2-dimensional one: sink i receives u_i^T
+    # and w_i^T.  Its sink sum is |x_i|^2 and the source sums are the
+    # diagonal blocks of sum_i c_i x_i x_i^T, so the unit columns of a
+    # radially isotropic frame give a Brascamp-Lieb datum and a Gaussian
+    # frame does not.
+    rng = np.random.default_rng(23)
+    weights = WeightVector(("1/2", "1/2", "2/3", "2/3", "2/3"))
+    omega, scaled = weights.scaled()
+    sigma = ((omega, omega), tuple(-a for a in scaled))
+    for trial in range(10):
+        frame = random_frame(3, [1] * 5, rng)
+        cols = frame.pooled()
+        if trial % 2 == 0:
+            cols = minimize(FrameDatum(frame, weights)).transformer @ cols
+            cols = cols / np.linalg.norm(cols, axis=0)
+        # Source 1's arrow groups come first: the order of the map is not
+        # the order of the vertices.
+        maps = {(1, i): (cols[1:, i].reshape(1, 2),) for i in range(5)}
+        maps.update({(0, i): (cols[:1, i].reshape(1, 1),) for i in range(5)})
+        rep = BipartiteQuiverRep((1, 2), (1,) * 5, maps)
+        bl = is_geometric_bl_datum(rep, weights, 1e-6)
+        assert bl == (trial % 2 == 0)
+        assert is_sigma_critical(scale_to_critical(rep, weights), sigma, 1e-6) == bl
 
 
 def test_parseval_implies_semistable_and_frame():

@@ -40,6 +40,12 @@ def test_code_lines_script():
     assert proc.stdout.splitlines()[-1].split()[0] == "total"
 
 
+def test_output_digest_script():
+    proc = run_script("scripts/output_digest.py", "--seed", "1", "--workload", "paulsen-round")
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"paulsen-round +[0-9a-f]{64}  ops=\d+ failed=0\n", proc.stdout)
+
+
 def test_readme_quick_start():
     # The README's one python block runs as written against the package.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -104,6 +104,41 @@ def test_matrix_frame_test_precedes_certificate(thirds, monkeypatch):
                 minimize(FrameDatum(frame, thirds), SolverConfig(check_polytope=check))
 
 
+@st.composite
+def _frames_near_the_matrix_frame_test(draw):
+    """(frame, rank_tol): a Gaussian frame made near-flat (every column
+    within 10^U(-16, -2) of the first axis), widely scaled (blocks scaled
+    by 10^U(-8, 8)) or overflowing (its first block scaled by
+    10^U(160, 300)), with a rank tolerance on either side of the default."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = random_frame(d, [int(rng.integers(1, 3)) for _ in range(n)], rng).blocks
+    kind = draw(st.sampled_from(["near-flat", "widely scaled", "overflowing"]))
+    if kind == "near-flat":
+        blocks = [np.vstack([b[:1], 10.0 ** rng.uniform(-16, -2) * b[1:]]) for b in blocks]
+    elif kind == "widely scaled":
+        blocks = [10.0 ** rng.uniform(-8, 8) * b for b in blocks]
+    else:
+        blocks = [10.0 ** rng.uniform(160, 300) * blocks[0], *blocks[1:]]
+    return MatrixFrame(d, tuple(blocks)), draw(st.sampled_from([1e-14, 1e-9, 1e-4]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_frames_near_the_matrix_frame_test(), st.booleans())
+def test_minimize_refuses_exactly_what_is_matrix_frame_refuses(case, check):
+    # The solve's matrix-frame test is is_matrix_frame itself, overflow
+    # included; max_iters=1 keeps the accepted frames' solves short.
+    frame, rank_tol = case
+    config = SolverConfig(max_iters=1, check_polytope=check, rank_tol=rank_tol)
+    try:
+        minimize(FrameDatum(frame, WeightVector.uniform(frame.d, frame.n)), config)
+        refused = False
+    except (ValueError, ArithmeticError, EnumerationSizeError) as exc:
+        refused = str(exc).startswith("not a matrix frame")
+    assert refused == (not is_matrix_frame(frame, rank_tol))
+
+
 def test_matrix_frame_below_eigenvalue_floor(thirds):
     # Three columns within 5e-7 rad of one line: lambda(Q(0)) = 1.27e-13 and
     # 3.0, a matrix frame at rank_tol 1e-14.  Their norms are 1 to within
