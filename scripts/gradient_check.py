@@ -21,7 +21,7 @@ from frameiso import (
     log_det_potential_grad,
 )
 from frameiso.generate import random_frame
-from frameiso.objective import _hessian, _potential
+from frameiso.objective import _hessian, _owner_indicator, _potential
 
 
 def finite_difference(frame, t, step=1e-5):
@@ -82,7 +82,7 @@ def main():
                 float(np.max(np.abs(analytic - finite_difference(frame, t)) / scale)),
             )
             _, grad, rotated, _ = _potential(frame, t)
-            hess = _hessian(frame, grad, rotated)
+            hess = _hessian(_owner_indicator(frame), grad, rotated)
             worst_hess = max(
                 worst_hess,
                 float(np.max(np.abs(hess - hessian_difference(frame, t)))),

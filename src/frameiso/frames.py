@@ -7,6 +7,14 @@ elementary operations everything else builds on: transforms, squared
 distances, genericity of the pooled columns, and column-span ranks of
 block subsets.
 
+Every weighted operator sum_i w_i X_i X_i^T in the package comes from
+one builder, ``_operator``, as S S^T over the scaled pooled columns
+S = P sqrt(w): the frame operator, the weighted Parseval and
+radial-isotropy residuals, the certificate's floor and the objective's
+Q(t).  The product of a matrix with its own transpose comes out exactly
+symmetric, so no caller symmetrises it, and an operator past the float
+range raises OverflowError instead of warning and returning inf.
+
 The package's one C(N, d) minor enumeration, ``_column_minors``, lives
 here too.  It is exponential in d and refuses inputs past a size guard;
 ``is_generic`` and the minor-sum oracle in ``objective`` both read it,
@@ -195,16 +203,36 @@ class FrameDatum:
             )
 
 
-def _weighted_operator(frame: MatrixFrame, per_block: np.ndarray) -> np.ndarray:
-    """sum_i w_i X_i X_i^T in one product over the pooled columns, symmetrised."""
-    pooled = frame.pooled()
-    op = (pooled * per_block[frame._owner]) @ pooled.T
-    return (op + op.T) / 2.0
+def _scaled_columns(frame: MatrixFrame, per_block: np.ndarray) -> np.ndarray:
+    """The pooled columns with every column of block i multiplied by per_block[i]."""
+    return frame.pooled() * per_block[frame._owner]
+
+
+def _operator(cols: np.ndarray) -> np.ndarray:
+    """S S^T for a d x N matrix S of scaled pooled columns.
+
+    The package's one builder of frame operators: with S the pooled
+    columns, block i's scaled by sqrt(w_i), S S^T = sum_i w_i X_i X_i^T.
+    numpy takes the product of a contiguous matrix with its own transpose
+    as a symmetric rank-k update and mirrors one triangle onto the other,
+    so the result is exactly symmetric and needs no symmetrising pass.
+    Raises OverflowError, with no numpy warning, when an entry leaves the
+    float range.
+    """
+    cols = np.ascontiguousarray(cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = cols @ cols.T
+    if not np.isfinite(op).all():
+        raise OverflowError("frame operator overflowed the float range")
+    return op
 
 
 def frame_operator(frame: MatrixFrame) -> np.ndarray:
-    """Sum of X_i X_i^T over all blocks; symmetric positive semidefinite."""
-    return _weighted_operator(frame, np.ones(frame.n))
+    """Sum of X_i X_i^T over all blocks; exactly symmetric, positive semidefinite.
+
+    Raises OverflowError when an entry leaves the float range.
+    """
+    return _operator(frame.pooled())
 
 
 def is_matrix_frame(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
@@ -215,9 +243,9 @@ def is_matrix_frame(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
     scale alone).  A frame operator that overflows the float range is
     no matrix frame.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:
         op = frame_operator(frame)
-    if not np.all(np.isfinite(op)):
+    except OverflowError:
         return False
     eigvals = np.linalg.eigvalsh(op)
     return bool(eigvals[0] > tol * max(eigvals[-1], 1.0))
@@ -244,10 +272,12 @@ def _block_norms_sq(frame: MatrixFrame, cols=None) -> np.ndarray:
 
     ``cols`` is a d x N matrix in ``frame``'s block layout, by default the
     frame's own pooled columns; its column sums of squares are added up
-    block by block in one ``reduceat``.
+    block by block in one ``reduceat``.  A norm past the float range is
+    inf, with no numpy warning.
     """
     cols = frame.pooled() if cols is None else cols
-    return np.add.reduceat(np.sum(cols * cols, axis=0), frame.block_starts)
+    with np.errstate(over="ignore"):
+        return np.add.reduceat(np.sum(cols * cols, axis=0), frame.block_starts)
 
 
 def _equal_norms(layout: MatrixFrame, cols: np.ndarray) -> MatrixFrame:

@@ -8,17 +8,21 @@ yields the radial-isotropy transformer Q^{-1/2}(t*).
 
 Two independent evaluation routes are provided:
 
-* the production path: ``scaled_frame_operator`` is the package's one
-  builder of Q(t) from the pooled d x N matrix, and refuses a non-finite
-  e^{t_i} or a Q(t) past the float range with OverflowError.  One kernel
-  decomposes the Q(t) it returns and, from that single symmetric
-  eigendecomposition, returns the potential, the gradient components
-  e^{t_i} |Q^{-1/2}(t) X_i|_F^2, the rotated columns, and the
-  eigendecomposition itself, so a caller forms Q^{-1/2}(t) at that point
-  without a second ``eigh``.  The Hessian is formed from those rotated
-  columns only where a caller needs it: its block coupling is one
-  indicator product E^T (G o G) E over the N x N Gram matrix G of the
-  rotated columns, E the N x n 0/1 matrix of column owners;
+* the production path: with S = P e^{t/2} the pooled d x N matrix P,
+  block i's columns scaled by e^{t_i/2}, Q(t) = S S^T comes from the
+  package's one builder of frame operators (``frames._operator``), so it
+  is exactly symmetric.  ``scaled_frame_operator`` returns it, and
+  refuses an e^{t_i} or a Q(t) past the float range with OverflowError.
+  One kernel forms S once and reuses it: it builds Q(t) from S, takes
+  one symmetric eigendecomposition Q = U diag(lam) U^T, rotates S into
+  R = diag(lam)^{-1/2} U^T S, and reads the gradient components
+  e^{t_i} |Q^{-1/2}(t) X_i|_F^2 off the column squares of R.  It
+  returns the potential, the gradient, R and the eigendecomposition
+  itself, so a caller forms Q^{-1/2}(t) at that point without a second
+  ``eigh``.  The Hessian is formed from R only where a caller needs it:
+  its block coupling is one indicator product E^T (G o G) E over the
+  N x N Gram matrix G = R^T R, E the N x n 0/1 matrix of column owners,
+  which a solve builds once;
 * a combinatorial oracle that expands det Q(t) over all d-column
   selections from the pooled matrix (each selection contributes the
   squared d x d determinant of the chosen columns, scaled by
@@ -42,10 +46,13 @@ from .frames import (
     EnumerationSizeError,
     FrameDatum,
     MatrixFrame,
-    _block_norms_sq,
     _column_minors,
-    _weighted_operator,
+    _operator,
+    _scaled_columns,
 )
+
+# e^t is finite exactly up to the log of the largest float.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # Eigenvalues below this fraction of the largest are treated as zero;
 # the theory assumes Q(t) positive definite, we must fail loudly instead.
@@ -57,21 +64,32 @@ class NotPositiveDefiniteError(ValueError):
 
 
 def scaled_frame_operator(frame: MatrixFrame, t) -> np.ndarray:
-    """Q(t) = sum_i e^{t_i} X_i X_i^T, symmetrised.
+    """Q(t) = sum_i e^{t_i} X_i X_i^T, exactly symmetric.
 
     At t = 0 this is the frame operator.  Raises OverflowError when any
     e^{t_i} or any entry of Q(t) is non-finite; recentre t (the objective
     is invariant under adding a multiple of the all-ones vector when the
     weights sum to d).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.exp(_check_scalings(frame, t))
-        if not np.all(np.isfinite(scale)):
-            raise OverflowError("e^{t_i} overflowed; recentre the scalings")
-        op = _weighted_operator(frame, scale)
-    if not np.all(np.isfinite(op)):
-        raise OverflowError("Q(t) overflowed; recentre the scalings")
-    return op
+    return _columns_and_operator(frame, t)[1]
+
+
+def _columns_and_operator(frame: MatrixFrame, t) -> tuple:
+    """(S, Q(t)) with S = P e^{t/2} the pooled columns, block i's scaled by
+    e^{t_i/2}, and Q(t) = S S^T from the frames builder.
+
+    Checks the scalings, and raises OverflowError when some e^{t_i}
+    leaves the float range (read off max t, without forming e^t) or
+    when Q(t) does.
+    """
+    t = _check_scalings(frame, t)
+    if np.max(t) > _LOG_FLOAT_MAX:
+        raise OverflowError("e^{t_i} overflowed; recentre the scalings")
+    cols = _scaled_columns(frame, np.exp(0.5 * t))
+    try:
+        return cols, _operator(cols)
+    except OverflowError:
+        raise OverflowError("Q(t) overflowed; recentre the scalings") from None
 
 
 def _check_scalings(frame: MatrixFrame, t) -> np.ndarray:
@@ -98,36 +116,45 @@ def _potential(frame: MatrixFrame, t) -> tuple:
 
     The eigendecomposition passes the eigenvalue floor first and is
     returned as the last entry, so the caller can form Q^{-1/2}(t) from
-    it.  With P the pooled d x N matrix, each column scaled by e^{t_i/2}
-    of its block i, and Q = U diag(lam) U^T, the rotated columns are
-    R = diag(lam)^{-1/2} U^T P, and gradient component i sums R o R over
-    block i's columns.  Scaling the columns by e^{t/2} before the
-    rotation keeps every entry of R bounded when some e^{t_i} is huge,
-    where the product e^{t_i} e^{t_j} would overflow.  ``_hessian``
-    forms the Hessian at the same point from the gradient and R.
+    it.  The scaled columns S = P e^{t/2} are formed once and serve
+    three times: Q(t) = S S^T, the rotated columns R = diag(lam)^{-1/2}
+    U^T S for Q = U diag(lam) U^T, and through R the gradient, whose
+    component i sums the column squares of R over block i's columns.
+    Scaling by e^{t/2} keeps every entry of R bounded when some e^{t_i}
+    is huge, where the product e^{t_i} e^{t_j} would overflow.
+    ``_hessian`` forms the Hessian at the same point from the gradient
+    and R.
     """
-    eigvals, eigvecs = eig = np.linalg.eigh(scaled_frame_operator(frame, t))
+    cols, op = _columns_and_operator(frame, t)
+    eigvals, eigvecs = eig = np.linalg.eigh(op)
     _check_floor(eigvals)
     value = float(np.sum(np.log(eigvals)))
-    half = np.exp(0.5 * np.asarray(t, dtype=float))[frame._owner]
-    rotated = (eigvecs.T @ (frame.pooled() * half)) / np.sqrt(eigvals)[:, None]
-    grad = _block_norms_sq(frame, rotated)
+    rotated = (eigvecs.T @ cols) / np.sqrt(eigvals)[:, None]
+    grad = np.add.reduceat(np.einsum("ij,ij->j", rotated, rotated), frame.block_starts)
     return value, grad, rotated, eig
 
 
-def _hessian(frame: MatrixFrame, grad: np.ndarray, rotated: np.ndarray) -> np.ndarray:
-    """Hessian of the potential from ``_potential``'s gradient and rotated
-    columns R at one point: diag(g) - E^T (G o G) E, with G = R^T R and E
-    the N x n 0/1 matrix whose column i marks block i's columns, so one
-    indicator product sums G o G over the columns of every pair of
-    blocks.  Its rows sum to zero: the potential is linear along the
-    all-ones direction.
-    """
-    inner = rotated.T @ rotated
+def _owner_indicator(frame: MatrixFrame) -> np.ndarray:
+    """The N x n 0/1 matrix E whose column i marks block i's columns."""
     owners = np.zeros((frame.total_cols, frame.n))
     owners[np.arange(frame.total_cols), frame._owner] = 1.0
-    hess = np.diag(grad) - owners.T @ (inner * inner) @ owners
-    return (hess + hess.T) / 2.0
+    return owners
+
+
+def _hessian(owners: np.ndarray, grad: np.ndarray, rotated: np.ndarray) -> np.ndarray:
+    """Hessian of the potential from ``_potential``'s gradient and rotated
+    columns R at one point: diag(g) - E^T (G o G) E, with G = R^T R and
+    E = ``owners`` the frame's ``_owner_indicator``, so one indicator
+    product sums G o G over the columns of every pair of blocks.  Its
+    rows sum to zero: the potential is linear along the all-ones
+    direction.  The product is not symmetrised; the LU solve it feeds
+    does not need symmetry.
+    """
+    inner = rotated.T @ rotated
+    inner *= inner
+    hess = -(owners.T @ inner @ owners)
+    hess.flat[:: len(grad) + 1] += grad
+    return hess
 
 
 def _inverse_sqrt(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
@@ -136,7 +163,7 @@ def _inverse_sqrt(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
 
 
 def log_det_potential(frame: MatrixFrame, t) -> float:
-    """log det Q(t), computed from the eigenvalues of the symmetrised Q."""
+    """log det Q(t), computed from the eigenvalues of Q(t)."""
     return _potential(frame, t)[0]
 
 

@@ -84,6 +84,7 @@ from .frames import (
     MatrixFrame,
     _freeze,
     _numerical_rank,
+    _operator,
     column_span_dim,
 )
 
@@ -290,9 +291,15 @@ class _Packing:
 
     def __init__(self, frame: MatrixFrame, budget: np.ndarray, omega: int, tol: float):
         self.pooled = frame.pooled()
-        self.norms = np.linalg.norm(self.pooled, axis=0)
-        # tol times the top singular value, from the d x d frame operator.
-        self.floor = tol * math.sqrt(max(np.linalg.eigvalsh(self.pooled @ self.pooled.T)[-1], 0.0))
+        with np.errstate(over="ignore"):
+            self.norms = np.linalg.norm(self.pooled, axis=0)
+        # tol times the top singular value, from the d x d frame operator;
+        # past the float range no set of columns clears the floor.
+        try:
+            top = np.linalg.eigvalsh(_operator(self.pooled))[-1]
+            self.floor = tol * math.sqrt(max(top, 0.0))
+        except OverflowError:
+            self.floor = math.inf
         self.owner = frame._owner
         self.starts = frame.block_starts
         self.budget = budget

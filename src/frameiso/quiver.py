@@ -9,13 +9,14 @@ block, one arrow per column carrying the transposed column.
 
 All matrix-equation predicates measure the deviation in spectral norm,
 matching the operator-sandwich semantics of the nearness definition.
-Those that compare an operator with I read the deviation from one helper
-with one overflow policy: an operator with a non-finite entry, as a
-frame operator past the float range has, deviates from I by inf.  So
-``nearness`` reports such a frame inf-nearly and the Parseval and
-equal-norm tests fail it.  The Brascamp-Lieb and critical checks build
-their per-vertex Gram and outer-product sums in one shared pass over the
-arrows.
+Those that compare an operator with I build it with the frames builder,
+exactly symmetric, and read the deviation from one helper with one
+overflow policy: an operator past the float range, which the builder
+refuses, deviates from I by inf.  So ``nearness`` reports such a frame
+inf-nearly and the Parseval and equal-norm tests fail it.  The
+Brascamp-Lieb and critical checks build their per-vertex Gram and
+outer-product sums in one shared pass over the arrows; each sum of
+products X^T X or X X^T is exactly symmetric too.
 """
 
 from __future__ import annotations
@@ -31,28 +32,40 @@ from .frames import (
     MatrixFrame,
     WeightVector,
     _block_norms_sq,
-    _weighted_operator,
+    _operator,
+    _scaled_columns,
     frame_operator,
 )
 
 
 def _spectral_deviation_from_identity(mat: np.ndarray) -> float:
-    """Largest |eigenvalue - 1| of the symmetric part S of ``mat``, i.e.
-    |S - I| in spectral norm; inf when S has a non-finite entry, as it
-    has when an operator overflows the float range."""
-    sym = (mat + mat.T) / 2.0
-    if not np.isfinite(sym).all():
+    """Largest |eigenvalue - 1| of the symmetric matrix ``mat``, i.e.
+    |mat - I| in spectral norm; inf when ``mat`` has a non-finite entry."""
+    if not np.isfinite(mat).all():
         return math.inf
-    eigvals = np.linalg.eigvalsh(sym)
+    eigvals = np.linalg.eigvalsh(mat)
     # The eigenvalues ascend, so one of the two extremes deviates most.
     return max(1.0 - float(eigvals[0]), float(eigvals[-1]) - 1.0)
+
+
+def _operator_deviation(frame: MatrixFrame, per_block=None) -> float:
+    """|sum_i w_i X_i X_i^T - I| in spectral norm, w = ``per_block``, or
+    the frame operator's deviation when ``per_block`` is None; inf when
+    the operator leaves the float range."""
+    try:
+        if per_block is None:
+            op = frame_operator(frame)
+        else:
+            op = _operator(_scaled_columns(frame, np.sqrt(per_block)))
+    except OverflowError:
+        return math.inf
+    return _spectral_deviation_from_identity(op)
 
 
 def parseval_residual(datum: FrameDatum) -> tuple:
     """(operator deviation of sum c_i X_i X_i^T from I, max |norm^2 - 1|)."""
     frame = datum.frame
-    op = _weighted_operator(frame, datum.weights.as_floats())
-    op_dev = _spectral_deviation_from_identity(op)
+    op_dev = _operator_deviation(frame, datum.weights.as_floats())
     norm_dev = float(np.max(np.abs(_block_norms_sq(frame) - 1.0)))
     return op_dev, norm_dev
 
@@ -65,7 +78,7 @@ def is_parseval(datum: FrameDatum, tol: float = DEFAULT_TOL) -> bool:
 
 def equal_norm_residual(frame: MatrixFrame) -> tuple:
     """(operator deviation of sum X_i X_i^T from I, max |norm^2 - d/n|)."""
-    op_dev = _spectral_deviation_from_identity(frame_operator(frame))
+    op_dev = _operator_deviation(frame)
     target = frame.d / frame.n
     norm_dev = float(np.max(np.abs(_block_norms_sq(frame) - target)))
     return op_dev, norm_dev
@@ -96,7 +109,7 @@ def nearness(frame: MatrixFrame) -> NearnessReport:
 
     A frame operator or block norm past the float range measures inf.
     """
-    eps_op = _spectral_deviation_from_identity(frame_operator(frame))
+    eps_op = _operator_deviation(frame)
     target = frame.d / frame.n
     eps_norms = float(np.max(np.abs(_block_norms_sq(frame) / target - 1.0)))
     return NearnessReport(
@@ -112,8 +125,7 @@ def radial_isotropy_residual(datum: FrameDatum) -> float:
     norms_sq = _block_norms_sq(frame)
     if np.any(norms_sq == 0.0):
         raise ValueError("zero block: normalised term undefined")
-    op = _weighted_operator(frame, datum.weights.as_floats() / norms_sq)
-    return _spectral_deviation_from_identity(op)
+    return _operator_deviation(frame, datum.weights.as_floats() / norms_sq)
 
 
 def is_radial_isotropic(datum: FrameDatum, tol: float = DEFAULT_TOL) -> bool:
@@ -241,7 +253,7 @@ def is_sigma_critical(
     residuals = [acc - s * np.eye(len(acc)) for acc, s in zip(sources, sigma_source)]
     residuals += [-acc - s * np.eye(len(acc)) for acc, s in zip(sinks, sigma_sink)]
     for residual in residuals:
-        if float(np.max(np.abs(np.linalg.eigvalsh((residual + residual.T) / 2)))) > tol:
+        if float(np.max(np.abs(np.linalg.eigvalsh(residual)))) > tol:
             return False
     return True
 

@@ -11,9 +11,11 @@ trial point of the line search is recentred so <t, c> = 0 and evaluated
 once, value and gradient together; the accepted trial is the next
 iterate, with that evaluation.  The Hessian is formed only at an iterate
 whose gradient is above the tolerance, for the Newton step taken from
-it, so line-search trials and the final point get none.  The objective
-is invariant under the gauge when the weights sum to d, and recentring
-keeps the iterates bounded whenever a minimiser exists.
+it, so line-search trials and the final point get none; the N x n
+matrix of column owners its block coupling reads is built once per
+solve.  The objective is invariant under the gauge when the weights sum
+to d, and recentring keeps the iterates bounded whenever a minimiser
+exists.
 
 The matrix-frame test comes first, and it is ``frames.is_matrix_frame``
 itself: its eigenvalue rule on the frame operator Q(0), which also calls
@@ -71,6 +73,7 @@ from .objective import (
     NotPositiveDefiniteError,
     _hessian,
     _inverse_sqrt,
+    _owner_indicator,
     _potential,
     grad_via_minors,
 )
@@ -89,6 +92,7 @@ _INIT_STEP = 1.0
 _DESCENT_FRACTION = 1e-8
 # Bound on the components of the balanced start: e^700 is about 1e304.
 _MAX_START = 700.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -189,6 +193,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
             )
 
     c_floats = weights.as_floats()
+    owners = _owner_indicator(frame)
     t = _balanced_start(frame, c_floats)
     value, grad, rotated, eig = _potential(frame, t)
     value -= float(np.dot(t, c_floats))
@@ -199,13 +204,13 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
 
     for iterations in range(1, config.max_iters + 1):
         gradient = grad - c_floats
-        if float(np.linalg.norm(gradient)) <= grad_tol:
+        if math.sqrt(float(gradient @ gradient)) <= grad_tol:
             status = STATUS_CONVERGED
         if status == STATUS_CONVERGED or stalled:
             iterations -= 1
             break
 
-        direction = _newton_direction(_hessian(frame, grad, rotated), gradient)
+        direction = _newton_direction(_hessian(owners, grad, rotated), gradient)
         point, full_step_floored = _line_search(
             frame, t, value, gradient, direction, c_floats
         )
@@ -273,7 +278,7 @@ def _balanced_start(frame: MatrixFrame, c_floats: np.ndarray) -> np.ndarray:
 
 def _resolution(magnitude: float) -> float:
     """Float resolution of a quantity of the given magnitude."""
-    return 256.0 * np.finfo(float).eps * max(1.0, magnitude)
+    return 256.0 * _EPS * max(1.0, magnitude)
 
 
 def _newton_direction(hess: np.ndarray, gradient: np.ndarray) -> np.ndarray:

@@ -338,9 +338,9 @@ def test_paulsen_guard(tmp_path, capsys):
     assert "0.3" in err
 
 
-# nearness and the equal-norm test warn as the frame operator and the
-# block norms overflow; that overflow is what the test is about.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# The builder refuses an overflowing frame operator and the block norms
+# overflow under np.errstate, so no numpy warning reaches stderr.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_frame_operator_overflow(tmp_path, capsys):
     # The frame operator of (1e200 e1, e2, e1 + e2) overflows: the frame
     # measures inf-nearly and is no matrix frame, so paulsen refuses it
@@ -357,6 +357,15 @@ def test_frame_operator_overflow(tmp_path, capsys):
     code, out, err = run_cli(["paulsen", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == "error: input is inf-nearly; the pipeline needs < 0.3\n"
+    # With uniform weights check also runs the weighted residuals and the
+    # certificate, whose floor reads the overflowing operator too.
+    write_frame_file(path, frame, WeightVector.uniform(2, 3))
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["mf"], report["pmf"], report["rif"]) == (False, False, False)
+    assert report["epsilon"] == "inf"
+    assert report["polytope"] is False
 
 
 def test_minors_command(tmp_path, capsys):

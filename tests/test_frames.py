@@ -63,6 +63,42 @@ def test_frame_operator_examples(mixed_frame, orthonormal_frame):
     assert_close(frame_operator(zero), np.zeros((3, 3)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.lists(
+        st.tuples(
+            st.integers(1, 3),
+            st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+            st.sampled_from((-100, 0, 100)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, [(1, 1.0, 100), (2, 0.0, 0), (3, 2.5, -100)], 0)
+def test_operator_is_symmetric_weighted_block_sum(d, blocks, seed):
+    # S S^T over S = P sqrt(w) is bitwise symmetric and within a bound
+    # fixed from the dtype of sum_i w_i X_i X_i^T, summed here block by
+    # block and column by column.
+    rng = np.random.default_rng(seed)
+    frame = MatrixFrame(
+        d, tuple(10.0**power * rng.standard_normal((d, cols)) for cols, _, power in blocks)
+    )
+    weights = np.array([w for _, w, _ in blocks])
+    op = frames._operator(frames._scaled_columns(frame, np.sqrt(weights)))
+    assert np.array_equal(op, op.T)
+    reference = np.zeros((d, d))
+    scale = 0.0
+    for w, block in zip(weights, frame.blocks):
+        for col in block.T:
+            reference += w * np.outer(col, col)
+            scale += w * float(col @ col)
+    tol = 8 * frame.total_cols * np.finfo(float).eps * scale
+    assert float(np.max(np.abs(op - reference))) <= tol
+
+
 def test_is_matrix_frame(mixed_frame, orthonormal_frame):
     assert is_matrix_frame(mixed_frame, 1e-9)
     assert is_matrix_frame(orthonormal_frame, 1e-9)

@@ -23,7 +23,7 @@ from frameiso import (
     scaled_frame_operator,
 )
 from frameiso.generate import random_frame
-from frameiso.objective import _hessian, _potential
+from frameiso.objective import _hessian, _owner_indicator, _potential
 
 from conftest import assert_close, random_shape, sym_inverse_sqrt
 
@@ -271,7 +271,7 @@ def test_hessian_matches_gradient_differences():
         for _ in range(3):
             t = rng.uniform(-1.5, 1.5, frame.n)
             _, grad, rotated, _ = _potential(frame, t)
-            hess = _hessian(frame, grad, rotated)
+            hess = _hessian(_owner_indicator(frame), grad, rotated)
             numeric = np.empty((frame.n, frame.n))
             for j in range(frame.n):
                 up, down = t.copy(), t.copy()
@@ -350,7 +350,7 @@ def _assert_blockwise_hessian(frame, t):
     # Relative to the largest term of the difference diag(g) - coupling:
     # at n = 1 the two cancel and the Hessian is rounding noise around 0.
     _, grad, rotated, eig = _potential(frame, t)
-    hess = _hessian(frame, grad, rotated)
+    hess = _hessian(_owner_indicator(frame), grad, rotated)
     expected = _blockwise_hessian(frame, t, eig)
     assert np.allclose(hess, expected, rtol=0.0, atol=1e-12 * float(np.max(grad)))
 
@@ -360,7 +360,7 @@ def test_hessian_survives_huge_scalings(mixed_frame):
     # before rotating, so the Hessian stays finite.
     t = np.array([400.0, 400.0, -800.0])
     value, grad, rotated, _ = _potential(mixed_frame, t)
-    hess = _hessian(mixed_frame, grad, rotated)
+    hess = _hessian(_owner_indicator(mixed_frame), grad, rotated)
     assert math.isfinite(value) and np.all(np.isfinite(grad))
     assert np.all(np.isfinite(hess))
     assert np.array_equal(hess, hess.T)

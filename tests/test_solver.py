@@ -31,7 +31,7 @@ import frameiso.solver
 from frameiso import cli
 from frameiso.generate import random_degenerate_frame, random_frame
 from frameiso.io import write_frame_file
-from frameiso.objective import _hessian, _potential
+from frameiso.objective import _hessian, _owner_indicator, _potential
 from frameiso.solver import _newton_direction
 
 from conftest import assert_close, sym_inverse_sqrt, traced_peak
@@ -481,7 +481,7 @@ def test_newton_direction_is_minimum_norm_solution():
         frame, c = datum.frame, datum.weights.as_floats()
         t = rng.uniform(-1.0, 1.0, frame.n)
         _, grad, rotated, _ = _potential(frame, t)
-        hess = _hessian(frame, grad, rotated)
+        hess = _hessian(_owner_indicator(frame), grad, rotated)
         gradient = grad - c
         direction = _newton_direction(hess, gradient)
         reference = -np.linalg.lstsq(hess, gradient, rcond=1e-12)[0]
@@ -580,9 +580,9 @@ def test_one_hessian_per_newton_step(mixed_frame, thirds, collinear_frame, monke
     gradients = []
     hessian = frameiso.solver._hessian
 
-    def counted(frame, grad, rotated):
+    def counted(owners, grad, rotated):
         gradients.append(grad)
-        return hessian(frame, grad, rotated)
+        return hessian(owners, grad, rotated)
 
     monkeypatch.setattr(frameiso.solver, "_hessian", counted)
     stalled = FrameDatum(
