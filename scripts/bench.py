@@ -5,15 +5,15 @@
 
 Runs ``perfbench/run.py`` on a checkout of ``--base`` and on the change
 (the working tree), alternating which side runs first from one run to
-the next, so that a drift of the machine's speed hits both sides alike.  For each workload of BENCHMARK.json it
-records the median and the interquartile range of the five end-to-end
-metrics over ``--runs`` untraced runs per side, the failed operations,
-and the exact counts of one traced run per side: orbit-polytope
-enumerations, SVD and eigh calls, solver iterations and eigh calls per
-iteration, frame-operator builds, nearness measurements, genericity
-tests with the minors they cover and the LU determinant calls, CLI
-commands run and bytes the CLI wrote, so both sides can be seen to have
-done the same work.  The base checkout (``git archive``) and a copy of the
+the next, so that a drift of the machine's speed hits both sides alike.
+For each workload of BENCHMARK.json it records the median and the
+interquartile range of the five end-to-end metrics over ``--runs``
+untraced runs per side, the failed operations, and the exact counts of
+one traced run per side: orbit-polytope enumerations, SVD and eigh
+calls, solver iterations and eigh calls per iteration, frame-operator
+builds, nearness measurements, the LU determinant calls, CLI commands
+run and bytes the CLI wrote, so both sides can be seen to have done the
+same work.  The base checkout (``git archive``) and a copy of the
 working tree are made side by side in a temporary directory that is
 removed afterwards, so edits made while the runs go on do not reach
 them, and paths echoed in CLI reports have one length on both sides.
@@ -42,10 +42,7 @@ TRACED_COUNTS = (
     "linalg.eigh.calls",
     "solver.eigh_per_iteration",
     "frames.frame_operator.calls",
-    "objective.scaled_frame_operator.calls",
     "quiver.nearness.calls",
-    "frames.is_generic.calls",
-    "frames.is_generic.minors",
     "linalg.det.calls",
     "cli.main.calls",
     "io.bytes_out",

@@ -20,7 +20,6 @@ from .frames import (
     column_span_dim,
     dist_squared,
     frame_operator,
-    is_generic,
     is_matrix_frame,
 )
 from .objective import (
@@ -30,14 +29,10 @@ from .objective import (
     enumerate_minors,
     grad_via_minors,
     log_capacity,
-    log_det_potential,
     log_det_potential_grad,
-    scaled_frame_operator,
 )
 from .paulsen import (
     PaulsenReport,
-    majorization_transport,
-    majorizes,
     paulsen_round,
 )
 from .polytope import (
@@ -64,7 +59,6 @@ from .solver import (
     SolveResult,
     SolverConfig,
     minimize,
-    stationarity_residual,
     to_radial_isotropic,
 )
 
@@ -95,23 +89,17 @@ __all__ = [
     "in_orbit_polytope",
     "induced_sigma",
     "is_equal_norm_parseval",
-    "is_generic",
     "is_geometric_bl_datum",
     "is_matrix_frame",
     "is_parseval",
     "is_radial_isotropic",
     "is_sigma_critical",
     "log_capacity",
-    "log_det_potential",
     "log_det_potential_grad",
-    "majorization_transport",
-    "majorizes",
     "minimize",
     "nearness",
     "paulsen_round",
     "radial_isotropy_residual",
     "scale_to_critical",
-    "scaled_frame_operator",
-    "stationarity_residual",
     "to_radial_isotropic",
 ]

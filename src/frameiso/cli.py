@@ -26,7 +26,6 @@ from .frames import (
     EnumerationSizeError,
     FrameDatum,
     WeightVector,
-    is_generic,
     is_matrix_frame,
 )
 from .generate import random_equal_norm_parseval, random_frame, random_nearly_parseval
@@ -103,11 +102,6 @@ def cmd_check(args) -> int:
     report = _header("check", args)
     report["shape"] = {"d": frame.d, "block_cols": list(frame.block_cols)}
     report["mf"] = is_matrix_frame(frame, args.tol)
-    try:
-        report["generic"] = is_generic(frame, args.tol)
-    except (ValueError, EnumerationSizeError) as exc:
-        report["generic"] = None
-        report["generic_note"] = str(exc)
     near = nearness(frame)
     report["epsilon"] = near.epsilon
     report["epsilon_operator"] = near.epsilon_operator

@@ -4,8 +4,7 @@ A matrix frame is an ordered collection of real matrices sharing a row
 dimension d; its frame operator is the sum of the blockwise outer
 products.  This module holds the frame and weight containers plus the
 elementary operations everything else builds on: transforms, squared
-distances, genericity of the pooled columns, and column-span ranks of
-block subsets.
+distances, and column-span ranks of block subsets.
 
 Every weighted operator sum_i w_i X_i X_i^T in the package comes from
 one builder, ``_operator``, as S S^T over the scaled pooled columns
@@ -17,8 +16,8 @@ range raises OverflowError instead of warning and returning inf.
 
 The package's one C(N, d) minor enumeration, ``_column_minors``, lives
 here too.  It is exponential in d and refuses inputs past a size guard;
-``is_generic`` and the minor-sum oracle in ``objective`` both read it,
-and no solver or rounding path does.
+only the minor-sum oracle in ``objective`` reads it, and no solver,
+rounding or ``check`` path does.
 
 All operations are pure functions of immutable values.  Blocks are
 copied on construction and on transform, so frames behave like values.
@@ -334,11 +333,10 @@ def _column_minors(mat: np.ndarray):
     The C(N, d) selections come in lexicographic order, in chunks of at
     most _MINOR_CHUNK: ``selections`` is a (chunk, d) index array and
     ``determinants`` the matching minors, taken in one batched LU call on
-    the gathered stack.  This is the package's one minor enumeration: it
-    is the oracle behind ``objective.enumerate_minors`` and gives
-    ``is_generic`` its minors.  Raises ValueError when N < d and
-    EnumerationSizeError when C(N, d) exceeds DEFAULT_SIZE_GUARD, before
-    anything is allocated.
+    the gathered stack.  This is the package's one minor enumeration, the
+    oracle behind ``objective.enumerate_minors`` and the minor sums.
+    Raises ValueError when N < d and EnumerationSizeError when C(N, d)
+    exceeds DEFAULT_SIZE_GUARD, before anything is allocated.
     """
     d, n_cols = mat.shape
     _guard_minor_count(d, n_cols)
@@ -350,24 +348,6 @@ def _column_minors(mat: np.ndarray):
             return
         # mat[:, selections] is (d, chunk, d); entry [:, k, :] is selection k.
         yield selections, np.linalg.det(np.moveaxis(mat[:, selections], 1, 0))
-
-
-def is_generic(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
-    """True when every d of the N pooled columns form a basis.
-
-    Checks |det| > tol for all C(N, d) column subsets of the pooled
-    matrix after rescaling it by its largest absolute entry, so the test
-    is scale-aware.  Deciding this is NP-hard in general, so the test is
-    an exact enumeration for small inputs: the minors come from
-    ``_column_minors``' batched LU, chunk by chunk, and the test stops at
-    the first chunk holding a minor at or below ``tol``.  Raises
-    ValueError when N < d and EnumerationSizeError when C(N, d) exceeds
-    DEFAULT_SIZE_GUARD.
-    """
-    pooled = frame.pooled()
-    scale = np.max(np.abs(pooled))
-    minors = _column_minors(pooled / scale if scale > 0.0 else pooled)
-    return all(np.all(np.abs(dets) > tol) for _, dets in minors)
 
 
 def _numerical_rank(svals: np.ndarray, tol: float) -> np.ndarray:

@@ -11,18 +11,17 @@ Two independent evaluation routes are provided:
 * the production path: with S = P e^{t/2} the pooled d x N matrix P,
   block i's columns scaled by e^{t_i/2}, Q(t) = S S^T comes from the
   package's one builder of frame operators (``frames._operator``), so it
-  is exactly symmetric.  ``scaled_frame_operator`` returns it, and
-  refuses an e^{t_i} or a Q(t) past the float range with OverflowError.
-  One kernel forms S once and reuses it: it builds Q(t) from S, takes
-  one symmetric eigendecomposition Q = U diag(lam) U^T, rotates S into
-  R = diag(lam)^{-1/2} U^T S, and reads the gradient components
-  e^{t_i} |Q^{-1/2}(t) X_i|_F^2 off the column squares of R.  It
-  returns the potential, the gradient, R and the eigendecomposition
-  itself, so a caller forms Q^{-1/2}(t) at that point without a second
-  ``eigh``.  The Hessian is formed from R only where a caller needs it:
-  its block coupling is one indicator product E^T (G o G) E over the
-  N x N Gram matrix G = R^T R, E the N x n 0/1 matrix of column owners,
-  which a solve builds once;
+  is exactly symmetric; an e^{t_i} or a Q(t) past the float range is
+  refused with OverflowError.  One kernel forms S once and reuses it:
+  it builds Q(t) from S, takes one symmetric eigendecomposition
+  Q = U diag(lam) U^T, rotates S into R = diag(lam)^{-1/2} U^T S, and
+  reads the gradient components e^{t_i} |Q^{-1/2}(t) X_i|_F^2 off the
+  column squares of R.  It returns the potential, the gradient, R and
+  the eigendecomposition itself, so a caller forms Q^{-1/2}(t) at that
+  point without a second ``eigh``.  The Hessian is formed from R only
+  where a caller needs it: its block coupling is one indicator product
+  E^T (G o G) E over the N x N Gram matrix G = R^T R, E the N x n 0/1
+  matrix of column owners, which a solve builds once;
 * a combinatorial oracle that expands det Q(t) over all d-column
   selections from the pooled matrix (each selection contributes the
   squared d x d determinant of the chosen columns, scaled by
@@ -61,17 +60,6 @@ EIG_FLOOR = 1e-12
 
 class NotPositiveDefiniteError(ValueError):
     """Raised when the scaled frame operator is singular within tolerance."""
-
-
-def scaled_frame_operator(frame: MatrixFrame, t) -> np.ndarray:
-    """Q(t) = sum_i e^{t_i} X_i X_i^T, exactly symmetric.
-
-    At t = 0 this is the frame operator.  Raises OverflowError when any
-    e^{t_i} or any entry of Q(t) is non-finite; recentre t (the objective
-    is invariant under adding a multiple of the all-ones vector when the
-    weights sum to d).
-    """
-    return _columns_and_operator(frame, t)[1]
 
 
 def _columns_and_operator(frame: MatrixFrame, t) -> tuple:
@@ -162,11 +150,6 @@ def _inverse_sqrt(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
     return (eigvecs * (eigvals**-0.5)) @ eigvecs.T
 
 
-def log_det_potential(frame: MatrixFrame, t) -> float:
-    """log det Q(t), computed from the eigenvalues of Q(t)."""
-    return _potential(frame, t)[0]
-
-
 def log_det_potential_grad(frame: MatrixFrame, t) -> np.ndarray:
     """Gradient of the potential: component i is e^{t_i} |Q^{-1/2}(t) X_i|_F^2.
 
@@ -223,27 +206,18 @@ def enumerate_minors(frame: MatrixFrame, tol: float = 0.0) -> tuple:
     return tuple(terms)
 
 
-def _minor_arrays(frame: MatrixFrame, minors=None):
+def _minor_arrays(frame: MatrixFrame):
     """Owner blocks (terms x d) of each term's columns, and the log squared minors.
 
-    Without ``minors`` the arrays are filled chunk by chunk from the
-    column minors, so no per-selection object is built; given
-    ``MinorTerm``s, they are converted.
+    The arrays are filled chunk by chunk from the column minors, so no
+    per-selection object is built.
     """
-    if minors is None:
-        chunks = [
-            (frame._owner[selections], dets**2)
-            for selections, dets in _column_minors(frame.pooled())
-        ]
-        owners = np.concatenate([owner for owner, _ in chunks])
-        values = np.concatenate([value for _, value in chunks])
-    else:
-        rows = [
-            [block for block, cols in zip(term.support, term.column_sets) for _ in cols]
-            for term in minors
-        ]
-        owners = np.array(rows, dtype=np.intp).reshape(len(minors), frame.d)
-        values = np.array([term.value for term in minors], dtype=float)
+    chunks = [
+        (frame._owner[selections], dets**2)
+        for selections, dets in _column_minors(frame.pooled())
+    ]
+    owners = np.concatenate([owner for owner, _ in chunks])
+    values = np.concatenate([value for _, value in chunks])
     with np.errstate(divide="ignore"):
         return owners, np.log(values)
 
@@ -257,22 +231,22 @@ def _logsumexp(exponents: np.ndarray) -> float:
     return top + math.log(float(np.sum(np.exp(finite - top))))
 
 
-def det_via_minors(frame: MatrixFrame, t, minors=None) -> float:
+def det_via_minors(frame: MatrixFrame, t) -> float:
     """det Q(t) as the minor sum; independent oracle for the direct value."""
     t = _check_scalings(frame, t)
-    owners, log_values = _minor_arrays(frame, minors)
+    owners, log_values = _minor_arrays(frame)
     log_det = _logsumexp(t[owners].sum(axis=1) + log_values)
     return 0.0 if log_det == -math.inf else math.exp(log_det)
 
 
-def grad_via_minors(frame: MatrixFrame, t, minors=None) -> np.ndarray:
+def grad_via_minors(frame: MatrixFrame, t) -> np.ndarray:
     """Gradient of the potential from the minor-sum ratio formula.
 
     Component i is the multiplicity-weighted share of block i in the
     minor sum.  Evaluated with log-sum-exp so large scalings survive.
     """
     t = _check_scalings(frame, t)
-    owners, log_values = _minor_arrays(frame, minors)
+    owners, log_values = _minor_arrays(frame)
     exponents = t[owners].sum(axis=1) + log_values
     log_den = _logsumexp(exponents)
     if log_den == -math.inf:

@@ -40,11 +40,10 @@ array, and the six reported distances are sums over pooled differences.
 The first candidate and the rounded frame get their block norms of
 sqrt(d/n) from ``frames._equal_norms``, the scaling the generators use.
 Every check is array-wise too: the majorization of all blocks is one
-cumsum down the rows of the row-mass arrays (``majorizes`` is the same
-test on one pair of vectors), and the nearness and equal-norm tests take
-their block norms from the same pooled helper.  An input whose frame
-operator overflows measures inf-nearly and is refused like any input
-at or past 0.3.
+cumsum down the rows of the row-mass arrays, and the nearness and
+equal-norm tests take their block norms from the same pooled helper.
+An input whose frame operator overflows measures inf-nearly and is
+refused like any input at or past 0.3.
 
 The distance argument runs through a majorization step: with the
 singular values sorted weakly decreasing, the row masses of the helper
@@ -79,35 +78,13 @@ from .solver import STATUS_CONVERGED, SolverConfig, SolveResult, minimize
 _MAX_RETRIES = 60
 
 
-def majorizes(v, u, tol: float = 1e-9) -> bool:
-    """True when v and u have equal totals and every prefix sum of v
-    dominates the one of u, coordinates taken in given order."""
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if v.shape != u.shape or v.ndim != 1:
-        raise ValueError("majorization needs two equal-length vectors")
-    return _majorizes_columns(v, u, tol)
-
-
 def _majorizes_columns(v: np.ndarray, u: np.ndarray, tol: float) -> bool:
-    """``majorizes(v[:, k], u[:, k], tol)`` for every column k at once,
-    by one cumsum down the rows."""
+    """True when every column pair (v[:, k], u[:, k]) is in majorization
+    order within ``tol``: equal totals, and every prefix sum of v[:, k]
+    dominates the one of u[:, k], coordinates taken in given order.  One
+    cumsum down the rows; a pair of vectors is one column."""
     prefix = np.cumsum(v - u, axis=0)
     return bool(np.all(np.abs(prefix[-1]) <= tol) and np.all(prefix >= -tol))
-
-
-def majorization_transport(v, u, tol: float = 1e-9) -> float:
-    """Transport functional sum_l l (u_l - v_l) of a majorizing pair.
-
-    Equals the sum of the prefix sums of v - u.  Linear in (v, u).
-    Raises when v does not majorize u within ``tol``.
-    """
-    if not majorizes(v, u, tol):
-        raise ValueError("precondition failed: v does not majorize u")
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    positions = np.arange(1, v.size + 1)
-    return float(np.dot(positions, u - v))
 
 
 def _candidates(frame: MatrixFrame, epsilon: float, rng_seed: int):

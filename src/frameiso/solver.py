@@ -75,7 +75,6 @@ from .objective import (
     _inverse_sqrt,
     _owner_indicator,
     _potential,
-    grad_via_minors,
 )
 from .polytope import CertificateError, PolytopeReport, orbit_polytope_report
 
@@ -335,17 +334,6 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
             return (trial, trial_value, grad, rotated, eig), full_step_floored
         step *= _BACKTRACK
     return None, full_step_floored
-
-
-def stationarity_residual(datum: FrameDatum, t) -> np.ndarray:
-    """Residual of the minimiser characterisation in the exponentiated scalings.
-
-    Component i is the minor-sum share of block i minus c_i (the minor
-    sums normalised by their total); all components vanish exactly at a
-    minimiser of the scaling objective.
-    """
-    grad = grad_via_minors(datum.frame, t)
-    return grad - datum.weights.as_floats()
 
 
 def to_radial_isotropic(datum: FrameDatum, result: SolveResult) -> MatrixFrame:

@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,9 @@ import pytest
 
 import frameiso
 from frameiso import FrameDatum, MatrixFrame, WeightVector
+from frameiso.frames import _column_minors
 from frameiso.objective import _check_floor, _inverse_sqrt
+from frameiso.paulsen import _majorizes_columns
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -93,3 +96,38 @@ def sym_inverse_sqrt(op):
     eigvals, eigvecs = np.linalg.eigh(np.asarray(op, dtype=float))
     _check_floor(eigvals)
     return _inverse_sqrt(eigvals, eigvecs)
+
+
+def is_generic(frame, tol=1e-9):
+    """True when every d of the N pooled columns form a basis.
+
+    The input oracle of the tests that need columns in general position:
+    every C(N, d) minor of the pooled matrix, rescaled by its largest
+    absolute entry, must exceed ``tol`` in absolute value.  The minors
+    come from ``frames._column_minors``, which raises ValueError when
+    N < d and EnumerationSizeError past its size guard.
+    """
+    pooled = frame.pooled()
+    scale = np.max(np.abs(pooled))
+    minors = _column_minors(pooled / scale if scale > 0.0 else pooled)
+    return all(np.all(np.abs(dets) > tol) for _, dets in minors)
+
+
+def scaled_operator(frame, t):
+    """Q(t) = sum_i e^{t_i} X_i X_i^T summed block by block, independent of
+    the kernel's pooled product S S^T."""
+    return sum(math.exp(ti) * (block @ block.T) for ti, block in zip(t, frame.blocks))
+
+
+def majorization_transport(v, u, tol=1e-9):
+    """Transport functional sum_l l (u_l - v_l) of a majorizing pair.
+
+    Equals the sum of the prefix sums of v - u and is linear in (v, u).
+    Raises ValueError when v does not majorize u within ``tol``, by the
+    rounding's own test ``paulsen._majorizes_columns``.
+    """
+    v = np.asarray(v, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if not _majorizes_columns(v, u, tol):
+        raise ValueError("precondition failed: v does not majorize u")
+    return float(np.dot(np.arange(1, v.size + 1), u - v))

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import frameiso.frames
+import frameiso.objective
 from frameiso import MatrixFrame, WeightVector, dist_squared, nearness
 from frameiso.cli import main
 from frameiso.generate import random_frame
@@ -102,29 +104,19 @@ def test_check_command(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["mf"] is True
-    assert report["generic"] is True
     assert report["polytope"] is True
     assert report["relint"] is True
     assert report["pmf"] is False
     assert report["rif"] is False
 
 
-def test_check_generic_false_and_undersized(tmp_path, capsys):
+def test_check_undersized_frame(tmp_path, capsys):
+    # N = 2 columns in d = 3 span a plane: reported, not refused.
     path = tmp_path / "frame.json"
-    # The repeated column zeroes every minor that takes both copies.
-    write_frame_file(path, MatrixFrame(2, ([1.0, 2.0], [1.0, 2.0], [0.0, 1.0])))
-    code, out, _ = run_cli(["check", str(path)], capsys)
-    assert code == 0
-    report = json.loads(out)
-    assert report["generic"] is False
-    assert "generic_note" not in report
-    # N = 2 columns in d = 3: no d-column selection exists.
     write_frame_file(path, MatrixFrame(3, ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])))
     code, out, _ = run_cli(["check", str(path)], capsys)
     assert code == 0
-    report = json.loads(out)
-    assert report["generic"] is None
-    assert report["generic_note"] == "undersized frame: N=2 < d=3"
+    assert json.loads(out)["mf"] is False
 
 
 def test_check_without_weights(tmp_path, capsys):
@@ -136,17 +128,24 @@ def test_check_without_weights(tmp_path, capsys):
     assert report["pmf"] is None
 
 
-def test_check_over_size_guards(tmp_path, capsys):
+def test_check_over_size_guards(tmp_path, capsys, monkeypatch):
     # d = 8 and 40 single-column blocks: C(40, 8) minors and 2^40 subsets.
     rng = np.random.default_rng(0)
     frame = MatrixFrame(8, tuple(rng.standard_normal((8, 1)) for _ in range(40)))
     path = tmp_path / "wide.json"
+
+    def enumerated(mat):
+        raise AssertionError("check enumerated the column minors")
+
+    # check takes no minor of the frame, with or without weights.
+    for module in (frameiso.frames, frameiso.objective):
+        monkeypatch.setattr(module, "_column_minors", enumerated)
     write_frame_file(path, frame)
     code, out, _ = run_cli(["check", str(path), "--human"], capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["generic"] is None
-    assert "size guard" in report["generic_note"]
+    assert report["mf"] is True and report["polytope"] is None
+    assert "generic" not in report and "generic_note" not in report
     # The weights are decided by the polynomial certificate, not by the
     # 2^40 subset enumeration.
     write_frame_file(path, frame, WeightVector.uniform(8, 40))
@@ -155,6 +154,7 @@ def test_check_over_size_guards(tmp_path, capsys):
     report = json.loads(out)
     assert report["polytope"] is True
     assert report["relint"] is True
+    assert "generic" not in report and "generic_note" not in report
     code, out, _ = run_cli(["solve-rif", str(path), "--human"], capsys)
     assert code == 0
     assert json.loads(out)["status"] == "converged"
@@ -389,6 +389,11 @@ def test_minors_over_size_guard(tmp_path, capsys):
     code, out, err = run_cli(["minors", str(path)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "exceeds the size guard 1000000" in err
+    # N = 2 columns in d = 3: no d-column selection exists.
+    write_frame_file(path, MatrixFrame(3, ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])))
+    code, out, err = run_cli(["minors", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: undersized frame: N=2 < d=3\n"
 
 
 @pytest.mark.parametrize(

@@ -16,13 +16,12 @@ from frameiso import (
     dist_squared,
     frame_operator,
     induced_sigma,
-    is_generic,
     is_matrix_frame,
 )
 from frameiso import frames
 from frameiso.frames import _column_minors
 
-from conftest import assert_close, traced_peak
+from conftest import assert_close, is_generic, traced_peak
 
 
 def test_frame_validation():
@@ -173,15 +172,16 @@ def test_dist_orthogonal_invariance(mixed_frame):
 
 
 def test_is_generic(mixed_frame, collinear_frame, orthonormal_frame):
+    # The tests' genericity oracle, and the guards of the enumeration under it.
     assert is_generic(mixed_frame, 1e-9)
     assert not is_generic(collinear_frame, 1e-9)
     assert is_generic(orthonormal_frame, 1e-9)
-    with pytest.raises(ValueError):
-        is_generic(MatrixFrame(3, ([1.0, 0.0, 0.0],)), 1e-9)
+    with pytest.raises(ValueError, match=r"undersized frame: N=1 < d=3"):
+        next(_column_minors(np.ones((3, 1))))
     # C(40, 8) = 7.7e7 selections (about 39 GB stacked) exceed the guard.
-    wide = MatrixFrame(8, (np.random.default_rng(0).standard_normal((8, 40)),))
+    wide = np.random.default_rng(0).standard_normal((8, 40))
     with pytest.raises(EnumerationSizeError):
-        is_generic(wide)
+        next(_column_minors(wide))
 
 
 def test_column_minors_chunks_match_single_determinants():
@@ -195,38 +195,25 @@ def test_column_minors_chunks_match_single_determinants():
     assert np.array_equal(np.concatenate(dets), singles)
 
 
-def test_is_generic_memory_is_bounded():
+def _smallest_minor(mat):
+    """The smallest |minor| of ``mat``, read chunk by chunk."""
+    return min(float(np.min(np.abs(dets))) for _, dets in _column_minors(mat))
+
+
+def test_column_minors_memory_is_bounded():
     # C(24, 6) = 134,596 minors are taken chunk by chunk.
-    frame = MatrixFrame(6, (np.random.default_rng(6).standard_normal((6, 24)),))
-    generic, peak = traced_peak(is_generic, frame)
-    assert generic
+    mat = np.random.default_rng(6).standard_normal((6, 24))
+    smallest, peak = traced_peak(_smallest_minor, mat)
+    assert smallest > 1e-9
     assert peak < 4 * 2**20
 
 
-def test_is_generic_stops_at_first_failing_chunk(monkeypatch):
-    # The repeated first column zeroes the first C(22, 4) = 7,315 minors,
-    # which fill the first chunk, so the rest of the C(24, 6) selections
-    # are never taken.
-    cols = np.random.default_rng(7).standard_normal((6, 24))
-    cols[:, 1] = cols[:, 0]
-    taken = []
-
-    def counted(mat):
-        for selections, dets in _column_minors(mat):
-            taken.append(len(dets))
-            yield selections, dets
-
-    monkeypatch.setattr(frames, "_column_minors", counted)
-    assert not is_generic(MatrixFrame(6, (cols,)))
-    assert taken == [frames._MINOR_CHUNK]
-
-
-def test_is_generic_vector_frame_one_column_past_d():
+def test_column_minors_vector_frame_one_column_past_d():
     # C(25, 24) = 25 minors in one chunk: the gathered stack of 25 24 x 24
     # selections is 25 * 24**2 * 8 B = 115 KB, and it bounds the peak.
-    frame = MatrixFrame(24, tuple(np.random.default_rng(9).standard_normal((25, 24))))
-    generic, peak = traced_peak(is_generic, frame)
-    assert generic
+    mat = np.random.default_rng(9).standard_normal((25, 24)).T
+    smallest, peak = traced_peak(_smallest_minor, mat)
+    assert smallest > 1e-9
     assert peak < 2 * 25 * 24**2 * 8
 
 
@@ -264,6 +251,8 @@ def test_is_generic_matches_single_determinants(case):
     # Scaled as is_generic scales it, so both sides see the same minors.
     mat = mat / scale if scale > 0.0 else mat
     dets = [np.linalg.det(mat[:, list(s)]) for s in itertools.combinations(range(n_cols), d)]
+    # The batched enumeration gives every selection's determinant, bit for bit.
+    assert np.array_equal(np.concatenate([m for _, m in _column_minors(mat)]), dets)
     assert is_generic(MatrixFrame(d, (mat,))) == all(abs(det) > 1e-9 for det in dets)
 
 

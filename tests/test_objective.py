@@ -18,14 +18,22 @@ from frameiso import (
     enumerate_minors,
     grad_via_minors,
     log_capacity,
-    log_det_potential,
     log_det_potential_grad,
-    scaled_frame_operator,
 )
 from frameiso.generate import random_frame
-from frameiso.objective import _hessian, _owner_indicator, _potential
+from frameiso.objective import _columns_and_operator, _hessian, _owner_indicator, _potential
 
-from conftest import assert_close, random_shape, sym_inverse_sqrt
+from conftest import assert_close, random_shape, scaled_operator, sym_inverse_sqrt
+
+
+def log_det(frame, t):
+    """log det Q(t) from the kernel's eigenvalues."""
+    return _potential(frame, t)[0]
+
+
+def kernel_operator(frame, t):
+    """Q(t) as the kernel builds it, from the scaled pooled columns."""
+    return _columns_and_operator(frame, t)[1]
 
 
 def central_difference_grad(frame, t, step=1e-5):
@@ -36,23 +44,18 @@ def central_difference_grad(frame, t, step=1e-5):
         up[i] += step
         down = t.copy()
         down[i] -= step
-        grad[i] = (log_det_potential(frame, up) - log_det_potential(frame, down)) / (
-            2 * step
-        )
+        grad[i] = (log_det(frame, up) - log_det(frame, down)) / (2 * step)
     return grad
 
 
 def test_scaled_operator(mixed_frame, orthonormal_frame):
-    assert_close(scaled_frame_operator(mixed_frame, [0, 0, 0]), [[3, 0], [0, 6]])
-    assert_close(
-        scaled_frame_operator(mixed_frame, [math.log(2), 0, 0]), [[4, 0], [0, 10]]
-    )
+    assert_close(kernel_operator(mixed_frame, [0, 0, 0]), [[3, 0], [0, 6]])
+    assert_close(kernel_operator(mixed_frame, [math.log(2), 0, 0]), [[4, 0], [0, 10]])
     t = [0.3, -1.2]
-    assert_close(
-        scaled_frame_operator(orthonormal_frame, t), np.diag(np.exp(t))
-    )
-    with pytest.raises(OverflowError):
-        scaled_frame_operator(orthonormal_frame, [1e4, 0.0])
+    assert_close(kernel_operator(orthonormal_frame, t), np.diag(np.exp(t)))
+    # e^{1e4} is past the float range: refused before Q(t) is formed.
+    with pytest.raises(OverflowError, match=r"e\^\{t_i\} overflowed"):
+        log_det_potential_grad(orthonormal_frame, [1e4, 0.0])
 
 
 def test_scaled_operator_refuses_overflowing_q():
@@ -62,15 +65,15 @@ def test_scaled_operator_refuses_overflowing_q():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match=r"Q\(t\) overflowed"):
-            scaled_frame_operator(frame, np.zeros(3))
+            _potential(frame, np.zeros(3))
 
 
 def test_potential_values(mixed_frame):
-    assert log_det_potential(mixed_frame, [0, 0, 0]) == pytest.approx(
+    assert log_det(mixed_frame, [0, 0, 0]) == pytest.approx(
         math.log(18), abs=1e-12
     )
     basis = MatrixFrame(3, ([1, 0, 0], [0, 1, 0], [0, 0, 1]))
-    assert log_det_potential(basis, [0, 0, 0]) == pytest.approx(0.0, abs=1e-14)
+    assert log_det(basis, [0, 0, 0]) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_potential_translation(mixed_frame):
@@ -78,16 +81,16 @@ def test_potential_translation(mixed_frame):
     for _ in range(10):
         t = rng.uniform(-1, 1, 3)
         s = rng.uniform(-5, 5)
-        shifted = log_det_potential(mixed_frame, t + s)
+        shifted = log_det(mixed_frame, t + s)
         assert shifted == pytest.approx(
-            log_det_potential(mixed_frame, t) + 2 * s, abs=1e-9
+            log_det(mixed_frame, t) + 2 * s, abs=1e-9
         )
 
 
 def test_potential_rejects_degenerate(collinear_frame):
     # drive the lone spanning block to zero weight
     with pytest.raises(NotPositiveDefiniteError):
-        log_det_potential(collinear_frame, [0.0, 0.0, -80.0])
+        log_det(collinear_frame, [0.0, 0.0, -80.0])
 
 
 def test_gradient_example(mixed_frame):
@@ -160,7 +163,7 @@ def test_det_minors_matches_direct():
         d, cols = random_shape(rng)
         frame = random_frame(d, cols, rng)
         t = rng.uniform(-2, 2, frame.n)
-        direct = float(np.linalg.det(scaled_frame_operator(frame, t)))
+        direct = float(np.linalg.det(scaled_operator(frame, t)))
         assert det_via_minors(frame, t) == pytest.approx(direct, rel=1e-9)
 
 
@@ -192,11 +195,10 @@ def test_three_way_gradient_agreement():
     for _ in range(20):
         d, cols = random_shape(rng, d_max=3, n_max=6, cols_max=3)
         frame = random_frame(d, cols, rng)
-        minors = enumerate_minors(frame)
         for _ in range(3):
             t = rng.uniform(-1.5, 1.5, frame.n)
             analytic = log_det_potential_grad(frame, t)
-            combinatorial = grad_via_minors(frame, t, minors)
+            combinatorial = grad_via_minors(frame, t)
             numeric = central_difference_grad(frame, t)
             # the two closed forms agree far more tightly than the stencil
             assert np.allclose(analytic, combinatorial, rtol=1e-8, atol=1e-12)
@@ -212,7 +214,7 @@ def test_grad_minors_survives_large_scalings(orthonormal_frame):
 def scaling_objective(datum, t):
     """Potential minus <t, c>: the function the isotropy solver minimises."""
     t = np.asarray(t, dtype=float)
-    return log_det_potential(datum.frame, t) - float(np.dot(t, datum.weights.as_floats()))
+    return log_det(datum.frame, t) - float(np.dot(t, datum.weights.as_floats()))
 
 
 def test_objective_values(mixed_frame, thirds, orthonormal_frame):
@@ -255,11 +257,11 @@ def test_log_capacity(mixed_frame, thirds, orthonormal_frame):
 
 
 def test_objective_state(mixed_frame):
-    operator = scaled_frame_operator(mixed_frame, np.zeros(3))
+    operator = kernel_operator(mixed_frame, np.zeros(3))
     assert np.max(np.abs(operator - operator.T)) <= 1e-12
     grad = log_det_potential_grad(mixed_frame, np.zeros(3))
     assert float(np.sum(grad)) == pytest.approx(2.0, abs=1e-8)
-    assert log_det_potential(mixed_frame, np.zeros(3)) == pytest.approx(math.log(18))
+    assert log_det(mixed_frame, np.zeros(3)) == pytest.approx(math.log(18))
 
 
 def test_hessian_matches_gradient_differences():

@@ -17,14 +17,13 @@ from frameiso import (
     certify_membership,
     column_span_dim,
     in_orbit_polytope,
-    is_generic,
 )
 from frameiso import polytope
 from frameiso.generate import random_degenerate_frame, random_frame
 from frameiso.frames import _numerical_rank
 from frameiso.polytope import CertificateError, orbit_polytope_report
 
-from conftest import traced_peak
+from conftest import is_generic, traced_peak
 
 
 def test_membership_generic(mixed_frame, thirds):

@@ -14,15 +14,13 @@ from frameiso import (
     NotPositiveDefiniteError,
     SolverConfig,
     WeightVector,
+    grad_via_minors,
     in_orbit_polytope,
-    is_generic,
     is_matrix_frame,
     is_radial_isotropic,
     log_det_potential_grad,
     minimize,
     radial_isotropy_residual,
-    scaled_frame_operator,
-    stationarity_residual,
     to_radial_isotropic,
 )
 import frameiso.objective
@@ -31,10 +29,10 @@ import frameiso.solver
 from frameiso import cli
 from frameiso.generate import random_degenerate_frame, random_frame
 from frameiso.io import write_frame_file
-from frameiso.objective import _hessian, _owner_indicator, _potential
+from frameiso.objective import _columns_and_operator, _hessian, _owner_indicator, _potential
 from frameiso.solver import _newton_direction
 
-from conftest import assert_close, sym_inverse_sqrt, traced_peak
+from conftest import assert_close, is_generic, sym_inverse_sqrt, traced_peak
 
 
 def test_orthonormal_already_isotropic(orthonormal_frame):
@@ -165,7 +163,7 @@ def test_start_where_block_norms_span_the_float_range(thirds):
     frame = MatrixFrame(2, ([1e150, 0.0], [0.0, 1e150], [1e-150, 1e-150]))
     start = frameiso.solver._balanced_start(frame, thirds.as_floats())
     assert start[2] == 700.0 and np.all(np.isfinite(np.exp(start)))
-    assert np.all(np.isfinite(scaled_frame_operator(frame, start)))
+    assert np.all(np.isfinite(_columns_and_operator(frame, start)[1]))
     result = minimize(FrameDatum(frame, thirds), SolverConfig(check_polytope=False))
     assert result.iterations >= 1
     # A zero block has no norm to balance: it keeps a unit block's scaling.
@@ -179,7 +177,7 @@ def test_start_where_block_norms_span_the_float_range(thirds):
 
 
 def _assert_transformer_from_t_star(datum, result):
-    expected = sym_inverse_sqrt(scaled_frame_operator(datum.frame, result.t_star))
+    expected = sym_inverse_sqrt(_columns_and_operator(datum.frame, result.t_star)[1])
     assert np.array_equal(result.transformer, expected)
 
 
@@ -266,18 +264,19 @@ def test_extremiser_consistency(mixed_frame, thirds):
     assert np.allclose(lhs, thirds.as_floats(), rtol=1e-7)
 
 
+# The stationarity residual is the minor-sum gradient minus the weights:
+# each component vanishes exactly at a minimiser of the scaling objective.
+
+
 def test_stationarity_residual_at_origin(mixed_frame, thirds, orthonormal_frame):
-    datum = FrameDatum(mixed_frame, thirds)
-    residual = stationarity_residual(datum, np.zeros(3))
+    residual = grad_via_minors(mixed_frame, np.zeros(3)) - thirds.as_floats()
     assert_close(residual, [1.0 / 3.0, -1.0 / 6.0, -1.0 / 6.0], tol=1e-12)
-    pair = FrameDatum(orthonormal_frame, WeightVector((1, 1)))
-    assert_close(stationarity_residual(pair, np.zeros(2)), [0.0, 0.0], tol=1e-15)
+    assert_close(grad_via_minors(orthonormal_frame, np.zeros(2)) - 1.0, [0.0, 0.0], tol=1e-15)
 
 
 def test_stationarity_residual_at_solution(mixed_frame, thirds):
-    datum = FrameDatum(mixed_frame, thirds)
-    result = minimize(datum)
-    residual = stationarity_residual(datum, result.t_star)
+    result = minimize(FrameDatum(mixed_frame, thirds))
+    residual = grad_via_minors(mixed_frame, result.t_star) - thirds.as_floats()
     assert float(np.max(np.abs(residual))) <= 1e-7
 
 
@@ -285,10 +284,9 @@ def test_stationarity_residual_memory_is_bounded():
     # C(24, 6) = 134,596 minor terms, held as owner-index and log-minor
     # arrays rather than one object per term.
     frame = random_frame(6, [1] * 24, np.random.default_rng(1))
-    datum = FrameDatum(frame, WeightVector.uniform(6, 24))
-    residual, peak = traced_peak(stationarity_residual, datum, np.zeros(24))
+    grad, peak = traced_peak(grad_via_minors, frame, np.zeros(24))
     assert peak < 32 * 2**20
-    assert_close(residual + 0.25, log_det_potential_grad(frame, np.zeros(24)))
+    assert_close(grad, log_det_potential_grad(frame, np.zeros(24)))
 
 
 def test_block_scaling_absorbed(mixed_frame, thirds):
