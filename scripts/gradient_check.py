@@ -15,7 +15,7 @@ import numpy as np
 
 from frameiso import grad_via_minors, is_matrix_frame, log_det_potential_grad
 from frameiso.generate import random_frame
-from frameiso.objective import _hessian, _owner_indicator, _potential
+from frameiso.objective import _block_pairs, _hessian, _potential
 
 
 def finite_difference(frame, t, step=1e-5):
@@ -73,7 +73,7 @@ def main():
                 float(np.max(np.abs(analytic - finite_difference(frame, t)) / scale)),
             )
             _, grad, rotated, _ = _potential(frame, t)
-            hess = _hessian(_owner_indicator(frame), grad, rotated)
+            hess = _hessian(_block_pairs(frame), grad, rotated)
             worst_hess = max(
                 worst_hess,
                 float(np.max(np.abs(hess - hessian_difference(frame, t)))),

@@ -145,7 +145,12 @@ def _as_weight(value, index: int) -> Fraction:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive rational weights c_1..c_n held exactly as Fractions."""
+    """Positive rational weights c_1..c_n held exactly as Fractions.
+
+    The common denominator omega, the integer numerators omega c_i and a
+    read-only float copy of the weights are derived once, on
+    construction; equality and hashing read ``weights`` only.
+    """
 
     weights: tuple
 
@@ -154,15 +159,29 @@ class WeightVector:
         if not ws:
             raise ValueError("need at least one weight")
         object.__setattr__(self, "weights", ws)
+        omega = math.lcm(*(w.denominator for w in ws))
+        self._derive(
+            omega,
+            tuple(w.numerator * (omega // w.denominator) for w in ws),
+            np.array([float(w) for w in ws]),
+        )
 
     @classmethod
     def uniform(cls, d: int, n: int) -> "WeightVector":
-        """The weight vector (d/n, ..., d/n): one weight, checked once."""
+        """The weight vector (d/n, ..., d/n): one weight, checked and
+        converted once."""
         if n < 1:
             raise ValueError("need at least one weight")
+        weight = _as_weight(Fraction(d, n), 0)
         vec = object.__new__(cls)
-        object.__setattr__(vec, "weights", (_as_weight(Fraction(d, n), 0),) * n)
+        object.__setattr__(vec, "weights", (weight,) * n)
+        vec._derive(weight.denominator, (weight.numerator,) * n, np.full(n, float(weight)))
         return vec
+
+    def _derive(self, omega: int, scaled: tuple, floats: np.ndarray) -> None:
+        object.__setattr__(self, "_omega", omega)
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_floats", _freeze(floats))
 
     @property
     def n(self) -> int:
@@ -171,21 +190,20 @@ class WeightVector:
     @property
     def omega(self) -> int:
         """Least common denominator of the weights (in lowest terms)."""
-        return math.lcm(*(w.denominator for w in self.weights))
+        return self._omega
 
     def scaled(self) -> tuple:
-        """(omega, [omega c_i]): the weights as Python ints over their common
+        """(omega, (omega c_i)): the weights as Python ints over their common
         denominator omega, so weight sums compare exactly with integers."""
-        omega = self.omega
-        return omega, [w.numerator * (omega // w.denominator) for w in self.weights]
+        return self._omega, self._scaled
 
     def total(self) -> Fraction:
         """The exact sum, as integer numerators over the common denominator."""
-        omega, scaled = self.scaled()
-        return Fraction(sum(scaled), omega)
+        return Fraction(sum(self._scaled), self._omega)
 
     def as_floats(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
+        """The weights as a read-only float array."""
+        return self._floats
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,9 +19,10 @@ Two independent evaluation routes are provided:
   column squares of R.  It returns the potential, the gradient, R and
   the eigendecomposition itself, so a caller forms Q^{-1/2}(t) at that
   point without a second ``eigh``.  The Hessian is formed from R only
-  where a caller needs it: its block coupling is one indicator product
-  E^T (G o G) E over the N x N Gram matrix G = R^T R, E the N x n 0/1
-  matrix of column owners, which a solve builds once;
+  where a caller needs it: its block coupling sums G o G, G = R^T R the
+  N x N Gram matrix, over the columns of every pair of blocks with one
+  ``bincount`` on the flat index owner(a) n + owner(b) of each column
+  pair, which a solve builds once, so the coupling costs O(N^2);
 * a combinatorial oracle that expands det Q(t) over all d-column
   selections from the pooled matrix (each selection contributes the
   squared d x d determinant of the chosen columns, scaled by
@@ -122,26 +123,27 @@ def _potential(frame: MatrixFrame, t) -> tuple:
     return value, grad, rotated, eig
 
 
-def _owner_indicator(frame: MatrixFrame) -> np.ndarray:
-    """The N x n 0/1 matrix E whose column i marks block i's columns."""
-    owners = np.zeros((frame.total_cols, frame.n))
-    owners[np.arange(frame.total_cols), frame._owner] = 1.0
-    return owners
+def _block_pairs(frame: MatrixFrame) -> np.ndarray:
+    """The flat block-pair index owner(a) n + owner(b) of every column pair
+    (a, b), in the row-major order of the N x N Gram matrix."""
+    owner = frame._owner
+    return (owner[:, None] * frame.n + owner).ravel()
 
 
-def _hessian(owners: np.ndarray, grad: np.ndarray, rotated: np.ndarray) -> np.ndarray:
+def _hessian(pairs: np.ndarray, grad: np.ndarray, rotated: np.ndarray) -> np.ndarray:
     """Hessian of the potential from ``_potential``'s gradient and rotated
-    columns R at one point: diag(g) - E^T (G o G) E, with G = R^T R and
-    E = ``owners`` the frame's ``_owner_indicator``, so one indicator
-    product sums G o G over the columns of every pair of blocks.  Its
-    rows sum to zero: the potential is linear along the all-ones
-    direction.  The product is not symmetrised; the LU solve it feeds
-    does not need symmetry.
+    columns R at one point: diag(g) minus the block sums of G o G, with
+    G = R^T R.  ``pairs`` is the frame's ``_block_pairs``, so one
+    ``bincount`` sums G o G over the columns of every pair of blocks in
+    O(N^2).  Its rows sum to zero: the potential is linear along the
+    all-ones direction.  The sum is not symmetrised; the LU solve it
+    feeds does not need symmetry.
     """
+    n = len(grad)
     inner = rotated.T @ rotated
     inner *= inner
-    hess = -(owners.T @ inner @ owners)
-    hess.flat[:: len(grad) + 1] += grad
+    hess = -np.bincount(pairs, weights=inner.ravel(), minlength=n * n).reshape(n, n)
+    hess.flat[:: n + 1] += grad
     return hess
 
 

@@ -11,11 +11,11 @@ trial point of the line search is recentred so <t, c> = 0 and evaluated
 once, value and gradient together; the accepted trial is the next
 iterate, with that evaluation.  The Hessian is formed only at an iterate
 whose gradient is above the tolerance, for the Newton step taken from
-it, so line-search trials and the final point get none; the N x n
-matrix of column owners its block coupling reads is built once per
-solve.  The objective is invariant under the gauge when the weights sum
-to d, and recentring keeps the iterates bounded whenever a minimiser
-exists.
+it, so line-search trials and the final point get none; the flat
+block-pair index of the column pairs, whose ``bincount`` is its block
+coupling, is built once per solve.  The objective is invariant under
+the gauge when the weights sum to d, and recentring keeps the iterates
+bounded whenever a minimiser exists.
 
 The matrix-frame test comes first, and it is ``frames.is_matrix_frame``
 itself: its eigenvalue rule on the frame operator Q(0), which also calls
@@ -71,9 +71,9 @@ from .frames import (
 )
 from .objective import (
     NotPositiveDefiniteError,
+    _block_pairs,
     _hessian,
     _inverse_sqrt,
-    _owner_indicator,
     _potential,
 )
 from .polytope import CertificateError, PolytopeReport, orbit_polytope_report
@@ -192,7 +192,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
             )
 
     c_floats = weights.as_floats()
-    owners = _owner_indicator(frame)
+    pairs = _block_pairs(frame)
     t = _balanced_start(frame, c_floats)
     value, grad, rotated, eig = _potential(frame, t)
     value -= float(np.dot(t, c_floats))
@@ -209,7 +209,7 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
             iterations -= 1
             break
 
-        direction = _newton_direction(_hessian(owners, grad, rotated), gradient)
+        direction = _newton_direction(_hessian(pairs, grad, rotated), gradient)
         point, full_step_floored = _line_search(
             frame, t, value, gradient, direction, c_floats
         )

@@ -325,6 +325,17 @@ def test_uniform_weights_validated_once():
         WeightVector((Fraction(1, 2), Fraction(-1, 2)))
 
 
+def test_weight_floats_read_only():
+    for w in (WeightVector(("1/2", 3, Fraction(2, 7))), WeightVector.uniform(3, 7)):
+        floats = w.as_floats()
+        assert not floats.flags.writeable
+        assert floats.tolist() == [float(c) for c in w.weights]
+        with pytest.raises(ValueError):
+            floats[0] = 1.0
+    # Hashing reads the weights only.
+    assert hash(WeightVector.uniform(3, 7)) == hash(WeightVector(("3/7",) * 7))
+
+
 _PRIMES_NEAR_1E6 = (999_983, 999_979, 999_961, 999_959, 999_953)
 
 

@@ -21,7 +21,7 @@ from frameiso import (
     log_det_potential_grad,
 )
 from frameiso.generate import random_frame
-from frameiso.objective import _columns_and_operator, _hessian, _owner_indicator, _potential
+from frameiso.objective import _block_pairs, _columns_and_operator, _hessian, _potential
 
 from conftest import assert_close, random_shape, scaled_operator, sym_inverse_sqrt
 
@@ -273,7 +273,7 @@ def test_hessian_matches_gradient_differences():
         for _ in range(3):
             t = rng.uniform(-1.5, 1.5, frame.n)
             _, grad, rotated, _ = _potential(frame, t)
-            hess = _hessian(_owner_indicator(frame), grad, rotated)
+            hess = _hessian(_block_pairs(frame), grad, rotated)
             numeric = np.empty((frame.n, frame.n))
             for j in range(frame.n):
                 up, down = t.copy(), t.copy()
@@ -346,13 +346,17 @@ def test_hessian_blockwise_named_cases(mixed_frame):
     single = MatrixFrame(3, (np.arange(12.0).reshape(3, 4) ** 1.5,))
     _assert_blockwise_hessian(single, np.array([-400.0]))
     _assert_blockwise_hessian(mixed_frame, np.array([400.0, 400.0, -800.0]))
+    # A large-solve shape: d = 16 and 48 blocks of 1 to 3 columns.
+    rng = np.random.default_rng(16)
+    wide = random_frame(16, rng.integers(1, 4, 48).tolist(), rng)
+    _assert_blockwise_hessian(wide, rng.uniform(-1.0, 1.0, 48))
 
 
 def _assert_blockwise_hessian(frame, t):
     # Relative to the largest term of the difference diag(g) - coupling:
     # at n = 1 the two cancel and the Hessian is rounding noise around 0.
     _, grad, rotated, eig = _potential(frame, t)
-    hess = _hessian(_owner_indicator(frame), grad, rotated)
+    hess = _hessian(_block_pairs(frame), grad, rotated)
     expected = _blockwise_hessian(frame, t, eig)
     assert np.allclose(hess, expected, rtol=0.0, atol=1e-12 * float(np.max(grad)))
 
@@ -362,7 +366,7 @@ def test_hessian_survives_huge_scalings(mixed_frame):
     # before rotating, so the Hessian stays finite.
     t = np.array([400.0, 400.0, -800.0])
     value, grad, rotated, _ = _potential(mixed_frame, t)
-    hess = _hessian(_owner_indicator(mixed_frame), grad, rotated)
+    hess = _hessian(_block_pairs(mixed_frame), grad, rotated)
     assert math.isfinite(value) and np.all(np.isfinite(grad))
     assert np.all(np.isfinite(hess))
     assert np.array_equal(hess, hess.T)

@@ -29,7 +29,7 @@ import frameiso.solver
 from frameiso import cli
 from frameiso.generate import random_degenerate_frame, random_frame
 from frameiso.io import write_frame_file
-from frameiso.objective import _columns_and_operator, _hessian, _owner_indicator, _potential
+from frameiso.objective import _block_pairs, _columns_and_operator, _hessian, _potential
 from frameiso.solver import _newton_direction
 
 from conftest import assert_close, is_generic, sym_inverse_sqrt, traced_peak
@@ -471,6 +471,19 @@ def test_newton_iteration_count(mixed_frame, thirds):
         assert result.iterations <= 10
 
 
+def test_tall_free_solve():
+    # Many more blocks than dimensions: 300 single columns in R^4.
+    n = 300
+    frame = random_frame(4, [1] * n, np.random.default_rng(300))
+    datum = FrameDatum(frame, WeightVector.uniform(4, n))
+    result = minimize(datum, SolverConfig(check_polytope=False))
+    assert result.status == "converged"
+    assert result.iterations <= 4
+    transformed = to_radial_isotropic(datum, result)
+    residual = radial_isotropy_residual(FrameDatum(transformed, datum.weights))
+    assert residual <= 10 * result.grad_tol
+
+
 def test_newton_direction_is_minimum_norm_solution():
     # The gauge-filled solve must give the least-squares Newton direction:
     # H d = -g with d orthogonal to the all-ones null direction of H.
@@ -479,7 +492,7 @@ def test_newton_direction_is_minimum_norm_solution():
         frame, c = datum.frame, datum.weights.as_floats()
         t = rng.uniform(-1.0, 1.0, frame.n)
         _, grad, rotated, _ = _potential(frame, t)
-        hess = _hessian(_owner_indicator(frame), grad, rotated)
+        hess = _hessian(_block_pairs(frame), grad, rotated)
         gradient = grad - c
         direction = _newton_direction(hess, gradient)
         reference = -np.linalg.lstsq(hess, gradient, rcond=1e-12)[0]
@@ -578,9 +591,9 @@ def test_one_hessian_per_newton_step(mixed_frame, thirds, collinear_frame, monke
     gradients = []
     hessian = frameiso.solver._hessian
 
-    def counted(owners, grad, rotated):
+    def counted(pairs, grad, rotated):
         gradients.append(grad)
-        return hessian(owners, grad, rotated)
+        return hessian(pairs, grad, rotated)
 
     monkeypatch.setattr(frameiso.solver, "_hessian", counted)
     stalled = FrameDatum(
