@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Compare the three gradient routes and the Hessian on random frames.
 
-Evaluates the eigendecomposition formula, the minor-expansion ratio
+Evaluates the kernel's formula (column squares of the columns rotated
+by the inverse Cholesky factor of Q(t)), the minor-expansion ratio
 formula, and central finite differences at random scalings, and prints
 the worst pairwise discrepancies.  It also compares the analytic Hessian
 with central differences of the analytic gradient.

@@ -13,16 +13,22 @@ Two independent evaluation routes are provided:
   package's one builder of frame operators (``frames._operator``), so it
   is exactly symmetric; an e^{t_i} or a Q(t) past the float range is
   refused with OverflowError.  One kernel forms S once and reuses it:
-  it builds Q(t) from S, takes one symmetric eigendecomposition
-  Q = U diag(lam) U^T, rotates S into R = diag(lam)^{-1/2} U^T S, and
-  reads the gradient components e^{t_i} |Q^{-1/2}(t) X_i|_F^2 off the
-  column squares of R.  It returns the potential, the gradient, R and
-  the eigendecomposition itself, so a caller forms Q^{-1/2}(t) at that
-  point without a second ``eigh``.  The Hessian is formed from R only
-  where a caller needs it: its block coupling sums G o G, G = R^T R the
-  N x N Gram matrix, over the columns of every pair of blocks with one
-  ``bincount`` on the flat index owner(a) n + owner(b) of each column
-  pair, which a solve builds once, so the coupling costs O(N^2);
+  it builds Q(t) from S, factors Q = L L^T by Cholesky, rotates S into
+  R = L^{-1} S, takes log det Q(t) = 2 sum_k log L_kk and reads the
+  gradient components e^{t_i} |Q^{-1/2}(t) X_i|_F^2 off the column
+  squares of R.  The factor decides the eigenvalue floor only where
+  tr(Q) |L^{-1}|_F^2, a bound on lambda_max / lambda_min, clears it by a
+  factor of two; elsewhere, and where ``cholesky`` fails, one symmetric
+  eigendecomposition Q = U diag(lam) U^T decides the point and gives
+  R = diag(lam)^{-1/2} U^T S.  Both rotations give the same
+  R^T R = S^T Q^{-1} S.  The kernel returns Q(t) with the point, and its
+  eigendecomposition where it took one, so a solve takes one ``eigh``,
+  of the accepted point's Q(t), for the transformer Q^{-1/2}(t).  The
+  Hessian is formed from R only where a caller needs it: its block
+  coupling sums G o G, G = R^T R the N x N Gram matrix, over the columns
+  of every pair of blocks with one ``bincount`` on the flat index
+  owner(a) n + owner(b) of each column pair, which a solve builds once,
+  so the coupling costs O(N^2);
 * a combinatorial oracle that expands det Q(t) over all d-column
   selections from the pooled matrix (each selection contributes the
   squared d x d determinant of the chosen columns, scaled by
@@ -72,7 +78,7 @@ def _columns_and_operator(frame: MatrixFrame, t) -> tuple:
     when Q(t) does.
     """
     t = _check_scalings(frame, t)
-    if np.max(t) > _LOG_FLOAT_MAX:
+    if t.max() > _LOG_FLOAT_MAX:
         raise OverflowError("e^{t_i} overflowed; recentre the scalings")
     cols = _scaled_columns(frame, np.exp(0.5 * t))
     try:
@@ -85,7 +91,7 @@ def _check_scalings(frame: MatrixFrame, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.shape != (frame.n,):
         raise ValueError(f"scalings must have shape ({frame.n},), got {t.shape}")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("scalings must be finite")
     return t
 
@@ -100,27 +106,59 @@ def _check_floor(eigvals: np.ndarray) -> None:
 
 
 def _potential(frame: MatrixFrame, t) -> tuple:
-    """(log det Q(t), gradient, rotated columns, (eigvals, eigvecs)) from
-    one eigendecomposition of Q(t).
+    """(log det Q(t), gradient, rotated columns, (Q(t), eigendecomposition))
+    from one Cholesky factor Q(t) = L L^T.
 
-    The eigendecomposition passes the eigenvalue floor first and is
-    returned as the last entry, so the caller can form Q^{-1/2}(t) from
-    it.  The scaled columns S = P e^{t/2} are formed once and serve
-    three times: Q(t) = S S^T, the rotated columns R = diag(lam)^{-1/2}
-    U^T S for Q = U diag(lam) U^T, and through R the gradient, whose
-    component i sums the column squares of R over block i's columns.
-    Scaling by e^{t/2} keeps every entry of R bounded when some e^{t_i}
-    is huge, where the product e^{t_i} e^{t_j} would overflow.
-    ``_hessian`` forms the Hessian at the same point from the gradient
-    and R.
+    The scaled columns S = P e^{t/2} are formed once and serve three
+    times: Q(t) = S S^T, the rotated columns R = L^{-1} S, and through R
+    the gradient, whose component i sums the column squares of R over
+    block i's columns.  Scaling by e^{t/2} keeps every entry of R
+    bounded when some e^{t_i} is huge, where the product e^{t_i} e^{t_j}
+    would overflow.
+
+    The point passes the eigenvalue floor on the factor alone when
+    2 EIG_FLOOR tr(Q) |L^{-1}|_F^2 <= 1: since lambda_max <= tr(Q) and
+    1 / lambda_min <= tr(Q^{-1}) = |L^{-1}|_F^2, lambda_min / lambda_max
+    is then at least twice the floor, a margin rounding cannot cross.
+    Otherwise, or where ``cholesky`` fails, ``_eigen_potential`` decides
+    the point by ``_check_floor`` and raises NotPositiveDefiniteError
+    below it.  The last entry is Q(t) with its eigendecomposition
+    (eigvals, eigvecs), None unless that route took one, so the caller
+    forms Q^{-1/2}(t) without a second ``eigh`` of a point already
+    decomposed.  ``_hessian`` forms the Hessian at the same point from
+    the gradient and R, which either route gives with the same
+    R^T R = S^T Q^{-1} S.
     """
     cols, op = _columns_and_operator(frame, t)
+    try:
+        factor = np.linalg.cholesky(op)
+        inv_factor = np.linalg.inv(factor)
+    except np.linalg.LinAlgError:
+        return _eigen_potential(frame, cols, op)
+    # Python floats and vdot overflow to inf without a numpy warning, and
+    # the comparison sends a NaN bound to the eigen route too.
+    bound = sum(op.diagonal().tolist()) * float(np.vdot(inv_factor, inv_factor))
+    if not 2.0 * EIG_FLOOR * bound <= 1.0:
+        return _eigen_potential(frame, cols, op)
+    value = 2.0 * float(np.log(factor.diagonal()).sum())
+    rotated = inv_factor @ cols
+    return value, _block_squares(frame, rotated), rotated, (op, None)
+
+
+def _eigen_potential(frame: MatrixFrame, cols: np.ndarray, op: np.ndarray) -> tuple:
+    """``_potential`` at a point its factor cannot decide, from one
+    eigendecomposition Q(t) = U diag(lam) U^T, which passes the
+    eigenvalue floor first: R = diag(lam)^{-1/2} U^T S."""
     eigvals, eigvecs = eig = np.linalg.eigh(op)
     _check_floor(eigvals)
-    value = float(np.sum(np.log(eigvals)))
+    value = float(np.log(eigvals).sum())
     rotated = (eigvecs.T @ cols) / np.sqrt(eigvals)[:, None]
-    grad = np.add.reduceat(np.einsum("ij,ij->j", rotated, rotated), frame.block_starts)
-    return value, grad, rotated, eig
+    return value, _block_squares(frame, rotated), rotated, (op, eig)
+
+
+def _block_squares(frame: MatrixFrame, rotated: np.ndarray) -> np.ndarray:
+    """The column squares of R summed over each block's columns."""
+    return np.add.reduceat(np.einsum("ij,ij->j", rotated, rotated), frame.block_starts)
 
 
 def _block_pairs(frame: MatrixFrame) -> np.ndarray:

@@ -27,10 +27,12 @@ block-normalised frame.  Scaling X_i by s_i shifts the objective by an
 exact translation of t, so this start removes the block scales before
 the first step instead of having Newton steps undo them (a block of
 zero norm is left unscaled).  Every
-evaluated point costs one ``eigh`` of Q(t) and there is none after the
-loop: the kernel returns its eigendecomposition with the point, and the
-transformer Q^{-1/2}(t*) and the extremisers are formed from the
-accepted point's.
+evaluated point costs one Cholesky factor of Q(t), which the kernel
+returns with the point; the transformer Q^{-1/2}(t*) and the extremisers
+come from one ``eigh`` of the accepted point's Q(t) after the loop.  A
+point whose factor could not decide the eigenvalue floor was decided by
+an ``eigh`` in the kernel, and that eigendecomposition is reused, so a
+solve takes one ``eigh`` plus one per such point.
 
 When the weights fail the orbit-polytope test the infimum is -inf and the
 solver reports ``not_semistable`` without iterating; the test is the
@@ -160,7 +162,7 @@ class SolveResult:
 
 def recenter(t: np.ndarray, weight_floats: np.ndarray, d: int) -> np.ndarray:
     """Shift t along the all-ones direction so that <t, c> = 0."""
-    return t - (float(np.dot(t, weight_floats)) / d)
+    return t - (float(t @ weight_floats) / d)
 
 
 def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveResult:
@@ -194,8 +196,8 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     c_floats = weights.as_floats()
     pairs = _block_pairs(frame)
     t = _balanced_start(frame, c_floats)
-    value, grad, rotated, eig = _potential(frame, t)
-    value -= float(np.dot(t, c_floats))
+    value, grad, rotated, operator = _potential(frame, t)
+    value -= float(t @ c_floats)
     status = STATUS_MAX_ITERS
     stalled = False
     refusal = None
@@ -228,12 +230,10 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
                 break
         if point is None:
             break  # no step resolves a decrease of the objective
-        new_t, value, grad, rotated, eig = point
+        new_t, value, grad, rotated, operator = point
         # A step below the float resolution of t cannot make progress;
         # the run ends as max_iters once the new gradient is tested.
-        stalled = float(np.max(np.abs(new_t - t))) <= _resolution(
-            float(np.max(np.abs(t)))
-        )
+        stalled = float(abs(new_t - t).max()) <= _resolution(float(abs(t).max()))
         t = new_t
     else:
         iterations = config.max_iters
@@ -243,9 +243,10 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     transformer = None
     extremisers = None
     if status in (STATUS_CONVERGED, STATUS_MAX_ITERS):
-        # t is a point the kernel accepted: its eigendecomposition of Q(t)
-        # passed the floor and gives the transformer without another eigh.
-        transformer = _inverse_sqrt(*eig)
+        # t is a point the kernel accepted, so Q(t) passed the floor; the
+        # kernel's own eigendecomposition of it is reused where it took one.
+        op, eig = operator
+        transformer = _inverse_sqrt(*(np.linalg.eigh(op) if eig is None else eig))
         extremisers = 1.0 / _block_norms_sq(frame, transformer @ frame.pooled())
     return SolveResult(
         t_star=t,
@@ -290,11 +291,11 @@ def _newton_direction(hess: np.ndarray, gradient: np.ndarray) -> np.ndarray:
     # line search; steepest descent is used instead.
     n = len(gradient)
     try:
-        direction = -np.linalg.solve(hess + np.trace(hess) / n**2, gradient)
+        direction = -np.linalg.solve(hess + hess.trace() / n**2, gradient)
     except np.linalg.LinAlgError:
         return -gradient
-    slope = float(np.dot(direction, gradient))
-    if -slope <= _DESCENT_FRACTION * float(np.dot(gradient, gradient)):
+    slope = float(direction @ gradient)
+    if -slope <= _DESCENT_FRACTION * float(gradient @ gradient):
         return -gradient
     return direction
 
@@ -304,13 +305,13 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
 
     Each trial is recentred before it is evaluated.  Returns (point,
     full_step_floored): ``point`` is (t, objective, gradient of the
-    potential, rotated columns, eigendecomposition of Q(t)) at the
-    accepted trial, or None when no step succeeds; the flag records
-    whether the initial (largest) trial was rejected by the
-    positive-definiteness floor, the signature of sliding along the edge
-    of the cone.
+    potential, rotated columns, and Q(t) with the kernel's
+    eigendecomposition or None) at the accepted trial, or None when no
+    step succeeds; the flag records whether the initial (largest) trial
+    was rejected by the positive-definiteness floor, the signature of
+    sliding along the edge of the cone.
     """
-    slope = float(np.dot(gradient, direction))
+    slope = float(gradient @ direction)
     step = _INIT_STEP
     full_step_floored = False
     # Differences below float resolution of the objective cannot be
@@ -320,18 +321,18 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
     while step > 1e-20:
         trial = recenter(t + step * direction, c_floats, frame.d)
         try:
-            potential, grad, rotated, eig = _potential(frame, trial)
+            potential, grad, rotated, operator = _potential(frame, trial)
         except (NotPositiveDefiniteError, OverflowError):
             full_step_floored = full_step_floored or step == _INIT_STEP
             step *= _BACKTRACK
             continue
-        trial_value = potential - float(np.dot(trial, c_floats))
+        trial_value = potential - float(trial @ c_floats)
         required = value + _ARMIJO_C1 * step * slope
         if trial_value <= required or (
             _ARMIJO_C1 * step * abs(slope) < resolution
             and trial_value <= value + resolution
         ):
-            return (trial, trial_value, grad, rotated, eig), full_step_floored
+            return (trial, trial_value, grad, rotated, operator), full_step_floored
         step *= _BACKTRACK
     return None, full_step_floored
 

@@ -43,8 +43,8 @@ def test_equal_norm_parseval_many_single_columns():
         (5, [1] * 6, 1, ["converged"]),
         # A converged solve whose output's operator residual is above
         # 1e-13 is redrawn, as a stall is.
-        (5, [1] * 6, 32, ["converged", "converged"]),
-        # A solve that stalls at grad 7e-12 is followed by a fresh draw.
+        (5, [1] * 6, 0, ["converged", "converged"]),
+        # A solve that stalls at grad 6e-12 is followed by a fresh draw.
         (7, [1] * 8, 8, ["max_iters", "converged"]),
     ],
 )

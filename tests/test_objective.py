@@ -14,6 +14,7 @@ from frameiso import (
     MatrixFrame,
     NotPositiveDefiniteError,
     WeightVector,
+    apply_transform,
     det_via_minors,
     enumerate_minors,
     grad_via_minors,
@@ -21,7 +22,14 @@ from frameiso import (
     log_det_potential_grad,
 )
 from frameiso.generate import random_frame
-from frameiso.objective import _block_pairs, _columns_and_operator, _hessian, _potential
+from frameiso.objective import (
+    EIG_FLOOR,
+    _block_pairs,
+    _check_floor,
+    _columns_and_operator,
+    _hessian,
+    _potential,
+)
 
 from conftest import assert_close, random_shape, scaled_operator, sym_inverse_sqrt
 
@@ -91,6 +99,82 @@ def test_potential_rejects_degenerate(collinear_frame):
     # drive the lone spanning block to zero weight
     with pytest.raises(NotPositiveDefiniteError):
         log_det(collinear_frame, [0.0, 0.0, -80.0])
+
+
+@st.composite
+def _shrunk_frames(draw):
+    """A Gaussian frame with one direction shrunk, and scalings in [-1, 1].
+
+    The squared shrink factor runs over 1e-15 .. 1e-9, so that
+    lambda_min / lambda_max of Q(t) falls on both sides of the floor.
+    """
+    d = draw(st.integers(2, 5))
+    cols = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d + 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = random_frame(d, cols, rng)
+    axis = rng.standard_normal(d)
+    axis /= np.linalg.norm(axis)
+    shrink = 10.0 ** (draw(st.floats(-15.0, -9.0)) / 2.0)
+    squeeze = np.eye(d) - (1.0 - shrink) * np.outer(axis, axis)
+    return apply_transform(squeeze, frame), rng.uniform(-1.0, 1.0, len(cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shrunk_frames())
+def test_potential_floor_matches_eigenvalues(frame_and_t):
+    # The kernel refuses a point exactly when the floor refuses the
+    # eigenvalues of its Q(t), whichever route decided it.  The reference
+    # is eigh's, the decomposition the kernel's eigen route reads.
+    frame, t = frame_and_t
+    try:
+        _check_floor(np.linalg.eigh(kernel_operator(frame, t))[0])
+    except NotPositiveDefiniteError:
+        with pytest.raises(NotPositiveDefiniteError):
+            _potential(frame, t)
+    else:
+        _potential(frame, t)
+
+
+def _assert_eigen_route(frame, t, tol=1e-12):
+    """The kernel's value, gradient and R^T R against one eigendecomposition
+    of its Q(t), relative to the largest entry of each."""
+    cols, op = _columns_and_operator(frame, t)
+    eigvals, eigvecs = np.linalg.eigh(op)
+    reference = (eigvecs.T @ cols) / np.sqrt(eigvals)[:, None]
+    grad = [float(np.sum(reference[:, frame._owner == i] ** 2)) for i in range(frame.n)]
+    value, kernel_grad, rotated, _ = _potential(frame, t)
+    assert value == pytest.approx(float(np.sum(np.log(eigvals))), rel=tol)
+    assert_close(kernel_grad, grad, tol=tol * max(grad))
+    gram = reference.T @ reference
+    assert_close(rotated.T @ rotated, gram, tol=tol * float(np.max(np.abs(gram))))
+
+
+def test_potential_floor_named_cases(collinear_frame, mixed_frame):
+    # e^{-400} squared underflows: Q(t) = diag(2, 0), where cholesky fails
+    # and the eigen route refuses the point.
+    t = np.array([0.0, 0.0, -800.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(kernel_operator(collinear_frame, t))
+    with pytest.raises(NotPositiveDefiniteError):
+        _potential(collinear_frame, t)
+    # Q(0) = diag(3, 6) squeezed to eigenvalues 3 and 6 a^2: the ratio
+    # 2 a^2 = 1.28e-12 passes the floor, but 2 EIG_FLOOR tr(Q) tr(Q^{-1})
+    # is about 1.6, so the factor cannot decide and the eigen route does.
+    angle = 0.3
+    rotation = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    squeezed = apply_transform(rotation @ np.diag([1.0, 8e-7]), mixed_frame)
+    t = np.zeros(3)
+    op = kernel_operator(squeezed, t)
+    _check_floor(np.linalg.eigh(op)[0])
+    factor_inverse = np.linalg.inv(np.linalg.cholesky(op))
+    assert 2.0 * EIG_FLOOR * np.trace(op) * np.sum(factor_inverse**2) > 1.0
+    assert _potential(squeezed, t)[3][1] is not None
+    _assert_eigen_route(squeezed, t)
+    # Where the factor decides, it keeps no eigendecomposition and agrees
+    # with the eigen route.
+    t = np.array([0.4, -0.3, -0.1])
+    assert _potential(mixed_frame, t)[3][1] is None
+    _assert_eigen_route(mixed_frame, t)
 
 
 def test_gradient_example(mixed_frame):
@@ -297,18 +381,23 @@ def test_sym_inverse_sqrt():
         sym_inverse_sqrt(np.diag([1.0, 0.0]))
 
 
-def _blockwise_hessian(frame, t, eig):
+def _blockwise_hessian(frame, t):
     """diag(g) - [sum over a in block i, b in block j of (r_a . r_b)^2], by loops.
 
     r_a is column a scaled by e^{t_i/2} and rotated by diag(lam)^{-1/2} U^T
-    from the kernel's eigendecomposition (eigvals, eigvecs) of Q(t).
+    from an eigendecomposition of the kernel's Q(t), independent of the
+    factor the kernel rotates by.  Each lam_k is taken as |S^T u_k|^2 =
+    u_k^T Q u_k, not as eigh's eigenvalue, whose relative error is about
+    eps kappa(Q): every row of the reference R is then a unit vector to
+    rounding, so R R^T = I up to off-diagonal terms that move the Hessian
+    only to second order.  At n = 1, where the Hessian is rounding noise
+    around 0, that keeps the reference's noise below the tolerance.
     """
-    eigvals, eigvecs = eig
-    cols = [
-        (eigvecs.T @ (math.exp(t[i] / 2.0) * block[:, k])) / np.sqrt(eigvals)
-        for i, block in enumerate(frame.blocks)
-        for k in range(block.shape[1])
-    ]
+    eigvecs = np.linalg.eigh(kernel_operator(frame, t))[1]
+    scaled = [math.exp(t[i] / 2.0) * block for i, block in enumerate(frame.blocks)]
+    rotated = eigvecs.T @ np.hstack(scaled)
+    rotated /= np.linalg.norm(rotated, axis=1)[:, None]
+    cols = list(rotated.T)
     owner = [i for i, c in enumerate(frame.block_cols) for _ in range(c)]
     grad = np.zeros(frame.n)
     coupling = np.zeros((frame.n, frame.n))
@@ -355,9 +444,9 @@ def test_hessian_blockwise_named_cases(mixed_frame):
 def _assert_blockwise_hessian(frame, t):
     # Relative to the largest term of the difference diag(g) - coupling:
     # at n = 1 the two cancel and the Hessian is rounding noise around 0.
-    _, grad, rotated, eig = _potential(frame, t)
+    _, grad, rotated, _ = _potential(frame, t)
     hess = _hessian(_block_pairs(frame), grad, rotated)
-    expected = _blockwise_hessian(frame, t, eig)
+    expected = _blockwise_hessian(frame, t)
     assert np.allclose(hess, expected, rtol=0.0, atol=1e-12 * float(np.max(grad)))
 
 

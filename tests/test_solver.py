@@ -617,6 +617,28 @@ def test_one_hessian_per_newton_step(mixed_frame, thirds, collinear_frame, monke
     assert statuses == {"converged", "unbounded_below", "max_iters"}
 
 
+def test_one_eigh_per_solve(mixed_frame, thirds, monkeypatch):
+    # Every evaluated point is decided by its Cholesky factor, so a
+    # converged solve takes one eigh, of the accepted point's Q(t), for
+    # the transformer.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    iterations = []
+    for datum in [FrameDatum(mixed_frame, thirds), *_generic_random_data()]:
+        calls.clear()
+        result = minimize(datum)
+        assert result.status == "converged"
+        assert len(calls) == 1
+        iterations.append(result.iterations)
+    assert iterations == [3, 3, 3, 4, 4, 3]
+
+
 def test_widely_scaled_member_converges():
     # Block norms 10^2 apart: generic, a member and in the relative interior.
     # From the norm-balanced start no full Newton step meets the eigenvalue
