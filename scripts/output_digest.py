@@ -39,12 +39,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
+from frameiso import MatrixFrame  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 
 def canonical(obj):
     """``obj`` as JSON-ready values that fix every bit of it: floats as hex,
-    arrays as dtype, shape and raw bytes, dataclasses field by field."""
+    arrays as dtype, shape and raw bytes, dataclasses field by field.  A
+    frame is hashed as its constructor's arguments, d and the blocks."""
+    if isinstance(obj, MatrixFrame):
+        return ["MatrixFrame", {"d": obj.d, "blocks": canonical(obj.blocks)}]
     if dataclasses.is_dataclass(obj):
         fields = {f.name: canonical(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
         return [type(obj).__name__, fields]

@@ -19,15 +19,17 @@ here too.  It is exponential in d and refuses inputs past a size guard;
 only the minor-sum oracle in ``objective`` reads it, and no solver,
 rounding or ``check`` path does.
 
-All operations are pure functions of immutable values.  Blocks are
-copied on construction and on transform, so frames behave like values.
+All operations are pure functions of immutable values.  A frame holds
+one read-only pooled matrix, copied on construction and made afresh by
+each transform, and its blocks are views on access, so frames behave
+like values.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -50,45 +52,47 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixFrame:
     """Ordered blocks X_1..X_n, each of shape d x d_i with finite real entries.
 
-    The blocks are copied once, into a read-only pooled d x N matrix, and
-    are kept as views of it; ``block_cols`` holds the column counts
-    (d_1, ..., d_n) and ``block_starts`` the offset of each block's first
-    pooled column.  Construction checks every block's shape and then
-    makes one finiteness pass over the pooled matrix.
+    The blocks are copied once, into a read-only pooled d x N matrix,
+    which with the block layout is all a frame holds: ``block_cols`` has
+    the column counts (d_1, ..., d_n), ``block_starts`` the offset of
+    each block's first pooled column and ``_owner`` each pooled column's
+    block.  ``blocks`` gives views of the pooled matrix on access.
+    Construction checks every block's shape and then makes one
+    finiteness pass over the pooled matrix.  Frames are immutable:
+    setting or deleting an attribute raises FrozenInstanceError.
     """
 
-    d: int
-    blocks: tuple
+    __slots__ = ("d", "block_cols", "block_starts", "_owner", "_pooled")
 
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
+    def __init__(self, d: int, blocks):
+        if not isinstance(d, int) or d < 1:
             raise ValueError("d must be a positive integer")
-        blocks = []
-        for i, mat in enumerate(self.blocks):
+        arrays = []
+        for i, mat in enumerate(blocks):
             arr = np.asarray(mat, dtype=float)
             if arr.ndim == 1:
                 arr = arr.reshape(-1, 1)
             if arr.ndim != 2:
                 raise ValueError(f"block {i}: expected a matrix, got ndim={arr.ndim}")
-            if arr.shape[0] != self.d:
-                raise ValueError(f"block {i}: has {arr.shape[0]} rows, frame needs {self.d}")
+            if arr.shape[0] != d:
+                raise ValueError(f"block {i}: has {arr.shape[0]} rows, frame needs {d}")
             if arr.shape[1] < 1:
                 raise ValueError(f"block {i}: needs at least one column")
-            blocks.append(arr)
-        if not blocks:
+            arrays.append(arr)
+        if not arrays:
             raise ValueError("a frame needs at least one block")
-        cols = tuple(b.shape[1] for b in blocks)
+        cols = tuple(a.shape[1] for a in arrays)
         starts = _freeze(np.cumsum((0,) + cols[:-1]))
         owner = _freeze(np.repeat(np.arange(len(cols)), cols))
-        self._adopt(np.hstack(blocks), cols, starts, owner)
+        self._adopt(d, np.hstack(arrays), cols, starts, owner)
 
-    def _adopt(self, pooled, cols, starts, owner):
-        """Freeze ``pooled`` and keep it as the frame's columns, laid out in
-        blocks by ``cols``, ``starts`` and the column ``owner`` indices.
+    def _adopt(self, d, pooled, cols, starts, owner):
+        """Freeze ``pooled`` and keep it as the frame's d x N columns, laid
+        out in blocks by ``cols``, ``starts`` and the column ``owner``
+        indices.
 
         The frame's one finiteness check; it names the first block that
         holds a non-finite entry.
@@ -97,16 +101,33 @@ class MatrixFrame:
         if not finite.all():
             raise ValueError(f"block {owner[np.argmin(finite)]}: non-finite entries")
         _freeze(pooled)
-        views = tuple(pooled[:, s : s + c] for s, c in zip(starts.tolist(), cols))
-        object.__setattr__(self, "blocks", views)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "block_cols", cols)
         object.__setattr__(self, "_pooled", pooled)
         object.__setattr__(self, "_owner", owner)
         object.__setattr__(self, "block_starts", starts)
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return MatrixFrame, (self.d, self.blocks)
+
+    @property
+    def blocks(self) -> tuple:
+        """The blocks as read-only views of the pooled matrix, in a new
+        tuple on each access."""
+        pooled = self._pooled
+        return tuple(
+            pooled[:, s : s + c] for s, c in zip(self.block_starts.tolist(), self.block_cols)
+        )
+
     @property
     def n(self) -> int:
-        return len(self.blocks)
+        return len(self.block_cols)
 
     @property
     def total_cols(self) -> int:
@@ -137,7 +158,7 @@ def _as_weight(value, index: int) -> Fraction:
         raise TypeError(
             f"weight {index}: floats are inexact, pass a Fraction, int or 'p/q' string"
         )
-    frac = Fraction(value)
+    frac = value if type(value) is Fraction else Fraction(value)
     if frac <= 0:
         raise ValueError(f"weight {index}: must be positive, got {frac}")
     return frac
@@ -279,8 +300,7 @@ def _with_columns(frame: MatrixFrame, cols: np.ndarray) -> MatrixFrame:
     if cols.shape != frame.pooled().shape:
         raise ValueError(f"columns of shape {cols.shape} for a {frame!r}")
     new = object.__new__(MatrixFrame)
-    object.__setattr__(new, "d", frame.d)
-    new._adopt(cols, frame.block_cols, frame.block_starts, frame._owner)
+    new._adopt(frame.d, cols, frame.block_cols, frame.block_starts, frame._owner)
     return new
 
 
@@ -391,5 +411,7 @@ def column_span_dim(frame: MatrixFrame, subset, tol: float = DEFAULT_TOL) -> int
         return 0
     if indices[0] < 0 or indices[-1] >= frame.n:
         raise ValueError(f"subset {indices} out of range for n={frame.n}")
-    mat = np.hstack([frame.blocks[i] for i in indices])
+    chosen = np.zeros(frame.n, dtype=bool)
+    chosen[indices] = True
+    mat = frame.pooled()[:, chosen[frame._owner]]
     return int(_numerical_rank(np.linalg.svd(mat, compute_uv=False), tol))

@@ -125,12 +125,11 @@ def random_nearly_parseval(d: int, block_cols, epsilon: float, rng) -> MatrixFra
     if not 0.0 < epsilon < 0.3:
         raise ValueError("epsilon must lie in (0, 0.3)")
     exact = random_equal_norm_parseval(d, block_cols, rng)
-    noise = [rng.standard_normal(b.shape) for b in exact.blocks]
+    # One draw per block, in block order, stacked into the pooled layout.
+    noise = np.hstack([rng.standard_normal((d, cols)) for cols in exact.block_cols])
     delta = 0.25 * epsilon / math.sqrt(d)
     def perturbed(scale):
-        return MatrixFrame(
-            d, tuple(b + scale * h for b, h in zip(exact.blocks, noise))
-        )
+        return _with_columns(exact, exact.pooled() + scale * noise)
 
     frame, used = exact, 0.0
     for _ in range(_NEARNESS_ROUNDS):

@@ -1,6 +1,11 @@
+import copy
 import itertools
 import math
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +58,61 @@ def test_blocks_are_copies():
     assert frame.blocks[0][0, 0] == 1.0
     with pytest.raises(ValueError):
         frame.blocks[0][0, 0] = 5.0  # read-only
+
+
+def _built_and_derived():
+    """(frame, its blocks as given) for a constructed frame and for one
+    that ``_with_columns`` derives from it."""
+    rng = np.random.default_rng(3)
+    given_blocks = tuple(rng.standard_normal((3, cols)) for cols in (1, 2, 4))
+    given_blocks[1][0, 0] = -0.0
+    built = MatrixFrame(3, given_blocks)
+    cols = rng.standard_normal((3, 7))
+    derived = frames._with_columns(built, cols.copy())
+    return [(built, given_blocks), (derived, tuple(np.split(cols, [1, 3], axis=1)))]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["constructor", "with_columns"])
+def test_blocks_are_read_only_views_on_access(case):
+    frame, given_blocks = _built_and_derived()[case]
+    blocks = frame.blocks
+    assert type(blocks) is tuple and len(blocks) == frame.n == len(given_blocks)
+    for view, block in zip(blocks, given_blocks):
+        assert view.dtype == np.float64 and view.shape == block.shape
+        assert view.tobytes() == block.tobytes()  # bit for bit, -0.0 included
+        assert not view.flags.writeable
+        assert np.shares_memory(view, frame.pooled())
+        with pytest.raises(ValueError):
+            view[0, 0] = 5.0
+    assert frame.blocks is not blocks  # a new tuple on each access
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["constructor", "with_columns"])
+def test_frames_are_immutable(case):
+    frame, _ = _built_and_derived()[case]
+    for name in ("d", "blocks", "n", "block_cols", "block_starts", "_owner", "_pooled", "extra"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(frame, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(frame, name)
+    for clone in (copy.deepcopy(frame), pickle.loads(pickle.dumps(frame))):
+        assert clone == frame and clone.block_starts.tolist() == [0, 1, 3]
+
+
+def test_derived_frames_hold_only_their_pooled_data():
+    # Ten frames at d = 8 with 4,096 single columns; per-block views
+    # would take about twice the pooled data again.
+    pooled = np.random.default_rng(5).standard_normal((8, 4096))
+    base = MatrixFrame(8, tuple(np.split(pooled, 4096, axis=1)))
+    tracemalloc.start()
+    try:
+        held = [frames._with_columns(base, (k + 1.0) * base.pooled()) for k in range(10)]
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    data = sum(frame.pooled().nbytes for frame in held)
+    assert data == 10 * 8 * 4096 * 8
+    assert current <= 1.05 * data
 
 
 def test_frame_operator_examples(mixed_frame, orthonormal_frame):
@@ -265,6 +325,30 @@ def test_column_span_dim(mixed_frame, collinear_frame):
         column_span_dim(mixed_frame, {3})
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(st.integers(1, 3), min_size=1, max_size=8),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_column_span_dim_matches_stacked_blocks(d, cols, rank, seed, data):
+    # Pooled columns of rank at most ``rank``, so subsets span less than
+    # min(d, N_S) too; the mask gathers the same matrix as stacking the
+    # chosen blocks.
+    rng = np.random.default_rng(seed)
+    pooled = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, sum(cols)))
+    frame = MatrixFrame(d, tuple(np.split(pooled, np.cumsum(cols[:-1]), axis=1)))
+    subset = data.draw(st.sets(st.integers(0, len(cols) - 1), min_size=1))
+    stacked = np.hstack([frame.blocks[i] for i in sorted(subset)])
+    expected = frames._numerical_rank(np.linalg.svd(stacked, compute_uv=False), 1e-9)
+    with mock.patch.object(frames.np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        assert column_span_dim(frame, subset) == int(expected)
+    (gathered,), _ = svd.call_args
+    assert np.array_equal(gathered, stacked)
+
+
 def test_generic_implies_full_subset_ranks(mixed_frame):
     # every subset of a generic frame spans min(d, total columns)
     import itertools
@@ -303,6 +387,14 @@ def test_weight_sigma_is_integral(fracs):
         assert type(a) is int
         assert Fraction(a, omega) == c
     assert Fraction(sum(scaled), omega) == w.total()
+
+
+def test_weight_vector_keeps_given_fractions():
+    fracs = (Fraction(1, 3), Fraction(5, 7), Fraction(2))
+    w = WeightVector(fracs)
+    assert all(w.weights[i] is fracs[i] for i in range(len(fracs)))
+    # Anything else is converted.
+    assert all(type(c) is Fraction for c in WeightVector(("1/3", 2)).weights)
 
 
 def test_uniform_weights():

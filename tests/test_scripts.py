@@ -1,11 +1,13 @@
 """Smoke tests: the scripts under scripts/ run against the package."""
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +46,23 @@ def test_output_digest_script():
     proc = run_script("scripts/output_digest.py", "--seed", "1", "--workload", "paulsen-round")
     assert proc.returncode == 0, proc.stderr
     assert re.fullmatch(r"paulsen-round +[0-9a-f]{64}  ops=\d+ failed=0\n", proc.stdout)
+
+
+def test_output_digest_hashes_frames_as_before():
+    # A frame is hashed in the form it had as a dataclass of d and blocks,
+    # so digests compare across commits.
+    proc = run_script("-c", (
+        "import json, sys; sys.path.insert(0, 'scripts');"
+        " from output_digest import canonical; from frameiso import MatrixFrame;"
+        " print(json.dumps(canonical(MatrixFrame(2, ([1.0, -0.0], [[0.5, 2.0], [3.0, 4.0]])))))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    single = np.array([[1.0], [-0.0]]).tobytes().hex()
+    double = np.array([[0.5, 2.0], [3.0, 4.0]]).tobytes().hex()
+    assert json.loads(proc.stdout) == [
+        "MatrixFrame",
+        {"d": 2, "blocks": [["float64", [2, 1], single], ["float64", [2, 2], double]]},
+    ]
 
 
 def test_readme_quick_start():
