@@ -16,7 +16,7 @@ import numpy as np
 
 from frameiso import grad_via_minors, is_matrix_frame, log_det_potential_grad
 from frameiso.generate import random_frame
-from frameiso.objective import _block_pairs, _hessian, _potential
+from frameiso.objective import _block_pairs, _potential
 
 
 def finite_difference(frame, t, step=1e-5):
@@ -25,7 +25,7 @@ def finite_difference(frame, t, step=1e-5):
         up, down = t.copy(), t.copy()
         up[i] += step
         down[i] -= step
-        grad[i] = (_potential(frame, up)[0] - _potential(frame, down)[0]) / (2 * step)
+        grad[i] = (_potential(frame, up).value - _potential(frame, down).value) / (2 * step)
     return grad
 
 
@@ -73,8 +73,7 @@ def main():
                 worst_fd,
                 float(np.max(np.abs(analytic - finite_difference(frame, t)) / scale)),
             )
-            _, grad, rotated, _ = _potential(frame, t)
-            hess = _hessian(_block_pairs(frame), grad, rotated)
+            hess = _potential(frame, t).hessian(_block_pairs(frame))
             worst_hess = max(
                 worst_hess,
                 float(np.max(np.abs(hess - hessian_difference(frame, t)))),

@@ -21,12 +21,13 @@ Two independent evaluation routes are provided:
   factor of two; elsewhere, and where ``cholesky`` fails, one symmetric
   eigendecomposition Q = U diag(lam) U^T decides the point and gives
   R = diag(lam)^{-1/2} U^T S.  Both rotations give the same
-  R^T R = S^T Q^{-1} S.  The kernel returns Q(t) with the point, and its
-  eigendecomposition where it took one, so a solve takes one ``eigh``,
-  of the accepted point's Q(t), for the transformer Q^{-1/2}(t).  The
-  Hessian is formed from R only where a caller needs it: its block
-  coupling sums G o G, G = R^T R the N x N Gram matrix, over the columns
-  of every pair of blocks with one ``bincount`` on the flat index
+  R^T R = S^T Q^{-1} S.  Either route returns one record, ``_Point``,
+  which keeps Q(t) and, where that route took one, its
+  eigendecomposition, so the transformer Q^{-1/2}(t) of a solve's
+  accepted point costs one ``eigh`` at most.  The record forms the
+  Hessian from R only where a caller asks for it: its block coupling
+  sums G o G, G = R^T R the N x N Gram matrix, over the columns of every
+  pair of blocks with one ``bincount`` on the flat index
   owner(a) n + owner(b) of each column pair, which a solve builds once,
   so the coupling costs O(N^2);
 * a combinatorial oracle that expands det Q(t) over all d-column
@@ -105,9 +106,53 @@ def _check_floor(eigvals: np.ndarray) -> None:
         )
 
 
-def _potential(frame: MatrixFrame, t) -> tuple:
-    """(log det Q(t), gradient, rotated columns, (Q(t), eigendecomposition))
-    from one Cholesky factor Q(t) = L L^T.
+@dataclass(frozen=True, slots=True)
+class _Point:
+    """The kernel's evaluation at one point t.
+
+    ``value`` is log det Q(t) and ``grad`` its gradient; ``rotated`` holds
+    the rotated columns R, with R^T R = S^T Q^{-1} S on either route;
+    ``operator`` is Q(t); ``eig`` is its eigendecomposition
+    (eigvals, eigvecs) where the eigen route decided the point, and None
+    where the Cholesky factor did.
+    """
+
+    t: np.ndarray
+    value: float
+    grad: np.ndarray
+    rotated: np.ndarray
+    operator: np.ndarray
+    eig: tuple | None
+
+    def hessian(self, pairs: np.ndarray) -> np.ndarray:
+        """Hessian of the potential at this point: diag(g) minus the block
+        sums of G o G, with G = R^T R.  ``pairs`` is the frame's
+        ``_block_pairs``, so one ``bincount`` sums G o G over the columns
+        of every pair of blocks in O(N^2).  Its rows sum to zero: the
+        potential is linear along the all-ones direction.  The sum is not
+        symmetrised; the LU solve it feeds does not need symmetry.
+        """
+        n = len(self.grad)
+        inner = self.rotated.T @ self.rotated
+        inner *= inner
+        hess = -np.bincount(pairs, weights=inner.ravel(), minlength=n * n).reshape(n, n)
+        hess.flat[:: n + 1] += self.grad
+        return hess
+
+    def transformer(self) -> np.ndarray:
+        """Q^{-1/2}(t), from ``eig`` where the point has it and otherwise
+        from one ``eigh`` of Q(t); the kernel accepted the point, so Q(t)
+        passed the floor."""
+        eig = np.linalg.eigh(self.operator) if self.eig is None else self.eig
+        return _inverse_sqrt(*eig)
+
+    def objective(self, c_floats: np.ndarray) -> float:
+        """The scaling objective log det Q(t) - <t, c> at this point."""
+        return self.value - float(self.t @ c_floats)
+
+
+def _potential(frame: MatrixFrame, t) -> _Point:
+    """The ``_Point`` at t, from one Cholesky factor Q(t) = L L^T.
 
     The scaled columns S = P e^{t/2} are formed once and serve three
     times: Q(t) = S S^T, the rotated columns R = L^{-1} S, and through R
@@ -122,38 +167,35 @@ def _potential(frame: MatrixFrame, t) -> tuple:
     is then at least twice the floor, a margin rounding cannot cross.
     Otherwise, or where ``cholesky`` fails, ``_eigen_potential`` decides
     the point by ``_check_floor`` and raises NotPositiveDefiniteError
-    below it.  The last entry is Q(t) with its eigendecomposition
-    (eigvals, eigvecs), None unless that route took one, so the caller
-    forms Q^{-1/2}(t) without a second ``eigh`` of a point already
-    decomposed.  ``_hessian`` forms the Hessian at the same point from
-    the gradient and R, which either route gives with the same
-    R^T R = S^T Q^{-1} S.
+    below it.
     """
+    t = np.asarray(t, dtype=float)
     cols, op = _columns_and_operator(frame, t)
     try:
         factor = np.linalg.cholesky(op)
         inv_factor = np.linalg.inv(factor)
     except np.linalg.LinAlgError:
-        return _eigen_potential(frame, cols, op)
+        return _eigen_potential(frame, t, cols, op)
     # Python floats and vdot overflow to inf without a numpy warning, and
     # the comparison sends a NaN bound to the eigen route too.
     bound = sum(op.diagonal().tolist()) * float(np.vdot(inv_factor, inv_factor))
     if not 2.0 * EIG_FLOOR * bound <= 1.0:
-        return _eigen_potential(frame, cols, op)
+        return _eigen_potential(frame, t, cols, op)
     value = 2.0 * float(np.log(factor.diagonal()).sum())
     rotated = inv_factor @ cols
-    return value, _block_squares(frame, rotated), rotated, (op, None)
+    return _Point(t, value, _block_squares(frame, rotated), rotated, op, None)
 
 
-def _eigen_potential(frame: MatrixFrame, cols: np.ndarray, op: np.ndarray) -> tuple:
+def _eigen_potential(frame: MatrixFrame, t: np.ndarray, cols: np.ndarray, op: np.ndarray) -> _Point:
     """``_potential`` at a point its factor cannot decide, from one
     eigendecomposition Q(t) = U diag(lam) U^T, which passes the
-    eigenvalue floor first: R = diag(lam)^{-1/2} U^T S."""
+    eigenvalue floor first: R = diag(lam)^{-1/2} U^T S, and the record
+    keeps (lam, U) as ``eig``."""
     eigvals, eigvecs = eig = np.linalg.eigh(op)
     _check_floor(eigvals)
     value = float(np.log(eigvals).sum())
     rotated = (eigvecs.T @ cols) / np.sqrt(eigvals)[:, None]
-    return value, _block_squares(frame, rotated), rotated, (op, eig)
+    return _Point(t, value, _block_squares(frame, rotated), rotated, op, eig)
 
 
 def _block_squares(frame: MatrixFrame, rotated: np.ndarray) -> np.ndarray:
@@ -168,23 +210,6 @@ def _block_pairs(frame: MatrixFrame) -> np.ndarray:
     return (owner[:, None] * frame.n + owner).ravel()
 
 
-def _hessian(pairs: np.ndarray, grad: np.ndarray, rotated: np.ndarray) -> np.ndarray:
-    """Hessian of the potential from ``_potential``'s gradient and rotated
-    columns R at one point: diag(g) minus the block sums of G o G, with
-    G = R^T R.  ``pairs`` is the frame's ``_block_pairs``, so one
-    ``bincount`` sums G o G over the columns of every pair of blocks in
-    O(N^2).  Its rows sum to zero: the potential is linear along the
-    all-ones direction.  The sum is not symmetrised; the LU solve it
-    feeds does not need symmetry.
-    """
-    n = len(grad)
-    inner = rotated.T @ rotated
-    inner *= inner
-    hess = -np.bincount(pairs, weights=inner.ravel(), minlength=n * n).reshape(n, n)
-    hess.flat[:: n + 1] += grad
-    return hess
-
-
 def _inverse_sqrt(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
     """U diag(lam)^{-1/2} U^T from a symmetric eigendecomposition."""
     return (eigvecs * (eigvals**-0.5)) @ eigvecs.T
@@ -195,7 +220,7 @@ def log_det_potential_grad(frame: MatrixFrame, t) -> np.ndarray:
 
     The components always sum to d (trace identity).
     """
-    return _potential(frame, t)[1]
+    return _potential(frame, t).grad
 
 
 @dataclass(frozen=True)

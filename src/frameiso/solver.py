@@ -8,12 +8,13 @@ direction is not a clear descent direction.
 Convergence is declared on the gradient (grad potential - c), which up to
 scaling is exactly the radial-isotropy residual users care about.  Each
 trial point of the line search is recentred so <t, c> = 0 and evaluated
-once, value and gradient together; the accepted trial is the next
-iterate, with that evaluation.  The Hessian is formed only at an iterate
-whose gradient is above the tolerance, for the Newton step taken from
-it, so line-search trials and the final point get none; the flat
-block-pair index of the column pairs, whose ``bincount`` is its block
-coupling, is built once per solve.  The objective is invariant under
+once, into one ``objective._Point`` record; the accepted trial's record
+is the next iterate, and the loop carries that record and its objective
+value.  The Hessian is formed, by the record, only at an iterate whose
+gradient is above the tolerance, for the Newton step taken from it, so
+line-search trials and the final point get none; the flat block-pair
+index of the column pairs, whose ``bincount`` is its block coupling, is
+built once per solve.  The objective is invariant under
 the gauge when the weights sum to d, and recentring keeps the iterates
 bounded whenever a minimiser exists.
 
@@ -27,12 +28,13 @@ block-normalised frame.  Scaling X_i by s_i shifts the objective by an
 exact translation of t, so this start removes the block scales before
 the first step instead of having Newton steps undo them (a block of
 zero norm is left unscaled).  Every
-evaluated point costs one Cholesky factor of Q(t), which the kernel
-returns with the point; the transformer Q^{-1/2}(t*) and the extremisers
-come from one ``eigh`` of the accepted point's Q(t) after the loop.  A
-point whose factor could not decide the eigenvalue floor was decided by
-an ``eigh`` in the kernel, and that eigendecomposition is reused, so a
-solve takes one ``eigh`` plus one per such point.
+evaluated point costs one Cholesky factor of Q(t); the transformer
+Q^{-1/2}(t*) and the extremisers come from the accepted point's record
+after the loop, by one ``eigh`` of its Q(t).  A point whose factor could
+not decide the eigenvalue floor was decided by an ``eigh`` in the
+kernel, and its record keeps that eigendecomposition for the
+transformer, so a solve takes one ``eigh`` per such point, and one
+more unless the accepted point is one of them.
 
 When the weights fail the orbit-polytope test the infimum is -inf and the
 solver reports ``not_semistable`` without iterating; the test is the
@@ -71,13 +73,7 @@ from .frames import (
     apply_transform,
     is_matrix_frame,
 )
-from .objective import (
-    NotPositiveDefiniteError,
-    _block_pairs,
-    _hessian,
-    _inverse_sqrt,
-    _potential,
-)
+from .objective import NotPositiveDefiniteError, _block_pairs, _potential
 from .polytope import CertificateError, PolytopeReport, orbit_polytope_report
 
 STATUS_CONVERGED = "converged"
@@ -133,8 +129,9 @@ class SolveResult:
     root of the scaled frame operator at ``t_star``; applying it to the
     frame yields a radial isotropic frame when ``status`` is converged.
     ``extremisers`` are the positive scalars 1 / |transformer @ X_i|_F^2;
-    at a true minimiser e^{t*_i} / Y_i = c_i.  ``grad_norm`` is |grad potential - c| at ``t_star``, from the same
-    kernel evaluation as ``objective_value``.  ``status`` is
+    at a true minimiser e^{t*_i} / Y_i = c_i.  ``grad_norm`` is
+    |grad potential - c| at ``t_star``, from the same kernel evaluation
+    as ``objective_value``.  ``status`` is
     ``unbounded_below`` only when a run without the pre-check met the
     eigenvalue floor on a full step and the certificate then found the
     weights outside the orbit polytope, and ``max_iters`` also when the
@@ -195,25 +192,24 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
 
     c_floats = weights.as_floats()
     pairs = _block_pairs(frame)
-    t = _balanced_start(frame, c_floats)
-    value, grad, rotated, operator = _potential(frame, t)
-    value -= float(t @ c_floats)
+    point = _potential(frame, _balanced_start(frame, c_floats))
+    value = point.objective(c_floats)
     status = STATUS_MAX_ITERS
     stalled = False
     refusal = None
     iterations = 0
 
     for iterations in range(1, config.max_iters + 1):
-        gradient = grad - c_floats
+        gradient = point.grad - c_floats
         if math.sqrt(float(gradient @ gradient)) <= grad_tol:
             status = STATUS_CONVERGED
         if status == STATUS_CONVERGED or stalled:
             iterations -= 1
             break
 
-        direction = _newton_direction(_hessian(pairs, grad, rotated), gradient)
-        point, full_step_floored = _line_search(
-            frame, t, value, gradient, direction, c_floats
+        direction = _newton_direction(point.hessian(pairs), gradient)
+        accepted, full_step_floored = _line_search(
+            frame, point, value, gradient, direction, c_floats
         )
         # A full step rejected by the eigenvalue floor means t is sliding
         # along the edge of the positive definite cone.  It is reported as
@@ -228,13 +224,13 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
             if polytope_report is not None and not polytope_report.member:
                 status = STATUS_UNBOUNDED
                 break
-        if point is None:
+        if accepted is None:
             break  # no step resolves a decrease of the objective
-        new_t, value, grad, rotated, operator = point
         # A step below the float resolution of t cannot make progress;
         # the run ends as max_iters once the new gradient is tested.
-        stalled = float(abs(new_t - t).max()) <= _resolution(float(abs(t).max()))
-        t = new_t
+        moved = float(abs(accepted.t - point.t).max())
+        stalled = moved <= _resolution(float(abs(point.t).max()))
+        point, value = accepted, accepted.objective(c_floats)
     else:
         iterations = config.max_iters
     if refusal is not None and status != STATUS_CONVERGED:
@@ -243,16 +239,13 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     transformer = None
     extremisers = None
     if status in (STATUS_CONVERGED, STATUS_MAX_ITERS):
-        # t is a point the kernel accepted, so Q(t) passed the floor; the
-        # kernel's own eigendecomposition of it is reused where it took one.
-        op, eig = operator
-        transformer = _inverse_sqrt(*(np.linalg.eigh(op) if eig is None else eig))
+        transformer = point.transformer()
         extremisers = 1.0 / _block_norms_sq(frame, transformer @ frame.pooled())
     return SolveResult(
-        t_star=t,
+        t_star=point.t,
         transformer=transformer,
         objective_value=value,
-        grad_norm=float(np.linalg.norm(grad - c_floats)),
+        grad_norm=float(np.linalg.norm(point.grad - c_floats)),
         extremisers=extremisers,
         status=status,
         iterations=iterations,
@@ -300,16 +293,16 @@ def _newton_direction(hess: np.ndarray, gradient: np.ndarray) -> np.ndarray:
     return direction
 
 
-def _line_search(frame, t, value, gradient, direction, c_floats):
-    """Armijo backtracking with one kernel evaluation per trial point.
+def _line_search(frame, point, value, gradient, direction, c_floats):
+    """Armijo backtracking from ``point``, whose objective is ``value``,
+    with one kernel evaluation per trial point.
 
-    Each trial is recentred before it is evaluated.  Returns (point,
-    full_step_floored): ``point`` is (t, objective, gradient of the
-    potential, rotated columns, and Q(t) with the kernel's
-    eigendecomposition or None) at the accepted trial, or None when no
-    step succeeds; the flag records whether the initial (largest) trial
-    was rejected by the positive-definiteness floor, the signature of
-    sliding along the edge of the cone.
+    Each trial is recentred before it is evaluated.  Returns (accepted,
+    full_step_floored): ``accepted`` is the kernel's ``_Point`` at the
+    accepted trial, or None when no step succeeds; the flag records
+    whether the initial (largest) trial was rejected by the
+    positive-definiteness floor, the signature of sliding along the edge
+    of the cone.
     """
     slope = float(gradient @ direction)
     step = _INIT_STEP
@@ -319,20 +312,20 @@ def _line_search(frame, t, value, gradient, direction, c_floats):
     # continue into the last digits.
     resolution = _resolution(abs(value))
     while step > 1e-20:
-        trial = recenter(t + step * direction, c_floats, frame.d)
+        trial = recenter(point.t + step * direction, c_floats, frame.d)
         try:
-            potential, grad, rotated, operator = _potential(frame, trial)
+            trial_point = _potential(frame, trial)
         except (NotPositiveDefiniteError, OverflowError):
             full_step_floored = full_step_floored or step == _INIT_STEP
             step *= _BACKTRACK
             continue
-        trial_value = potential - float(trial @ c_floats)
+        trial_value = trial_point.objective(c_floats)
         required = value + _ARMIJO_C1 * step * slope
         if trial_value <= required or (
             _ARMIJO_C1 * step * abs(slope) < resolution
             and trial_value <= value + resolution
         ):
-            return (trial, trial_value, grad, rotated, operator), full_step_floored
+            return trial_point, full_step_floored
         step *= _BACKTRACK
     return None, full_step_floored
 

@@ -121,7 +121,7 @@ def test_three_way_gradient_agreement():
                     up[i] += step
                     down[i] -= step
                     numeric[i] = (
-                        _potential(frame, up)[0] - _potential(frame, down)[0]
+                        _potential(frame, up).value - _potential(frame, down).value
                     ) / (2 * step)
                 assert np.allclose(analytic, combinatorial, rtol=1e-6, atol=1e-9)
                 assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-9)

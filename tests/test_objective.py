@@ -27,7 +27,6 @@ from frameiso.objective import (
     _block_pairs,
     _check_floor,
     _columns_and_operator,
-    _hessian,
     _potential,
 )
 
@@ -35,8 +34,8 @@ from conftest import assert_close, random_shape, scaled_operator, sym_inverse_sq
 
 
 def log_det(frame, t):
-    """log det Q(t) from the kernel's eigenvalues."""
-    return _potential(frame, t)[0]
+    """log det Q(t) from the kernel."""
+    return _potential(frame, t).value
 
 
 def kernel_operator(frame, t):
@@ -142,11 +141,11 @@ def _assert_eigen_route(frame, t, tol=1e-12):
     eigvals, eigvecs = np.linalg.eigh(op)
     reference = (eigvecs.T @ cols) / np.sqrt(eigvals)[:, None]
     grad = [float(np.sum(reference[:, frame._owner == i] ** 2)) for i in range(frame.n)]
-    value, kernel_grad, rotated, _ = _potential(frame, t)
-    assert value == pytest.approx(float(np.sum(np.log(eigvals))), rel=tol)
-    assert_close(kernel_grad, grad, tol=tol * max(grad))
+    point = _potential(frame, t)
+    assert point.value == pytest.approx(float(np.sum(np.log(eigvals))), rel=tol)
+    assert_close(point.grad, grad, tol=tol * max(grad))
     gram = reference.T @ reference
-    assert_close(rotated.T @ rotated, gram, tol=tol * float(np.max(np.abs(gram))))
+    assert_close(point.rotated.T @ point.rotated, gram, tol=tol * float(np.max(np.abs(gram))))
 
 
 def test_potential_floor_named_cases(collinear_frame, mixed_frame):
@@ -160,21 +159,51 @@ def test_potential_floor_named_cases(collinear_frame, mixed_frame):
     # Q(0) = diag(3, 6) squeezed to eigenvalues 3 and 6 a^2: the ratio
     # 2 a^2 = 1.28e-12 passes the floor, but 2 EIG_FLOOR tr(Q) tr(Q^{-1})
     # is about 1.6, so the factor cannot decide and the eigen route does.
-    angle = 0.3
-    rotation = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
-    squeezed = apply_transform(rotation @ np.diag([1.0, 8e-7]), mixed_frame)
+    squeezed = _squeezed(mixed_frame)
     t = np.zeros(3)
     op = kernel_operator(squeezed, t)
     _check_floor(np.linalg.eigh(op)[0])
     factor_inverse = np.linalg.inv(np.linalg.cholesky(op))
     assert 2.0 * EIG_FLOOR * np.trace(op) * np.sum(factor_inverse**2) > 1.0
-    assert _potential(squeezed, t)[3][1] is not None
+    assert _potential(squeezed, t).eig is not None
     _assert_eigen_route(squeezed, t)
     # Where the factor decides, it keeps no eigendecomposition and agrees
     # with the eigen route.
     t = np.array([0.4, -0.3, -0.1])
-    assert _potential(mixed_frame, t)[3][1] is None
+    assert _potential(mixed_frame, t).eig is None
     _assert_eigen_route(mixed_frame, t)
+
+
+def _squeezed(mixed_frame):
+    """``mixed_frame`` rotated and squeezed so that Q(0) has eigenvalues 3
+    and 6 (8e-7)^2, a point only the kernel's eigen route decides."""
+    angle = 0.3
+    rotation = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    return apply_transform(rotation @ np.diag([1.0, 8e-7]), mixed_frame)
+
+
+def test_transformer_reuses_eigen_route(mixed_frame, monkeypatch):
+    # A point the eigen route decided keeps its eigendecomposition, and its
+    # transformer is built from it with no second eigh, bit for bit what a
+    # fresh eigh of Q(t) gives; a point the factor decided takes one eigh.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a)
+        return eigh(a)
+
+    eigen_point = _potential(_squeezed(mixed_frame), np.zeros(3))
+    factor_point = _potential(mixed_frame, np.array([0.4, -0.3, -0.1]))
+    assert eigen_point.eig is not None and factor_point.eig is None
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    transformer = eigen_point.transformer()
+    assert len(calls) == 0
+    factor_transformer = factor_point.transformer()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(transformer, sym_inverse_sqrt(eigen_point.operator))
+    assert np.array_equal(factor_transformer, sym_inverse_sqrt(factor_point.operator))
 
 
 def test_gradient_example(mixed_frame):
@@ -356,8 +385,7 @@ def test_hessian_matches_gradient_differences():
         frame = random_frame(d, cols, rng)
         for _ in range(3):
             t = rng.uniform(-1.5, 1.5, frame.n)
-            _, grad, rotated, _ = _potential(frame, t)
-            hess = _hessian(_block_pairs(frame), grad, rotated)
+            hess = _potential(frame, t).hessian(_block_pairs(frame))
             numeric = np.empty((frame.n, frame.n))
             for j in range(frame.n):
                 up, down = t.copy(), t.copy()
@@ -444,19 +472,19 @@ def test_hessian_blockwise_named_cases(mixed_frame):
 def _assert_blockwise_hessian(frame, t):
     # Relative to the largest term of the difference diag(g) - coupling:
     # at n = 1 the two cancel and the Hessian is rounding noise around 0.
-    _, grad, rotated, _ = _potential(frame, t)
-    hess = _hessian(_block_pairs(frame), grad, rotated)
+    point = _potential(frame, t)
+    hess = point.hessian(_block_pairs(frame))
     expected = _blockwise_hessian(frame, t)
-    assert np.allclose(hess, expected, rtol=0.0, atol=1e-12 * float(np.max(grad)))
+    assert np.allclose(hess, expected, rtol=0.0, atol=1e-12 * float(np.max(point.grad)))
 
 
 def test_hessian_survives_huge_scalings(mixed_frame):
     # e^{400} e^{400} overflows; the kernel scales the columns by e^{t/2}
     # before rotating, so the Hessian stays finite.
     t = np.array([400.0, 400.0, -800.0])
-    value, grad, rotated, _ = _potential(mixed_frame, t)
-    hess = _hessian(_block_pairs(mixed_frame), grad, rotated)
-    assert math.isfinite(value) and np.all(np.isfinite(grad))
+    point = _potential(mixed_frame, t)
+    hess = point.hessian(_block_pairs(mixed_frame))
+    assert math.isfinite(point.value) and np.all(np.isfinite(point.grad))
     assert np.all(np.isfinite(hess))
     assert np.array_equal(hess, hess.T)
     row_sums = np.abs(hess.sum(axis=1))
