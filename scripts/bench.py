@@ -11,12 +11,12 @@ interquartile range of the five end-to-end metrics over ``--runs``
 untraced runs per side, the failed operations, and the exact counts of
 one traced run per side: orbit-polytope enumerations, SVD and eigh
 calls, solver iterations and eigh calls per iteration, frame-operator
-builds, nearness measurements, the LU determinant calls, CLI commands
-run and bytes the CLI wrote, so both sides can be seen to have done the
-same work.  The base checkout (``git archive``) and a copy of the
-working tree are made side by side in a temporary directory that is
-removed afterwards, so edits made while the runs go on do not reach
-them, and paths echoed in CLI reports have one length on both sides.
+builds, nearness measurements, CLI commands run and bytes the CLI
+wrote, so both sides can be seen to have done the same work.  The base
+checkout (``git archive``) and a copy of the working tree are made side
+by side in a temporary directory that is removed afterwards, so edits
+made while the runs go on do not reach them, and paths echoed in CLI
+reports have one length on both sides.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ TRACED_COUNTS = (
     "solver.eigh_per_iteration",
     "frames.frame_operator.calls",
     "quiver.nearness.calls",
-    "linalg.det.calls",
     "cli.main.calls",
     "io.bytes_out",
 )

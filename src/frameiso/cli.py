@@ -8,7 +8,8 @@ frames.  Reports are JSON on stdout with a reproducibility header; reals
 are hex-floats unless ``--human``.
 
 Exit codes: 0 ok, 2 input or precondition error (including an input too
-large for an exact enumeration), 3 certificate failure.
+large for an exact enumeration and a rounding whose isotropy solves all
+fail to converge), 3 certificate failure.
 """
 
 from __future__ import annotations
@@ -21,15 +22,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .frames import (
-    DEFAULT_TOL,
-    EnumerationSizeError,
-    FrameDatum,
-    WeightVector,
-    is_matrix_frame,
-)
+from .frames import DEFAULT_TOL, FrameDatum, WeightVector, is_matrix_frame
 from .generate import random_equal_norm_parseval, random_frame, random_nearly_parseval
-from .io import encode_report, json_text, read_frame_datum, read_frame_file, write_frame_file
+from .io import (encode_report, frame_to_payload, json_text, read_frame_datum, read_frame_file,
+                 write_frame_file)
 from .objective import enumerate_minors, log_capacity, log_det_potential_grad
 from .paulsen import paulsen_round
 from .polytope import orbit_polytope_report
@@ -52,11 +48,9 @@ EXIT_INPUT = 2
 EXIT_CERTIFICATE = 3
 
 
-def _header(command: str, args: argparse.Namespace) -> dict:
-    flags = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")
-    }
-    return {"tool": "frameiso", "version": __version__, "command": command, "flags": flags}
+def _header(args: argparse.Namespace) -> dict:
+    flags = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
+    return {"tool": "frameiso", "version": __version__, "command": args.command, "flags": flags}
 
 
 def _write_json(obj):
@@ -91,6 +85,12 @@ def _nonnegative(kind):
     return parse
 
 
+def _add_input_flags(parser: argparse.ArgumentParser, tol: float = DEFAULT_TOL):
+    parser.add_argument("path")
+    parser.add_argument("--tol", type=_nonnegative(float), default=tol)
+    parser.add_argument("--human", action="store_true")
+
+
 def _add_solver_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--grad-tol", type=_nonnegative(float), default=None,
                         help="gradient norm tolerance (default 1e-9 * d)")
@@ -99,7 +99,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser):
 
 def cmd_check(args) -> int:
     frame, weights = read_frame_file(args.path)
-    report = _header("check", args)
+    report = _header(args)
     report["shape"] = {"d": frame.d, "block_cols": list(frame.block_cols)}
     report["mf"] = is_matrix_frame(frame, args.tol)
     near = nearness(frame)
@@ -135,7 +135,7 @@ def cmd_solve_rif(args) -> int:
     datum = read_frame_datum(args.path)
     config = _solver_config(args)
     result = minimize(datum, config)
-    report = _header("solve-rif", args)
+    report = _header(args)
     report["status"] = result.status
     report["iterations"] = result.iterations
     report["grad_norm"] = result.grad_norm
@@ -168,18 +168,13 @@ def cmd_solve_rif(args) -> int:
 def cmd_paulsen(args) -> int:
     frame, _ = read_frame_file(args.path)
     config = _solver_config(args)
-    try:
-        outcome = paulsen_round(
-            frame,
-            config,
-            rng_seed=args.seed,
-            epsilon_floor=args.epsilon_floor,
-        )
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    report = _header("paulsen", args)
+    outcome = paulsen_round(
+        frame,
+        config,
+        rng_seed=args.seed,
+        epsilon_floor=args.epsilon_floor,
+    )
+    report = _header(args)
     report["input_epsilon"] = outcome.input_epsilon
     report["epsilon_used"] = outcome.epsilon_used
     report["gamma"] = outcome.gamma
@@ -204,7 +199,7 @@ def cmd_paulsen(args) -> int:
 def cmd_minors(args) -> int:
     frame, _ = read_frame_file(args.path)
     terms = enumerate_minors(frame, tol=args.tol)
-    report = _header("minors", args)
+    report = _header(args)
     report["count"] = len(terms)
     report["total"] = float(sum(t.value for t in terms))
     report["terms"] = [
@@ -227,24 +222,18 @@ def cmd_gen(args) -> int:
         return EXIT_INPUT
     cols = [int(item) for item in items]
     rng = np.random.default_rng(args.seed)
-    try:
-        if args.kind == "gaussian":
-            frame = random_frame(args.d, cols, rng)
-        elif args.kind == "equal-norm-pmf":
-            frame = random_equal_norm_parseval(args.d, cols, rng)
-        else:
-            frame = random_nearly_parseval(args.d, cols, args.eps, rng)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.kind == "gaussian":
+        frame = random_frame(args.d, cols, rng)
+    elif args.kind == "equal-norm-pmf":
+        frame = random_equal_norm_parseval(args.d, cols, rng)
+    else:
+        frame = random_nearly_parseval(args.d, cols, args.eps, rng)
     weights = None
     if args.weights == "uniform":
         weights = WeightVector.uniform(args.d, len(cols))
     if args.out:
         write_frame_file(args.out, frame, weights, args.human)
     else:
-        from .io import frame_to_payload
-
         _write_json(frame_to_payload(frame, weights, args.human))
     return EXIT_OK
 
@@ -266,33 +255,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run every predicate on a frame file")
-    p_check.add_argument("path")
-    p_check.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
-    p_check.add_argument("--human", action="store_true")
+    _add_input_flags(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_solve = sub.add_parser("solve-rif", help="minimise and report the transformer")
-    p_solve.add_argument("path")
-    p_solve.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
+    _add_input_flags(p_solve)
     p_solve.add_argument("--out", default=None, help="write the transformed frame here")
-    p_solve.add_argument("--human", action="store_true")
     _add_solver_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve_rif)
 
     p_paulsen = sub.add_parser("paulsen", help="round to an equal-norm Parseval frame")
-    p_paulsen.add_argument("path")
+    _add_input_flags(p_paulsen)
     p_paulsen.add_argument("--seed", type=_nonnegative(int), default=0)
-    p_paulsen.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
     p_paulsen.add_argument("--epsilon-floor", type=_nonnegative(float), default=1e-9)
     p_paulsen.add_argument("--out", default=None, help="write the output frame here")
-    p_paulsen.add_argument("--human", action="store_true")
     _add_solver_flags(p_paulsen)
     p_paulsen.set_defaults(func=cmd_paulsen)
 
     p_minors = sub.add_parser("minors", help="dump the determinant-expansion terms")
-    p_minors.add_argument("path")
-    p_minors.add_argument("--tol", type=_nonnegative(float), default=0.0)
-    p_minors.add_argument("--human", action="store_true")
+    _add_input_flags(p_minors, tol=0.0)
     p_minors.set_defaults(func=cmd_minors)
 
     p_gen = sub.add_parser("gen", help="write a seeded random frame file")
@@ -314,11 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command (``argv``, default ``sys.argv[1:]``); returns the exit code."""
+    """Run one command (``argv``, default ``sys.argv[1:]``); returns the exit code.
+
+    This is the one place a library error becomes exit 2: a ``ValueError``
+    (bad input) or a ``RuntimeError`` (a size guard or a solve that gave
+    up) is printed to stderr as ``error: ...``.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, EnumerationSizeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -149,11 +149,7 @@ def _subset_ranks(frame: MatrixFrame, masks: np.ndarray, tol: float) -> np.ndarr
     pooled matrix as one (group, d, m) stack and ranked by one batched SVD.
     """
     pooled = frame.pooled()
-    # Byte-sized bits keep the (chunk, N) membership table small; the size
-    # guard keeps every mask below 2^20, so four bytes hold it.
-    raw = masks.astype("<u4").view(np.uint8).reshape(len(masks), 4)
-    bits = np.unpackbits(raw, axis=1, count=frame.n, bitorder="little")
-    chosen = bits[:, frame._owner]
+    chosen = (masks[:, None] >> frame._owner) & 1
     widths = chosen.sum(axis=1, dtype=np.intp)
     ranks = np.empty(len(masks), dtype=np.intp)
     for m in np.flatnonzero(np.bincount(widths)):

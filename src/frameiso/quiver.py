@@ -62,31 +62,19 @@ def _operator_deviation(frame: MatrixFrame, per_block=None) -> float:
     return _spectral_deviation_from_identity(op)
 
 
-def parseval_residual(datum: FrameDatum) -> tuple:
-    """(operator deviation of sum c_i X_i X_i^T from I, max |norm^2 - 1|)."""
+def is_parseval(datum: FrameDatum, tol: float = DEFAULT_TOL) -> bool:
+    """Weighted Parseval: sum c_i X_i X_i^T = I and unit Frobenius norms."""
     frame = datum.frame
     op_dev = _operator_deviation(frame, datum.weights.as_floats())
     norm_dev = float(np.max(np.abs(_block_norms_sq(frame) - 1.0)))
-    return op_dev, norm_dev
-
-
-def is_parseval(datum: FrameDatum, tol: float = DEFAULT_TOL) -> bool:
-    """Weighted Parseval: sum c_i X_i X_i^T = I and unit Frobenius norms."""
-    op_dev, norm_dev = parseval_residual(datum)
     return op_dev <= tol and norm_dev <= tol
-
-
-def equal_norm_residual(frame: MatrixFrame) -> tuple:
-    """(operator deviation of sum X_i X_i^T from I, max |norm^2 - d/n|)."""
-    op_dev = _operator_deviation(frame)
-    target = frame.d / frame.n
-    norm_dev = float(np.max(np.abs(_block_norms_sq(frame) - target)))
-    return op_dev, norm_dev
 
 
 def is_equal_norm_parseval(frame: MatrixFrame, tol: float = DEFAULT_TOL) -> bool:
     """Unweighted Parseval with all block norms squared equal to d/n."""
-    op_dev, norm_dev = equal_norm_residual(frame)
+    op_dev = _operator_deviation(frame)
+    target = frame.d / frame.n
+    norm_dev = float(np.max(np.abs(_block_norms_sq(frame) - target)))
     return op_dev <= tol and norm_dev <= tol
 
 

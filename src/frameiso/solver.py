@@ -199,14 +199,14 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
     refusal = None
     iterations = 0
 
-    for iterations in range(1, config.max_iters + 1):
+    while iterations < config.max_iters:
         gradient = point.grad - c_floats
         if math.sqrt(float(gradient @ gradient)) <= grad_tol:
             status = STATUS_CONVERGED
-        if status == STATUS_CONVERGED or stalled:
-            iterations -= 1
             break
-
+        if stalled:
+            break
+        iterations += 1
         direction = _newton_direction(point.hessian(pairs), gradient)
         accepted, full_step_floored = _line_search(
             frame, point, value, gradient, direction, c_floats
@@ -231,8 +231,6 @@ def minimize(datum: FrameDatum, config: Optional[SolverConfig] = None) -> SolveR
         moved = float(abs(accepted.t - point.t).max())
         stalled = moved <= _resolution(float(abs(point.t).max()))
         point, value = accepted, accepted.objective(c_floats)
-    else:
-        iterations = config.max_iters
     if refusal is not None and status != STATUS_CONVERGED:
         raise refusal
 

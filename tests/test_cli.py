@@ -8,8 +8,16 @@ import pytest
 
 import frameiso.frames
 import frameiso.objective
-from frameiso import MatrixFrame, WeightVector, dist_squared, nearness
-from frameiso.cli import main
+from frameiso import (
+    DEFAULT_TOL,
+    MatrixFrame,
+    SolverConfig,
+    WeightVector,
+    dist_squared,
+    nearness,
+    paulsen_round,
+)
+from frameiso.cli import build_parser, main
 from frameiso.generate import random_frame
 from frameiso.io import (
     FrameFileError,
@@ -77,6 +85,31 @@ def test_payload_validation_messages():
     for field, payload in _boolean_payloads():
         with pytest.raises(FrameFileError, match=field):
             payload_to_frame(payload)
+    for field, payload in _malformed_payloads():
+        with pytest.raises(FrameFileError, match=field):
+            payload_to_frame(payload)
+
+
+def _malformed_payloads():
+    """(field pattern, payload) pairs that fail a shape or real check."""
+    def payload(blocks=None, weights=None, data=1.0):
+        out = {"schema_version": 1, "d": 1, "blocks": blocks or [{"cols": 1, "data": [data]}]}
+        if weights is not None:
+            out["weights"] = weights
+        return out
+
+    return [
+        ("^top level: expected an object", [payload()]),
+        ("^blocks: expected a non-empty list", {"schema_version": 1, "d": 1, "blocks": []}),
+        (r"^blocks\[1\]: expected an object",
+         payload(blocks=[{"cols": 1, "data": [1.0]}, [1.0]])),
+        ("^weights: expected 1 entries, got 2",
+         payload(weights=[{"num": 1, "den": 1}, {"num": 1, "den": 1}])),
+        (r"^weights\[0\]: expected an object", payload(weights=["1/1"])),
+        (r"^blocks\[0\].data\[0\]: expected a real number$", payload(data=True)),
+        (r"^blocks\[0\].data\[0\]: expected a real number, got NoneType", payload(data=None)),
+        (r"^blocks\[0\].data\[0\]: cannot parse real 'one'", payload(data="one")),
+    ]
 
 
 def _boolean_payloads():
@@ -224,6 +257,25 @@ def test_check_malformed_file(tmp_path, capsys):
     code, _, err = run_cli(["check", str(path)], capsys)
     assert code == 2
     assert err.startswith(f"error: cannot read {path}: ")
+    path.write_text('{"schema_version": 1,')
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: invalid JSON (")
+
+
+def test_check_zero_block(tmp_path, capsys):
+    # A zero block makes the frame no RIF candidate and violates the
+    # polytope on its own subset: {3} has weight 1/2 but rank 0.
+    frame = MatrixFrame(2, ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]))
+    path = tmp_path / "zero.json"
+    write_frame_file(path, frame, WeightVector.uniform(2, 4))
+    code, out, _ = run_cli(["check", str(path), "--human"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["rif"] is None
+    assert report["rif_note"] == "zero block: normalised term undefined"
+    assert report["polytope"] is False
+    assert report["violating_subsets"] == [[3]]
 
 
 def test_solve_rif_command(tmp_path, capsys):
@@ -336,6 +388,20 @@ def test_paulsen_guard(tmp_path, capsys):
     code, _, err = run_cli(["paulsen", str(path)], capsys)
     assert code == 2
     assert "0.3" in err
+
+
+def test_paulsen_no_solve_converges(tmp_path, capsys, tight_four_frame):
+    # With no iteration allowed, every candidate's solve ends as max_iters:
+    # paulsen_round gives up and the command exits 2 with no report.
+    message = "no candidate's isotropy solve converged (last status=max_iters, "
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        paulsen_round(tight_four_frame, SolverConfig(max_iters=0))
+    path = tmp_path / "tight.json"
+    write_frame_file(path, tight_four_frame)
+    code, out, err = run_cli(["paulsen", str(path), "--max-iters", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + message)
 
 
 # The builder refuses an overflowing frame operator and the block norms
@@ -515,6 +581,19 @@ def test_gen_malformed_cols(capsys, cols):
     assert err == "error: --cols must be a comma list of positive integers\n"
 
 
+def test_gen_to_stdout(tmp_path, capsys):
+    argv = ["gen", "--d", "2", "--cols", "1,2", "--seed", "7", "--weights", "uniform"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    out_path = tmp_path / "gen.json"
+    code, _, _ = run_cli([*argv, "--out", str(out_path)], capsys)
+    assert code == 0
+    printed, printed_weights = payload_to_frame(json.loads(out))
+    written, written_weights = read_frame_file(out_path)
+    assert printed == written
+    assert printed_weights.weights == written_weights.weights
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):
@@ -562,6 +641,27 @@ def test_parser_reuse_carries_no_state(tmp_path, capsys, tight_four_frame):
         capture_output=True, check=True,
     )
     assert out.encode() == fresh.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, tol",
+    [
+        (["check", "f.json"], DEFAULT_TOL),
+        (["solve-rif", "f.json"], DEFAULT_TOL),
+        (["paulsen", "f.json"], DEFAULT_TOL),
+        (["minors", "f.json"], 0.0),
+        (["gen", "--d", "2", "--cols", "1"], None),
+    ],
+)
+def test_parsed_defaults(argv, tol):
+    # Each subcommand's own defaults: minors enumerates with tol 0 while
+    # the other file commands use DEFAULT_TOL.
+    args = build_parser().parse_args(argv)
+    assert getattr(args, "tol", None) == tol
+    assert args.human is False
+    if argv[0] in ("solve-rif", "paulsen"):
+        assert args.grad_tol is None
+        assert args.max_iters == 100_000
 
 
 def test_import_builds_no_parser():

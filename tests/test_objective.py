@@ -212,6 +212,15 @@ def test_gradient_example(mixed_frame):
     assert_close(log_det_potential_grad(basis, [0, 0]), [1.0, 1.0])
 
 
+def test_gradient_rejects_bad_scalings(mixed_frame):
+    with pytest.raises(ValueError, match=r"shape \(3,\), got \(2,\)"):
+        log_det_potential_grad(mixed_frame, [0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        log_det_potential_grad(mixed_frame, [0.0, math.nan, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        log_det_potential_grad(mixed_frame, [0.0, 0.0, -math.inf])
+
+
 def test_gradient_trace_identity():
     rng = np.random.default_rng(4)
     for _ in range(20):

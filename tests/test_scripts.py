@@ -65,6 +65,13 @@ def test_output_digest_hashes_frames_as_before():
     ]
 
 
+def test_bench_script_help():
+    proc = run_script("scripts/bench.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: bench.py ")
+    assert "--base BASE" in proc.stdout
+
+
 def test_readme_quick_start():
     # The README's one python block runs as written against the package.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
