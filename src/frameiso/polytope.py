@@ -29,6 +29,19 @@ membership report with the evidence for either answer.
   column is swapped for a block-j column; a set with no arc leaving it is
   tight, and a tight set has none.  All arcs of a copy come from the
   one SVD of its basis; only swaps too close to call get their own.
+- The residue rule: a tight set S has c(S) = r(S), an integer, and c(S)
+  is an integer exactly when the a_i over S sum to 0 mod omega.  Before
+  packing, one pass over the first n - 1 budgets with a bitset of the
+  omega residues finds whether any proper nonempty S does.  Where none
+  does, as for uniform weights d/n with gcd(d, n) = 1 and for generic
+  rational weights, a member lies in the relative interior and the
+  digraph is not built.
+- Swap data: every copy's independence is decided from the singular
+  values of its SVD.  The pseudo-inverse rows, |alpha|^2 and residuals
+  that a swap question reads are derived from that SVD's factors only
+  when an augmenting path or the digraph first asks one.  So a member
+  whose planned bases all pass and which has no integral set derives
+  none, and no copy's SVD is taken twice.
 
 The certificate decides independence by one rule: a set of pooled
 columns is independent when its smallest singular value exceeds tol
@@ -282,7 +295,9 @@ class _Packing:
     s_min(E), min(s_min(B), |w|) s_min([E; e_p^T])), and both s_min have
     closed forms.  A set whose bound clears the floor by a factor of two,
     after a rounding allowance, is decided by it; any other by the SVD of
-    B' itself.
+    B' itself.  P, |alpha|^2 and |w| are the swap data: ``_rank`` keeps
+    the factors U, S, V of each SVD it takes, and ``decide`` derives the
+    swap data from them (``_derive``) the first time it is asked.
     """
 
     def __init__(self, frame: MatrixFrame, budget: np.ndarray, omega: int, tol: float):
@@ -305,11 +320,15 @@ class _Packing:
         self.size = np.zeros(omega, dtype=np.intp)
         self.chosen = np.zeros((omega, cols), dtype=bool)
         self.used = np.zeros(len(budget), dtype=np.int64)
-        # From each copy's SVD: pseudo-inverse rows, extreme singular
-        # values, and |alpha|^2 and |w| of every pooled column.
-        self.pinv = np.zeros((omega, d, d))
+        # From each copy's SVD: extreme singular values, and the factors
+        # of the copies ranked since swap data was last derived.
         self.smin = np.zeros(omega)
         self.smax = np.zeros(omega)
+        self.pending = []
+        # Swap data, derived from the factors when a swap question is
+        # asked: pseudo-inverse rows, and |alpha|^2 and |w| of every pooled
+        # column.
+        self.pinv = np.zeros((omega, d, d))
         self.alpha2 = np.zeros((omega, cols))
         self.resid = np.zeros((omega, cols))
         self.stale = np.ones(omega, dtype=bool)
@@ -326,7 +345,7 @@ class _Packing:
         return independent
 
     def _rank(self, copies: np.ndarray) -> np.ndarray:
-        """SVD ``copies`` at their sizes and keep the data of the independent ones.
+        """SVD ``copies`` at their sizes and keep the factors of the independent ones.
 
         Returns the mask of the copies the rule finds independent.
         """
@@ -347,18 +366,25 @@ class _Packing:
                 good = svals[:, -1] > self.floor
                 ok[sel] = good
                 ks, u, svals, vt = copies[sel[good]], u[good], svals[good], vt[good]
-                pinv = (np.swapaxes(vt, 1, 2) / svals[:, None, :]) @ np.swapaxes(u, 1, 2)
-                self.pinv[ks, :s] = pinv
+                self.pending.append((ks, u, svals, vt))
                 self.smin[ks] = svals[:, -1]
                 self.smax[ks] = svals[:, 0]
-                self.alpha2[ks] = np.sum((pinv @ self.pooled) ** 2, axis=1)
-                if s == self.d:
-                    self.resid[ks] = 0.0
-                else:
-                    ut_x = np.swapaxes(u, 1, 2) @ self.pooled
-                    self.resid[ks] = np.linalg.norm(self.pooled - u @ ut_x, axis=1)
         self.stale[copies[ok]] = False
         return ok
+
+    def _derive(self):
+        """Swap data of the copies ranked since the last call, from their factors."""
+        for ks, u, svals, vt in self.pending:
+            s = svals.shape[1]
+            pinv = (np.swapaxes(vt, 1, 2) / svals[:, None, :]) @ np.swapaxes(u, 1, 2)
+            self.pinv[ks, :s] = pinv
+            self.alpha2[ks] = np.sum((pinv @ self.pooled) ** 2, axis=1)
+            if s == self.d:
+                self.resid[ks] = 0.0
+            else:
+                ut_x = np.swapaxes(u, 1, 2) @ self.pooled
+                self.resid[ks] = np.linalg.norm(self.pooled - u @ ut_x, axis=1)
+        self.pending.clear()
 
     def refresh(self):
         """Rank the copies changed since last time; they must be independent."""
@@ -375,8 +401,10 @@ class _Packing:
         Row r is copy ks[r] with its column ps[r] swapped out, or with
         nothing swapped out when ``ps`` is None; column x of the result is
         the verdict on putting pooled column x in.  Entries outside
-        ``candidates`` are False.  The copies must be fresh (``refresh``).
+        ``candidates`` are False.  The copies must be fresh (``refresh``);
+        swap data pending since their last SVD is derived here.
         """
+        self._derive()
         floor, x = self.floor, self.norms
         smin, smax = self.smin[ks, None], self.smax[ks, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -550,6 +578,26 @@ class _Packing:
         return swaps.T
 
 
+def _integral_proper_set(omega: int, scaled) -> bool:
+    """Whether some proper nonempty block set S has an integral weight c(S).
+
+    c(S) is an integer exactly when the sum of a_i = omega c_i over S is
+    0 mod omega.  The weights sum to d, so the complement of such a set is
+    another, and one of the two avoids the last block: the nonempty sets
+    of the first n - 1 blocks decide it.  Bit r of ``reach`` marks a
+    residue r that some nonempty set of the blocks seen so far sums to;
+    each block adds itself and rotates ``reach`` by its residue.
+    """
+    full = (1 << omega) - 1
+    reach = 0
+    for a in scaled[:-1]:
+        r = a % omega
+        reach |= ((reach << r | reach >> (omega - r)) & full) | 1 << r
+        if reach & 1:
+            return True
+    return False
+
+
 def _closed_set(adjacency: np.ndarray) -> Optional[tuple]:
     """A nonempty proper block set with no arc leaving it, or None.
 
@@ -586,6 +634,15 @@ def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeR
     DEFAULT_SIZE_GUARD.  Raises CertificateError (a ValueError) when a
     basis or set it found fails its recheck, which takes a frame on which
     the rank rule does not act as a matroid.
+
+    A tight set has an integral weight, its rank.  Where no proper
+    nonempty block set has one (``_integral_proper_set``, the residue
+    rule, decided before any packing), a member is reported in the
+    relative interior with no tight set, and the exchange digraph is not
+    built; swap data is then derived only if the warm start leaves an
+    augmenting path to find.  The bases of every member are ranked again
+    after the last augmenting path, whichever way the verdict is reached.
+    Non-members take the same path with or without an integral set.
     """
     frame = datum.frame
     omega, scaled = datum.weights.scaled()
@@ -604,6 +661,7 @@ def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeR
         _check_subset(datum, subset, tol, operator.gt)
         return PolytopeReport(False, True, (), (subset,), False)
 
+    face_possible = _integral_proper_set(omega, scaled)
     packing = _Packing(frame, budget, omega, tol)
     packing.warm_start()
     while np.any(packing.size < frame.d):
@@ -615,7 +673,7 @@ def certify_membership(datum: FrameDatum, tol: float = DEFAULT_TOL) -> PolytopeR
 
     packing.refresh()
     tight = None
-    if frame.n > 1:
+    if face_possible:
         tight = _closed_set(packing.exchange_digraph())
         if tight is not None:
             _check_subset(datum, tight, tol, operator.eq)
@@ -637,7 +695,11 @@ def orbit_polytope_report(datum: FrameDatum, tol: float = DEFAULT_TOL) -> Polyto
     It is ``certify_membership``'s report.  A member in the relative
     interior lists nothing, and that is exact: a proper tight set would
     put the weights on a face, and positive weights leave no proper set
-    of weight d, the only weight a rank-d tight set can have.  Where the
+    of weight d, the only weight a rank-d tight set can have.  Where no
+    proper block set has an integral weight (uniform d/n with
+    gcd(d, n) = 1, generic rational weights), a member's relative-interior
+    verdict follows from the residue rule without the exchange digraph,
+    and its swap data is derived only for augmenting paths.  Where the
     certificate cannot answer, on a frame on which it fails its recheck
     (CertificateError) or on weights whose common denominator exceeds its
     size guard (EnumerationSizeError), the report is

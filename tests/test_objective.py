@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frameiso import (
@@ -445,19 +445,31 @@ def _blockwise_hessian(frame, t):
     return np.diag(grad) - coupling
 
 
+# Bound on kappa(Q(t)) of the drawn points.  The kernel's Hessian misses
+# the blockwise reference by about 3 eps kappa(Q(t)) relative to max g
+# (the Cholesky rotation loses orthonormality in proportion to kappa), so
+# below 1e3 that error stays under the 1e-12 tolerance.  About 1% of the
+# draws are filtered out.
+_KAPPA_BOUND = 1e3
+
+
 @st.composite
 def _frames_and_scalings(draw):
     """Blocks of 1 to 4 columns, n from 1, and scalings up to +-400.
 
     A common offset carries t out to +-400 and a spread of e^{+-2} per
-    block keeps Q(t) well conditioned.
+    block; draws with kappa(Q(t)) above _KAPPA_BOUND are filtered out.
+    The offset scales Q(t) and leaves kappa alone, so kappa is taken at
+    the spread.
     """
     cols = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     d = draw(st.integers(1, min(4, sum(cols))))
     frame = random_frame(d, cols, np.random.default_rng(draw(st.integers(0, 2**32))))
     offset = draw(st.floats(-398.0, 398.0))
     spread = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(cols), max_size=len(cols)))
-    return frame, offset + np.array(spread)
+    spread = np.array(spread)
+    assume(np.linalg.cond(kernel_operator(frame, spread)) <= _KAPPA_BOUND)
+    return frame, offset + spread
 
 
 @settings(max_examples=80, deadline=None)
@@ -465,6 +477,19 @@ def _frames_and_scalings(draw):
 def test_hessian_matches_blockwise_definition(frame_and_t):
     frame, t = frame_and_t
     _assert_blockwise_hessian(frame, t)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 15: the Cholesky rotation's error grows with kappa(Q(t))",
+)
+def test_hessian_ill_conditioned_square_block():
+    # A single square block with kappa(X) = 9.7e4, so kappa(Q) = 9.5e9: the
+    # exact 1 x 1 Hessian is 0 and the kernel gives about 4e-7, where the
+    # tolerance is 4e-12.  It passes once the kernel's error no longer
+    # grows with kappa (item 15).
+    frame = random_frame(4, [4], np.random.default_rng(15386))
+    _assert_blockwise_hessian(frame, np.zeros(1))
 
 
 def test_hessian_blockwise_named_cases(mixed_frame):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -351,6 +352,155 @@ def test_certificate_tight_rank_two_set():
     assert certificate.tight_subsets == ((0, 1, 2),)
     assert in_orbit_polytope(datum).tight_subsets == ((0, 1, 2),)
     _recheck_bases(datum, certificate)
+
+
+def _alternating(omega: int) -> WeightVector:
+    """Weights 2/5 +- 1/omega, alternating over ten blocks: they sum to 4."""
+    step = Fraction(1, omega)
+    return WeightVector(tuple(Fraction(2, 5) + (-step if i % 2 else step) for i in range(10)))
+
+
+@pytest.mark.parametrize(
+    "weights, integral",
+    [
+        (WeightVector.uniform(3, 8), False),
+        (WeightVector.uniform(5, 11), False),
+        (WeightVector.uniform(4, 8), True),
+        (WeightVector.uniform(6, 9), True),
+        (WeightVector((1, "1/2", "1/2")), True),
+        (WeightVector.uniform(3, 1), False),
+        (_alternating(1000), False),
+    ],
+    ids=["uniform-3-8", "uniform-5-11", "uniform-4-8", "uniform-6-9", "weight-one",
+         "one-block", "two-fifths-1000"],
+)
+def test_integral_proper_set_named_cases(weights, integral):
+    # 6/9 = 2/3 and three blocks weigh 2; a weight of 1 is a set by itself.
+    assert polytope._integral_proper_set(*weights.scaled()) is integral
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=9), st.integers(1, 40))
+def test_integral_proper_set_matches_subset_sums(budgets, omega):
+    # The last budget completes the sum to a multiple of omega, as the
+    # budgets omega c_i of weights summing to d do.
+    scaled = budgets + [omega - sum(budgets) % omega]
+    brute = any(
+        sum(scaled[i] for i in subset) % omega == 0
+        for size in range(1, len(scaled))
+        for subset in itertools.combinations(range(len(scaled)), size)
+    )
+    assert polytope._integral_proper_set(omega, scaled) == brute
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Patch ``_Packing.<name>`` to record each call in the returned list."""
+    calls = []
+    method = getattr(polytope._Packing, name)
+
+    def counted(self, *args):
+        calls.append(name)
+        return method(self, *args)
+
+    monkeypatch.setattr(polytope._Packing, name, counted)
+    return calls
+
+
+def test_certificate_skips_digraph_without_integral_set(monkeypatch):
+    # No proper block set has an integral weight, so no set can be tight:
+    # a member is in the relative interior with no digraph and no swap data.
+    digraphs = _count_calls(monkeypatch, "exchange_digraph")
+    derived = _count_calls(monkeypatch, "_derive")
+    rng = np.random.default_rng
+    for datum in (
+        FrameDatum(random_frame(3, [1] * 8, rng(0)), WeightVector.uniform(3, 8)),
+        FrameDatum(random_frame(5, [2] * 11, rng(1)), WeightVector.uniform(5, 11)),
+        FrameDatum(random_frame(4, [1] * 10, rng(0)), _alternating(1000)),
+    ):
+        certificate = certify_membership(datum)
+        assert certificate.relative_interior
+        assert certificate.tight_subsets == ()
+        _recheck_bases(datum, certificate)
+        assert certificate == in_orbit_polytope(datum)
+    assert digraphs == [] and derived == []
+    # 4/8 = 1/2: pairs of blocks weigh 1, so the digraph decides.
+    datum = FrameDatum(random_frame(4, [1] * 8, rng(0)), WeightVector.uniform(4, 8))
+    certificate = certify_membership(datum)
+    assert certificate.relative_interior
+    _recheck_bases(datum, certificate)
+    assert len(digraphs) == 1 and derived
+
+
+@st.composite
+def _coprime_or_rational_data(draw):
+    # Uniform weights d/n with gcd(d, n) = 1, or shares of 1 to 97 that
+    # rarely leave a set of integral weight; entries in {-1, 0, 1}.
+    n = draw(st.integers(1, 8))
+    d = draw(st.sampled_from([k for k in (1, 2, 3) if math.gcd(k, n) == 1]))
+    blocks = []
+    for _ in range(n):
+        cols = draw(st.integers(1, 2))
+        entries = draw(st.lists(st.integers(-1, 1), min_size=d * cols, max_size=d * cols))
+        blocks.append(np.array(entries, dtype=float).reshape(d, cols))
+    if draw(st.booleans()):
+        weights = WeightVector.uniform(d, n)
+    else:
+        shares = draw(st.lists(st.integers(1, 97), min_size=n, max_size=n))
+        weights = WeightVector(tuple(Fraction(d * a, sum(shares)) for a in shares))
+    return FrameDatum(MatrixFrame(d, tuple(blocks)), weights)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_coprime_or_rational_data())
+def test_certificate_verdicts_on_coprime_and_rational_weights(datum):
+    oracle = in_orbit_polytope(datum)
+    certificate = certify_membership(datum)
+    assert certificate.member == oracle.member
+    assert certificate.relative_interior == oracle.relative_interior
+    if certificate.member:
+        _recheck_bases(datum, certificate)
+
+
+def test_certificate_rechecks_augmented_bases(monkeypatch):
+    # e1 + e2 and -e1 - e2 are parallel, so one planned basis fails the
+    # rule and one augmenting path completes it.  Weights 2/5 leave no set
+    # of integral weight and no digraph runs, but the copies the path
+    # changed are still ranked again before the report.
+    frame = MatrixFrame(2, ([1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, -1.0], [-1.0, -1.0]))
+    datum = FrameDatum(frame, WeightVector.uniform(2, 5))
+    assert not polytope._integral_proper_set(*datum.weights.scaled())
+    digraphs = _count_calls(monkeypatch, "exchange_digraph")
+    augmented, ranked = [], []
+    apply, rank = polytope._Packing._apply, polytope._Packing._rank
+
+    def recording_apply(self, entry, end):
+        apply(self, entry, end)
+        augmented.append(set(np.flatnonzero(self.stale).tolist()))
+
+    def recording_rank(self, copies):
+        if augmented:
+            ranked.extend(copies.tolist())
+        return rank(self, copies)
+
+    monkeypatch.setattr(polytope._Packing, "_apply", recording_apply)
+    monkeypatch.setattr(polytope._Packing, "_rank", recording_rank)
+    certificate = certify_membership(datum)
+    assert certificate.relative_interior
+    assert len(augmented) == 1 and digraphs == []
+    assert augmented[0] <= set(ranked)
+    _recheck_bases(datum, certificate)
+
+    # A rule that rejects the augmented copies makes the recheck raise.
+    def rejecting_rank(self, copies):
+        ok = rank(self, copies)
+        if augmented:
+            ok &= ~np.isin(copies, list(augmented[-1]))
+        return ok
+
+    augmented.clear()
+    monkeypatch.setattr(polytope._Packing, "_rank", rejecting_rank)
+    with pytest.raises(CertificateError, match="dependent set"):
+        certify_membership(datum)
 
 
 def test_certificate_collinear_non_member(collinear_frame, thirds):
